@@ -13,7 +13,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .lattice import BoundaryPhase, BulkParams, WalkerState, build_step_matrix
 
@@ -122,24 +121,26 @@ def edge_eigenmodes(params: BulkParams, phi: BoundaryPhase, n_max: int = 64,
     Eigenphases within ``tol`` of 0 (pi) classify as "zero" ("pi") provided
     the mode carries more than half of its weight on sites 0..1; modes living
     at the mirrored right edge are dropped by a left-half-weight filter.
+    Eigenphases are reported as |E| in [0, pi]: U is real, so for an
+    eigenvalue of exactly +-1 the sign of E is round-off.
     """
     if n_max < 32:
         raise ValueError("n_max must be at least 32 for a clean edge spectrum")
     u = build_step_matrix(params, phi, n_max)
-    eigvals, eigvecs = scipy.linalg.eig(u)
-    phases = -np.angle(eigvals)  # U |psi> = e^{-iE} |psi>
+    eigvals, eigvecs = np.linalg.eig(u)
+    phases = np.abs(np.angle(eigvals))  # U |psi> = e^{-iE} |psi>
 
     modes: list[EigenMode] = []
     half = (n_max + 1) // 2
     for target in ("zero", "pi"):
         if target == "zero":
-            group = [j for j in range(phases.size) if abs(phases[j]) < tol]
+            group = [j for j in range(phases.size) if phases[j] < tol]
         else:
-            group = [j for j in range(phases.size) if abs(abs(phases[j]) - math.pi) < tol]
+            group = [j for j in range(phases.size) if abs(phases[j] - math.pi) < tol]
         if not group:
             continue
         for j in group:
-            if abs(phases[j]) < tol and abs(abs(phases[j]) - math.pi) < tol:
+            if phases[j] < tol and abs(phases[j] - math.pi) < tol:
                 raise DegenerateClassification(f"eigenphase {phases[j]} matches 0 and pi")
         vecs = _localized_group_vectors(eigvecs[:, group])
         for col in range(vecs.shape[1]):
@@ -154,7 +155,7 @@ def edge_eigenmodes(params: BulkParams, phi: BoundaryPhase, n_max: int = 64,
             phase = float(phases[group[col]])
             modes.append(EigenMode(eigenphase=phase, amplitudes=v,
                                    edge_weight=edge_weight, mode_class=target))
-    modes.sort(key=lambda m: abs(m.eigenphase))
+    modes.sort(key=lambda m: m.eigenphase)
     return modes
 
 
@@ -165,6 +166,16 @@ def successive_ratios(profile: np.ndarray, floor: float = 1e-12) -> np.ndarray:
     ok = (profile[:-1] > floor) & (profile[1:] > floor)
     ratios[ok] = profile[1:][ok] / profile[:-1][ok]
     return ratios
+
+
+def linear_fit(x: np.ndarray, y: np.ndarray) -> tuple[float, float, float]:
+    """Least-squares line y ~ slope x + intercept: (slope, intercept, R^2)."""
+    slope, intercept = np.polyfit(x, y, 1)
+    predicted = slope * x + intercept
+    ss_res = float(np.sum((y - predicted) ** 2))
+    ss_tot = float(np.sum((y - y.mean()) ** 2))
+    r_squared = 1.0 - ss_res / ss_tot if ss_tot > 0 else 1.0
+    return slope, intercept, r_squared
 
 
 def fit_localization(profile: np.ndarray, floor: float = 1e-12) -> LocalizationFit:
@@ -188,12 +199,7 @@ def fit_localization(profile: np.ndarray, floor: float = 1e-12) -> LocalizationF
     sites = np.arange(window[0], run_end)
     if sites.size < 6:
         raise InsufficientSupport(f"only {sites.size} sites above {floor}")
-    logs = np.log(profile[sites])
-    slope, intercept = np.polyfit(sites, logs, 1)
-    predicted = slope * sites + intercept
-    ss_res = float(np.sum((logs - predicted) ** 2))
-    ss_tot = float(np.sum((logs - logs.mean()) ** 2))
-    r_squared = 1.0 - ss_res / ss_tot if ss_tot > 0 else 1.0
+    slope, _, r_squared = linear_fit(sites, np.log(profile[sites]))
     if slope >= 0:
         raise InsufficientSupport("profile does not decay")
     return LocalizationFit(lam=-1.0 / slope, ratio_even=float(np.exp(2.0 * slope)),

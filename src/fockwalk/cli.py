@@ -215,6 +215,10 @@ def cmd_sweep(args) -> int:
     return EXIT_OK
 
 
+# keys a named quench scenario fixes itself; only n0, nq and total may vary
+_SCENARIO_KEYS = {"theta1_i", "theta2_i", "theta1_f", "theta2_f", "phi_i", "phi_f", "kick"}
+
+
 def cmd_quench(args) -> int:
     cfg = gather_config(args, {
         "theta1_i": "initial theta1", "theta2_i": "initial theta2",
@@ -230,6 +234,9 @@ def cmd_quench(args) -> int:
     nq = int(cfg.get("nq", "1"))
     total = int(cfg.get("total", str(n0 + nq + 80)))
     if "scenario" in cfg:
+        defined = sorted(set(cfg) & _SCENARIO_KEYS)
+        if defined:
+            raise ConfigError(f"scenario= already defines {', '.join(defined)}")
         matches = [s for s in quench.survival_catalog() if s.name == cfg["scenario"]]
         if not matches:
             names = ", ".join(s.name for s in quench.survival_catalog())
@@ -430,7 +437,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except (ConfigError, FileNotFoundError) as exc:
+    except (ValueError, lattice.SiteOutOfRange, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except (lattice.GuardBandViolation, momentum.GapClosed,

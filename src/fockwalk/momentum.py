@@ -17,7 +17,6 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 
 from .lattice import BoundaryPhase, BulkParams, coin_matrix
 
@@ -239,25 +238,14 @@ def predict_bound_states(real: BulkParams, phi: BoundaryPhase,
     return (real_label.nu0 ^ virt_label.nu0, real_label.nu_pi ^ virt_label.nu_pi)
 
 
-def quasienergy_gaps(params: BulkParams, n_k: int = 4096) -> GapReport:
+def quasienergy_gaps(params: BulkParams) -> GapReport:
     """Minimal distances of the band E(k) to 0 and to pi.
 
-    Coarse scan plus bounded local refinement near each minimum.
+    cos E(k) = c1 c2 cos k - s1 s2 is monotone in cos k, so the band edges
+    sit at k = 0 and k = pi: delta0 = min E and delta_pi = pi - max E.
     """
-    ks = np.linspace(-math.pi, math.pi, n_k, endpoint=False)
-    energies = dispersion_energy(params, ks)
-    step = 2.0 * math.pi / n_k
-
-    def refine(objective, k0):
-        res = minimize_scalar(objective, bounds=(k0 - step, k0 + step),
-                              method="bounded", options={"xatol": 1e-10})
-        return min(objective(k0), float(res.fun))
-
-    k_low = ks[int(np.argmin(energies))]
-    k_high = ks[int(np.argmax(energies))]
-    delta0 = refine(lambda k: float(dispersion_energy(params, k)), k_low)
-    delta_pi = refine(lambda k: math.pi - float(dispersion_energy(params, k)), k_high)
-    return GapReport(delta0=max(delta0, 0.0), delta_pi=max(delta_pi, 0.0))
+    edges = dispersion_energy(params, np.array([0.0, math.pi]))
+    return GapReport(delta0=float(edges.min()), delta_pi=math.pi - float(edges.max()))
 
 
 @dataclass(frozen=True)
@@ -276,7 +264,7 @@ def phase_diagram(thetas1, thetas2, n_k: int = 1024,
     for t1 in thetas1:
         for t2 in thetas2:
             params = BulkParams(float(t1), float(t2))
-            gaps = quasienergy_gaps(params, n_k)
+            gaps = quasienergy_gaps(params)
             if min(gaps.delta0, gaps.delta_pi) < transition_tol:
                 points.append(DiagramPoint(float(t1), float(t2), None, gaps, "transition"))
             else:

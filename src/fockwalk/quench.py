@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .analysis import ObservableRecord, detect_stabilization, observable_record
+from .analysis import ObservableRecord, detect_stabilization, linear_fit, observable_record
 from .lattice import (
     PHI_PI,
     PHI_ZERO,
@@ -28,6 +28,7 @@ from .lattice import (
     initial_state,
     sigma_z_kick,
 )
+from .momentum import quasienergy_gaps
 
 
 class InsufficientLoss(RuntimeError):
@@ -239,8 +240,6 @@ def landau_zener_fit(scenario: QuenchScenario, nq_list, n0: int = 20,
     quasi-energy gap at E = pi of the final parameters is reported for the
     rate-crossover comparison.
     """
-    from .momentum import quasienergy_gaps
-
     if len(set(int(n) for n in nq_list)) < 5:
         raise ValueError("need at least 5 distinct ramp durations")
     rows = ramp_survival_curve(scenario, nq_list, n0=n0, post=post)
@@ -248,12 +247,7 @@ def landau_zener_fit(scenario: QuenchScenario, nq_list, n0: int = 20,
     if len(pts) < 3:
         raise InsufficientLoss("fewer than 3 ramps lost population above the floor")
     nqs = np.array([q for q, _ in pts], dtype=float)
-    logs = np.log(np.array([l for _, l in pts]))
-    slope, intercept = np.polyfit(nqs, logs, 1)
-    predicted = slope * nqs + intercept
-    ss_res = float(np.sum((logs - predicted) ** 2))
-    ss_tot = float(np.sum((logs - logs.mean()) ** 2))
-    r_squared = 1.0 - ss_res / ss_tot if ss_tot > 0 else 1.0
+    slope, intercept, r_squared = linear_fit(nqs, np.log(np.array([l for _, l in pts])))
     gaps = quasienergy_gaps(scenario.final)
     return LZFit(beta=-float(slope), amplitude=float(np.exp(intercept)),
                  r_squared=r_squared, delta_pi=gaps.delta_pi, curve=tuple(rows))

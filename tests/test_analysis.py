@@ -88,6 +88,8 @@ def test_eigenmodes_trivial_phase_empty():
 def test_eigenmodes_both_channels():
     modes = edge_eigenmodes(BulkParams(-math.pi / 8, math.pi / 4), PHI_ZERO, n_max=64)
     assert sorted(m.mode_class for m in modes) == ["pi", "zero"]
+    pi_mode = next(m for m in modes if m.mode_class == "pi")
+    assert pi_mode.eigenphase == pytest.approx(math.pi, abs=1e-9)
 
 
 def test_eigenmode_counts_match_prediction_for_random_draws():

@@ -1,9 +1,13 @@
 import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import fockwalk
 from fockwalk.cli import (
     EXIT_CONFIG,
     EXIT_OK,
@@ -121,6 +125,41 @@ def test_quench_scenario_runs(tmp_path):
 
 def test_quench_unknown_scenario(tmp_path):
     assert main(["quench", "scenario=nope", "--out", str(tmp_path / "q.csv")]) == EXIT_CONFIG
+
+
+def test_quench_scenario_rejects_keys_it_defines(tmp_path):
+    out = str(tmp_path / "q.csv")
+    for key in ("theta1_i=0", "theta2_f=pi/4", "phi_f=pi", "kick=500"):
+        assert main(["quench", "scenario=fig6c", key, "--out", out]) == EXIT_CONFIG
+    assert main(["quench", "scenario=fig6c", "n0=20", "nq=10", "total=300",
+                 "--out", out]) == EXIT_OK
+
+
+@pytest.mark.parametrize("argv", [
+    ["walk", "steps=abc"],
+    ["walk", "theta1=nan", "theta2=0"],
+    ["walk", "theta1=pi/2", "steps=-5"],
+    ["eigen", "theta1=pi/2", "n_max=10"],
+    ["ramp", "nq_list=1,2"],
+    ["pulse-verify", "tau=-1"],
+    ["quench", "theta1_i=pi/2", "theta2_i=0", "theta1_f=pi/2", "theta2_f=0", "kick=500"],
+])
+def test_bad_values_exit_with_one_error_line(argv, tmp_path, capsys):
+    assert main(argv + ["--out", str(tmp_path / "x.csv")]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+    assert "Traceback" not in err
+
+
+def test_cli_import_loads_no_scipy():
+    code = ("import sys, fockwalk.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    src = os.path.dirname(os.path.dirname(fockwalk.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    result = subprocess.run([sys.executable, "-c", code], env=env,
+                            capture_output=True, text=True, check=True)
+    assert result.stdout.strip() == "[]"
 
 
 def test_eigen_table(tmp_path):

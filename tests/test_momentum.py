@@ -12,6 +12,7 @@ from fockwalk.momentum import (
     chiral_axis,
     dispersion_bloch,
     dispersion_cos_e,
+    dispersion_energy,
     phase_diagram,
     predict_bound_states,
     quasienergy_gaps,
@@ -165,6 +166,23 @@ def test_quasienergy_gap_examples():
     assert report.delta_pi == pytest.approx(math.pi / 4, abs=1e-8)
     assert quasienergy_gaps(BulkParams(1.1, 1.1)).delta_pi == pytest.approx(0.0, abs=1e-8)
     assert quasienergy_gaps(BulkParams(1.1, -1.1)).delta0 == pytest.approx(0.0, abs=1e-8)
+
+
+def test_quasienergy_gaps_match_dense_band_scan():
+    # grid offset by half a step, so it never hits the edges k = 0, pi;
+    # |dE/dk| <= 1 bounds how far its extremes can sit inside the band
+    n_k = 4096
+    step = 2.0 * math.pi / n_k
+    ks = -math.pi + (np.arange(n_k) + 0.5) * step
+    rng = np.random.default_rng(5)
+    for t1, t2 in rng.uniform(-2 * math.pi, 2 * math.pi, size=(200, 2)):
+        params = BulkParams(float(t1), float(t2))
+        gaps = quasienergy_gaps(params)
+        energies = dispersion_energy(params, ks)
+        scan0 = float(energies.min())
+        scan_pi = math.pi - float(energies.max())
+        assert gaps.delta0 - 1e-15 <= scan0 <= gaps.delta0 + step
+        assert gaps.delta_pi - 1e-15 <= scan_pi <= gaps.delta_pi + step
 
 
 def test_phase_diagram_has_all_four_labels_and_transitions():
