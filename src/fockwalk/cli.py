@@ -18,6 +18,7 @@ Exit codes: 0 success, 2 configuration error, 3 numeric-invariant violation.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import math
 import os
@@ -201,14 +202,14 @@ def cmd_sweep(args) -> int:
     t2s = parse_angle_list(cfg.get("theta2", "0"))
     phi = parse_phi(cfg.get("phi", "0"))
     steps = int(cfg.get("steps", "100"))
-    tasks = []
-    index = 0
-    for t1 in t1s:
-        for t2 in t2s:
-            tasks.append((index, t1, t2, phi.phi, steps))
-            index += 1
+    if not t1s or not t2s:
+        raise ConfigError("theta1= and theta2= each need at least one angle")
+    if steps < 0:
+        raise ConfigError(f"steps must be >= 0, got {steps}")
+    _check_workers(args)
+    tasks = [(index, t1, t2, phi.phi, steps)
+             for index, (t1, t2) in enumerate(itertools.product(t1s, t2s))]
     rows = _parallel_map(_sweep_point, tasks, args.workers)
-    rows.sort(key=lambda r: r[0])
     _emit(args, SWEEP_HEADER, rows)
     if any(str(r[-1]).startswith("error") for r in rows):
         return EXIT_NUMERIC
@@ -362,18 +363,20 @@ def cmd_phase_diagram(args) -> int:
     hi = parse_angle(cfg.get("hi", "2pi"))
     n_k = int(cfg.get("n_k", "1024"))
     tol = float(cfg.get("transition_tol", "0.01"))
+    if grid < 1 or n_k < 1:
+        raise ConfigError(f"grid and n_k must be >= 1, got grid={grid}, n_k={n_k}")
+    _check_workers(args)
     values = [lo + (hi - lo) * (i + 0.5) / grid for i in range(grid)]
-    tasks = []
-    index = 0
-    for t1 in values:
-        for t2 in values:
-            tasks.append((index, t1, t2, n_k, tol))
-            index += 1
+    tasks = [(index, t1, t2, n_k, tol)
+             for index, (t1, t2) in enumerate(itertools.product(values, values))]
     rows = _parallel_map(_diagram_point, tasks, args.workers)
-    rows.sort(key=lambda r: r[0])
-    out_rows = [row[1:] for row in rows]
-    _emit(args, DIAGRAM_HEADER, out_rows)
+    _emit(args, DIAGRAM_HEADER, [row[1:] for row in rows])
     return EXIT_OK
+
+
+def _check_workers(args) -> None:
+    if args.workers is not None and args.workers < 1:
+        raise ConfigError(f"--workers must be >= 1, got {args.workers}")
 
 
 def _parallel_map(fn, tasks, workers: int | None):

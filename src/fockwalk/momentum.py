@@ -1,9 +1,10 @@
 """Bulk momentum-space analytics for the split-step walk.
 
-Dispersion and Bloch vector of the translation-invariant walk, quasi-energy
-gaps, numeric winding numbers in the two chiral time frames, the Z2 x Z2
-phase label built from them, the boundary <-> virtual-bulk correspondence,
-and bound-state prediction via the topology-mismatch rule.
+Dispersion and Bloch vector of the translation-invariant walk, closed-form
+quasi-energy gaps, windings of the closed-form Bloch curves of the two chiral
+time frames around their common chiral (x) axis, the Z2 x Z2 phase label
+built from them, the boundary <-> virtual-bulk correspondence, and
+bound-state prediction via the topology-mismatch rule.
 
 Momentum convention: plane waves |n> ~ e^{ikn}, so the up-shift is
 S_up(k) = diag(e^{-ik}, 1) and the down-shift S_dn(k) = diag(1, e^{ik}),
@@ -21,11 +22,10 @@ import numpy as np
 from .lattice import BoundaryPhase, BulkParams, coin_matrix
 
 DEGENERACY_TOL = 1e-8
-GAP_OPEN_TOL = 1e-6
 
 
 class GapClosed(RuntimeError):
-    """A quasi-energy gap is closed (or too small); invariants are undefined."""
+    """A quasi-energy gap is closed or below the momentum-grid resolution."""
 
 
 class DegeneratePoint(RuntimeError):
@@ -33,7 +33,7 @@ class DegeneratePoint(RuntimeError):
 
 
 class ChiralAxisNotFound(RuntimeError):
-    """The sampled Bloch vectors do not lie in a plane; no chiral axis."""
+    """The sampled winding is not close to an integer (numeric invariant)."""
 
 
 class TimeFrame(Enum):
@@ -87,10 +87,15 @@ def time_frame_unitary_k(params: BulkParams, frame: TimeFrame, k: float) -> np.n
     return half @ _shift_down(k) @ coin_matrix(params.theta1) @ _shift_up(k) @ half
 
 
+def _half_angles(params: BulkParams) -> tuple[float, float, float, float]:
+    """(cos, sin) of theta1/2, then (cos, sin) of theta2/2."""
+    return (math.cos(params.theta1 / 2.0), math.sin(params.theta1 / 2.0),
+            math.cos(params.theta2 / 2.0), math.sin(params.theta2 / 2.0))
+
+
 def dispersion_cos_e(params: BulkParams, k) -> np.ndarray:
     """cos E(k) from the closed-form dispersion relation."""
-    c1, s1 = math.cos(params.theta1 / 2.0), math.sin(params.theta1 / 2.0)
-    c2, s2 = math.cos(params.theta2 / 2.0), math.sin(params.theta2 / 2.0)
+    c1, s1, c2, s2 = _half_angles(params)
     return c2 * c1 * np.cos(k) - s1 * s2
 
 
@@ -105,8 +110,7 @@ def dispersion_bloch(params: BulkParams, k: float) -> BlochSample:
     Raises DegeneratePoint where sin E(k) < 1e-8 (gap closure; the Bloch
     direction is undefined there and callers must skip or refine).
     """
-    c1, s1 = math.cos(params.theta1 / 2.0), math.sin(params.theta1 / 2.0)
-    c2, s2 = math.cos(params.theta2 / 2.0), math.sin(params.theta2 / 2.0)
+    c1, s1, c2, s2 = _half_angles(params)
     cos_e = c2 * c1 * math.cos(k) - s1 * s2
     cos_e = min(1.0, max(-1.0, cos_e))
     energy = math.acos(cos_e)
@@ -119,85 +123,38 @@ def dispersion_bloch(params: BulkParams, k: float) -> BlochSample:
     return BlochSample(k=k, energy=energy, n_vec=(nx, ny, nz))
 
 
-def _frame_unitaries(params: BulkParams, frame: TimeFrame, ks: np.ndarray) -> np.ndarray:
-    """Stack of 2x2 frame unitaries over a k grid, shape (len(ks), 2, 2)."""
-    c1 = coin_matrix(params.theta1)
-    c2 = coin_matrix(params.theta2)
-    h1 = coin_matrix(params.theta1 / 2.0)
-    h2 = coin_matrix(params.theta2 / 2.0)
-    eminus = np.exp(-1j * ks)
-    up = np.zeros((ks.size, 2, 2), dtype=complex)
-    up[:, 0, 0] = eminus
-    up[:, 1, 1] = 1.0
-    dn = np.zeros((ks.size, 2, 2), dtype=complex)
-    dn[:, 0, 0] = 1.0
-    dn[:, 1, 1] = np.conj(eminus)
+def _frame_bloch_curve(params: BulkParams, frame: TimeFrame,
+                       ks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """In-plane components (y, z) of sin E(k) n(k) in a chiral frame.
+
+    Closed form of (-Re U01, -Im U00) of `time_frame_unitary_k`; the x
+    component -Im U01 vanishes identically, so x is the chiral axis.  The
+    curve moves at speed <= 1 in k and keeps distance sin E(k) from 0.
+    """
+    c1, s1, c2, s2 = _half_angles(params)
     if frame is TimeFrame.F1:
-        return h1 @ up @ c2 @ dn @ h1
-    return h2 @ dn @ c1 @ up @ h2
-
-
-def _bloch_vectors(us: np.ndarray) -> np.ndarray:
-    """Unit Bloch vectors n(k) of a stack of SU(2) unitaries.
-
-    Uses U = cos E - i sin E (n . sigma) with the branch E in (0, pi);
-    raises GapClosed if sin E is too small anywhere on the grid.
-    """
-    cos_e = np.real(us[:, 0, 0] + us[:, 1, 1]) / 2.0
-    sin_e = np.sqrt(np.clip(1.0 - cos_e**2, 0.0, None))
-    if np.any(sin_e < DEGENERACY_TOL):
-        raise GapClosed("gap closes on the sampled grid")
-    n = np.empty((us.shape[0], 3))
-    n[:, 0] = -np.imag(us[:, 0, 1]) / sin_e
-    n[:, 1] = -np.real(us[:, 0, 1]) / sin_e
-    n[:, 2] = -np.imag(us[:, 0, 0]) / sin_e
-    return n
-
-
-def _chiral_axis(n: np.ndarray) -> np.ndarray:
-    """Unit vector orthogonal to every sampled Bloch vector.
-
-    Smallest right-singular direction of the sample matrix, sign-fixed by
-    making the largest-magnitude component positive.
-    """
-    _, _, vt = np.linalg.svd(n, full_matrices=False)
-    axis = vt[-1]
-    residual = float(np.max(np.abs(n @ axis)))
-    if residual > 1e-6:
-        raise ChiralAxisNotFound(f"planarity residual {residual:.2e}")
-    lead = np.argmax(np.abs(axis))
-    if axis[lead] < 0:
-        axis = -axis
-    return axis
-
-
-def chiral_axis(params: BulkParams, frame: TimeFrame, n_k: int = 512) -> np.ndarray:
-    """Recovered chiral axis of a frame (diagnostic; for this walk family it
-    is the x axis in both frames, independent of the coin angles)."""
-    ks = np.linspace(-math.pi, math.pi, n_k, endpoint=False)
-    return _chiral_axis(_bloch_vectors(_frame_unitaries(params, frame, ks)))
+        return s1 * c2 * np.cos(ks) + c1 * s2, c2 * np.sin(ks)
+    return s1 * c2 + c1 * s2 * np.cos(ks), c1 * np.sin(ks)
 
 
 def winding_number(params: BulkParams, frame: TimeFrame, n_k: int = 2048) -> int:
-    """Winding of the frame Bloch vector around the chiral axis.
+    """Winding of the frame Bloch curve around the chiral (x) axis.
 
-    Samples n(k) on a uniform grid, finds the chiral axis, builds the
-    right-handed in-plane basis (e1 = projected x-axis, or y-axis when that
-    projection degenerates), and counts full turns of the unwrapped angle.
-    The orientation convention makes (pi/2, 0) give +1 in frame F1.
+    Counts full turns of atan2(z, y) along the closed-form curve sampled on
+    a uniform n_k grid; (pi/2, 0) gives +1 in frame F1.  Samples lie at most
+    2 pi / n_k apart and at least min(sin delta0, sin delta_pi) from the
+    origin, so the count is exact when the latter is larger; else GapClosed.
     """
+    if n_k < 1:
+        raise ValueError(f"n_k must be >= 1, got {n_k}")
     gaps = quasienergy_gaps(params)
-    if gaps.delta0 <= GAP_OPEN_TOL or gaps.delta_pi <= GAP_OPEN_TOL:
-        raise GapClosed(f"gaps ({gaps.delta0:.2e}, {gaps.delta_pi:.2e}) too small")
+    spacing = 2.0 * math.pi / n_k
+    if min(math.sin(gaps.delta0), math.sin(gaps.delta_pi)) <= spacing:
+        raise GapClosed(f"gaps ({gaps.delta0:.2e}, {gaps.delta_pi:.2e}) not resolved "
+                        f"by n_k = {n_k}: needs sin(gap) > 2pi/n_k = {spacing:.2e}")
     ks = np.linspace(-math.pi, math.pi, n_k, endpoint=False)
-    n = _bloch_vectors(_frame_unitaries(params, frame, ks))
-    axis = _chiral_axis(n)
-    e1 = np.array([1.0, 0.0, 0.0]) - axis[0] * axis
-    if np.linalg.norm(e1) < 0.5:
-        e1 = np.array([0.0, 1.0, 0.0]) - axis[1] * axis
-    e1 /= np.linalg.norm(e1)
-    e2 = np.cross(axis, e1)
-    angles = np.arctan2(n @ e2, n @ e1)
+    y, z = _frame_bloch_curve(params, frame, ks)
+    angles = np.arctan2(z, y)
     increments = np.diff(np.concatenate([angles, angles[:1]]))
     increments = (increments + math.pi) % (2.0 * math.pi) - math.pi
     total = float(np.sum(increments)) / (2.0 * math.pi)

@@ -143,6 +143,12 @@ def test_quench_scenario_rejects_keys_it_defines(tmp_path):
     ["ramp", "nq_list=1,2"],
     ["pulse-verify", "tau=-1"],
     ["quench", "theta1_i=pi/2", "theta2_i=0", "theta1_f=pi/2", "theta2_f=0", "kick=500"],
+    ["sweep", "theta1=pi/2", "theta2=0", "steps=-5"],
+    ["sweep", "theta1=pi/2", "theta2="],
+    ["phase-diagram", "grid=0"],
+    ["phase-diagram", "grid=2", "n_k=0"],
+    ["sweep", "theta1=pi/2", "theta2=0", "--workers", "0"],
+    ["phase-diagram", "grid=2", "--workers", "-3"],
 ])
 def test_bad_values_exit_with_one_error_line(argv, tmp_path, capsys):
     assert main(argv + ["--out", str(tmp_path / "x.csv")]) == EXIT_CONFIG

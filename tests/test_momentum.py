@@ -8,8 +8,8 @@ from fockwalk.momentum import (
     DegeneratePoint,
     GapClosed,
     TimeFrame,
+    _frame_bloch_curve,
     bulk_unitary_k,
-    chiral_axis,
     dispersion_bloch,
     dispersion_cos_e,
     dispersion_energy,
@@ -101,11 +101,55 @@ def test_winding_anchor_values():
     assert winding_number(params, TimeFrame.F2) == 0
 
 
-def test_chiral_axis_is_x_in_both_frames():
-    for frame in TimeFrame:
-        for params in (BulkParams(math.pi / 2, 0.0), BulkParams(0.8, -1.9)):
-            axis = chiral_axis(params, frame)
-            np.testing.assert_allclose(axis, [1.0, 0.0, 0.0], atol=1e-9)
+def test_frame_bloch_curve_matches_frame_unitaries_and_axis_is_x():
+    # U = cos E - i sin E (n . sigma): sin E n = (-Im U01, -Re U01, -Im U00)
+    rng = np.random.default_rng(17)
+    for t1, t2, k in rng.uniform(-2 * math.pi, 2 * math.pi, size=(200, 3)):
+        params = BulkParams(float(t1), float(t2))
+        for frame in TimeFrame:
+            u = time_frame_unitary_k(params, frame, float(k))
+            y, z = _frame_bloch_curve(params, frame, np.array([k]))
+            assert abs(u[0, 1].imag) < 1e-12
+            assert abs(y[0] + u[0, 1].real) < 1e-12
+            assert abs(z[0] + u[0, 0].imag) < 1e-12
+
+
+def analytic_windings(params):
+    c1, s1 = math.cos(params.theta1 / 2), math.sin(params.theta1 / 2)
+    c2, s2 = math.cos(params.theta2 / 2), math.sin(params.theta2 / 2)
+    a, b = abs(s1 * c2), abs(c1 * s2)
+    return (int(np.sign(s1)) * int(a > b), int(np.sign(s2)) * int(b > a))
+
+
+def test_winding_matches_analytic_rule_or_raises_when_unresolved():
+    rng = np.random.default_rng(23)
+    resolved = unresolved = 0
+    for t1, t2 in rng.uniform(-2 * math.pi, 2 * math.pi, size=(300, 2)):
+        params = BulkParams(float(t1), float(t2))
+        gaps = quasienergy_gaps(params)
+        if min(gaps.delta0, gaps.delta_pi) < 1e-3:
+            continue
+        expected = analytic_windings(params)
+        for n_k in (8, 64, 2048):
+            got = []
+            for frame in TimeFrame:
+                if min(math.sin(gaps.delta0), math.sin(gaps.delta_pi)) > 2 * math.pi / n_k:
+                    got.append(winding_number(params, frame, n_k))
+                else:
+                    with pytest.raises(GapClosed, match="n_k"):
+                        winding_number(params, frame, n_k)
+            if got:
+                assert tuple(got) == expected
+                resolved += 1
+            else:
+                unresolved += 1
+    assert resolved > 100 and unresolved > 100
+
+
+def test_winding_rejects_empty_grid():
+    for n_k in (0, -4):
+        with pytest.raises(ValueError):
+            winding_number(BulkParams(math.pi / 2, 0.0), TimeFrame.F1, n_k)
 
 
 def test_winding_stable_under_grid_refinement():
