@@ -2,9 +2,9 @@
 
 Edge population, site-resolved spin readout, phonon moments, localization
 fits of stable edge profiles, plateau detection, and a dense eigen-oracle
-that diagonalizes the one-step matrix and classifies 0- and pi-energy edge
-modes.  The oracle is the independent reference the dynamical results are
-checked against.
+that diagonalizes the symmetric part of the real orthogonal one-step matrix
+and classifies 0- and pi-energy edge modes by their residuals.  The oracle
+is the independent reference the dynamical results are checked against.
 """
 
 from __future__ import annotations
@@ -26,10 +26,6 @@ class SiteUnoccupied(RuntimeError):
 
 class InsufficientSupport(RuntimeError):
     """Not enough sites above the probability floor to fit a decay length."""
-
-
-class DegenerateClassification(RuntimeError):
-    """An eigenphase sits within tolerance of both 0 and pi."""
 
 
 @dataclass(frozen=True)
@@ -102,57 +98,50 @@ def observable_record(step: int, state: WalkerState) -> ObservableRecord:
 
 
 def _localized_group_vectors(vectors: np.ndarray) -> np.ndarray:
-    """Disentangle a (near-)degenerate eigenspace into site-localized vectors.
+    """Site-localized basis of an orthonormal (near-)degenerate eigenspace.
 
-    Orthonormalizes the group and then diagonalizes the mean-site operator
-    inside it, so left- and right-edge partners separate cleanly.
+    Diagonalizes the mean-site operator inside it, so left- and right-edge
+    partners separate cleanly.
     """
-    q, _ = np.linalg.qr(vectors)
-    sites = np.repeat(np.arange(q.shape[0] // 2), 2)
-    x = q.conj().T @ (sites[:, None] * q)
-    _, w = np.linalg.eigh((x + x.conj().T) / 2.0)
-    return q @ w
+    sites = np.repeat(np.arange(vectors.shape[0] // 2), 2)
+    _, w = np.linalg.eigh(vectors.T @ (sites[:, None] * vectors))
+    return vectors @ w
 
 
 def edge_eigenmodes(params: BulkParams, phi: BoundaryPhase, n_max: int = 64,
                     tol: float = EIGENPHASE_TOL) -> list[EigenMode]:
     """Diagonalize the dense step and return the left-edge 0/pi modes.
 
-    Eigenphases within ``tol`` of 0 (pi) classify as "zero" ("pi") provided
-    the mode carries more than half of its weight on sites 0..1; modes living
-    at the mirrored right edge are dropped by a left-half-weight filter.
-    Eigenphases are reported as |E| in [0, pi]: U is real, so for an
-    eigenvalue of exactly +-1 the sign of E is round-off.
+    U is real orthogonal, so (U + U^T)/2 has eigenvalues cos E and U's +-1
+    eigenspaces, with real orthonormal eigenvectors v.  Those with
+    ||Uv - v|| < tol (||Uv + v|| < tol) classify as "zero" ("pi") provided the
+    mode carries more than half of its weight on sites 0..1; modes at the
+    mirrored right edge are dropped by a left-half-weight filter.  U turns a
+    mode by its eigenphase E in an invariant plane, so a mode's own residual r
+    gives E = 2 asin(r/2) (zero) or pi - 2 asin(r/2) (pi), both in [0, pi].
     """
     if n_max < 32:
         raise ValueError("n_max must be at least 32 for a clean edge spectrum")
+    if not 0 < tol < 1:
+        # below 1, no vector passes both tests: ||Uv - v|| + ||Uv + v|| >= 2
+        raise ValueError(f"tol must lie strictly between 0 and 1, got {tol}")
     u = build_step_matrix(params, phi, n_max)
-    eigvals, eigvecs = np.linalg.eig(u)
-    phases = np.abs(np.angle(eigvals))  # U |psi> = e^{-iE} |psi>
+    _, vectors = np.linalg.eigh((u + u.T) / 2.0)
+    turned = u @ vectors
 
     modes: list[EigenMode] = []
     half = (n_max + 1) // 2
-    for target in ("zero", "pi"):
-        if target == "zero":
-            group = [j for j in range(phases.size) if phases[j] < tol]
-        else:
-            group = [j for j in range(phases.size) if abs(phases[j] - math.pi) < tol]
-        if not group:
-            continue
-        for j in group:
-            if phases[j] < tol and abs(phases[j] - math.pi) < tol:
-                raise DegenerateClassification(f"eigenphase {phases[j]} matches 0 and pi")
-        vecs = _localized_group_vectors(eigvecs[:, group])
-        for col in range(vecs.shape[1]):
-            v = vecs[:, col]
-            v = v / np.linalg.norm(v)
-            p = np.abs(v[0::2]) ** 2 + np.abs(v[1::2]) ** 2
+    for target, sign in (("zero", 1.0), ("pi", -1.0)):
+        group = np.linalg.norm(turned - sign * vectors, axis=0) < tol
+        for v in _localized_group_vectors(vectors[:, group]).T:
+            p = v[0::2] ** 2 + v[1::2] ** 2
             if float(np.sum(p[:half])) <= 0.5:
                 continue  # lives at the mirrored right edge
             edge_weight = float(p[0] + p[1])
             if edge_weight <= 0.5:
                 continue
-            phase = float(phases[group[col]])
+            turn = 2.0 * math.asin(float(np.linalg.norm(u @ v - sign * v)) / 2.0)
+            phase = turn if target == "zero" else math.pi - turn
             modes.append(EigenMode(eigenphase=phase, amplitudes=v,
                                    edge_weight=edge_weight, mode_class=target))
     modes.sort(key=lambda m: m.eigenphase)

@@ -365,6 +365,8 @@ def cmd_phase_diagram(args) -> int:
     tol = float(cfg.get("transition_tol", "0.01"))
     if grid < 1 or n_k < 1:
         raise ConfigError(f"grid and n_k must be >= 1, got grid={grid}, n_k={n_k}")
+    if not 0 <= tol < math.inf:
+        raise ConfigError(f"transition_tol must be finite and >= 0, got {tol}")
     _check_workers(args)
     values = [lo + (hi - lo) * (i + 0.5) / grid for i in range(grid)]
     tasks = [(index, t1, t2, n_k, tol)
@@ -440,7 +442,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except (ValueError, lattice.SiteOutOfRange, FileNotFoundError) as exc:
+    except (ValueError, lattice.SiteOutOfRange, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except (lattice.GuardBandViolation, momentum.GapClosed,

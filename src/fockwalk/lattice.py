@@ -222,7 +222,7 @@ def _cut_link_core(theta2: float, phi: BoundaryPhase, n_max: int) -> np.ndarray:
     the matrix stays exactly unitary.
     """
     dim = 2 * (n_max + 1)
-    m = np.zeros((dim, dim), dtype=complex)
+    m = np.zeros((dim, dim))
     c2, s2 = math.cos(theta2 / 2.0), math.sin(theta2 / 2.0)
 
     def iu(n):

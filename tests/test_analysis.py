@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from fockwalk.analysis import (
+    EIGENPHASE_TOL,
     InsufficientSupport,
     SiteUnoccupied,
     detect_stabilization,
@@ -19,6 +20,7 @@ from fockwalk.lattice import (
     PHI_PI,
     PHI_ZERO,
     BulkParams,
+    build_step_matrix,
     chiral_step,
     initial_state,
 )
@@ -109,6 +111,32 @@ def test_eigenmode_counts_match_prediction_for_random_draws():
         got = (sum(1 for m in modes if m.mode_class == "zero"),
                sum(1 for m in modes if m.mode_class == "pi"))
         assert got == predicted, f"params={params}, phi={phi.phi}"
+
+
+def test_eigenmodes_agree_with_dense_eig():
+    # the symmetric-part oracle against the general eigensolver on U itself
+    rng = np.random.default_rng(17)
+    for i in range(120):
+        params = BulkParams(*rng.uniform(-2 * math.pi, 2 * math.pi, 2))
+        phi = PHI_ZERO if i % 2 == 0 else PHI_PI
+        n_max = (32, 64, 96)[(i // 2) % 3]
+        u = build_step_matrix(params, phi, n_max)
+        phases = np.abs(np.angle(np.linalg.eigvals(u)))
+        for mode in edge_eigenmodes(params, phi, n_max=n_max):
+            v = mode.amplitudes
+            assert np.isrealobj(v)
+            assert np.linalg.norm(v) == pytest.approx(1.0, abs=1e-12)
+            sign, target = (1.0, 0.0) if mode.mode_class == "zero" else (-1.0, math.pi)
+            assert np.linalg.norm(u @ v - sign * v) < EIGENPHASE_TOL
+            same_class = phases[np.abs(phases - target) < EIGENPHASE_TOL]
+            assert np.min(np.abs(same_class - mode.eigenphase)) < 1e-12, \
+                f"params={params}, phi={phi.phi}, n_max={n_max}"
+
+
+@pytest.mark.parametrize("tol", [0.0, 1.0])
+def test_eigenmodes_reject_tolerance_outside_unit_interval(tol):
+    with pytest.raises(ValueError):
+        edge_eigenmodes(BulkParams(math.pi / 2, 0.0), PHI_ZERO, n_max=32, tol=tol)
 
 
 def test_boundary_spin_of_eigenmodes_in_chiral_frame():

@@ -149,12 +149,24 @@ def test_quench_scenario_rejects_keys_it_defines(tmp_path):
     ["phase-diagram", "grid=2", "n_k=0"],
     ["sweep", "theta1=pi/2", "theta2=0", "--workers", "0"],
     ["phase-diagram", "grid=2", "--workers", "-3"],
+    ["phase-diagram", "grid=2", "transition_tol=nan"],
+    ["phase-diagram", "grid=2", "transition_tol=-1"],
 ])
 def test_bad_values_exit_with_one_error_line(argv, tmp_path, capsys):
     assert main(argv + ["--out", str(tmp_path / "x.csv")]) == EXIT_CONFIG
     err = capsys.readouterr().err
     assert len(err.splitlines()) == 1 and err.startswith("error: ")
     assert "Traceback" not in err
+
+
+def test_unusable_path_exits_with_one_error_line(tmp_path, capsys):
+    directory = str(tmp_path)
+    for argv in (["walk", "theta1=pi/2", "theta2=0", "steps=5", "--out", directory],
+                 ["walk", "--config", directory, "--out", str(tmp_path / "x.csv")],
+                 ["pulse-verify", "n_max=4", "tau=10", "dt=0.004", "--out", directory]):
+        assert main(argv) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and err.startswith("error: ")
 
 
 def test_cli_import_loads_no_scipy():

@@ -121,6 +121,7 @@ def test_chiral_step_is_half_coin_similarity():
     assert np.max(np.abs(seq - u_chiral @ vec)) < 1e-12
     # same eigenphases as the bare frame
     bare = build_step_matrix(params, PHI_ZERO, n_max)
+    assert bare.dtype == u_chiral.dtype == np.float64  # real orthogonal in both frames
     e1 = np.sort(np.angle(np.linalg.eigvals(bare)))
     e2 = np.sort(np.angle(np.linalg.eigvals(u_chiral)))
     assert np.max(np.abs(e1 - e2)) < 1e-10
