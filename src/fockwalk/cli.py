@@ -367,11 +367,10 @@ def cmd_phase_diagram(args) -> int:
         raise ConfigError(f"grid and n_k must be >= 1, got grid={grid}, n_k={n_k}")
     if not 0 <= tol < math.inf:
         raise ConfigError(f"transition_tol must be finite and >= 0, got {tol}")
-    _check_workers(args)
     values = [lo + (hi - lo) * (i + 0.5) / grid for i in range(grid)]
     tasks = [(index, t1, t2, n_k, tol)
              for index, (t1, t2) in enumerate(itertools.product(values, values))]
-    rows = _parallel_map(_diagram_point, tasks, args.workers)
+    rows = [_diagram_point(t) for t in tasks]
     _emit(args, DIAGRAM_HEADER, [row[1:] for row in rows])
     return EXIT_OK
 
@@ -387,6 +386,19 @@ def _parallel_map(fn, tasks, workers: int | None):
         return [fn(t) for t in tasks]
     with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(fn, tasks, chunksize=max(1, len(tasks) // (4 * workers))))
+
+
+def _check_output_paths(args) -> None:
+    """Reject an output path that cannot be written, before any work runs."""
+    for option in ("out", "json", "dist_out"):
+        path = getattr(args, option, None)
+        if path is None:
+            continue
+        flag = "--" + option.replace("_", "-")
+        if os.path.isdir(path):
+            raise ConfigError(f"{flag} {path!r} is a directory")
+        if not os.path.isdir(os.path.dirname(os.path.abspath(path))):
+            raise ConfigError(f"{flag} {path!r}: parent directory does not exist")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -432,7 +444,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("phase-diagram", help="Z2 x Z2 labels over an angle grid")
     common(p)
-    p.add_argument("--workers", type=int, default=None)
     p.set_defaults(fn=cmd_phase_diagram)
     return parser
 
@@ -441,13 +452,13 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        _check_output_paths(args)
         return args.fn(args)
     except (ValueError, lattice.SiteOutOfRange, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except (lattice.GuardBandViolation, momentum.GapClosed,
-            momentum.ChiralAxisNotFound, pulse.StepTooCoarse,
-            quench.InsufficientLoss) as exc:
+            pulse.StepTooCoarse, quench.InsufficientLoss) as exc:
         print(f"numeric error: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
 

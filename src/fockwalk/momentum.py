@@ -1,10 +1,10 @@
 """Bulk momentum-space analytics for the split-step walk.
 
-Dispersion and Bloch vector of the translation-invariant walk, closed-form
-quasi-energy gaps, windings of the closed-form Bloch curves of the two chiral
-time frames around their common chiral (x) axis, the Z2 x Z2 phase label
-built from them, the boundary <-> virtual-bulk correspondence, and
-bound-state prediction via the topology-mismatch rule.
+Dispersion of the translation-invariant walk, closed-form quasi-energy
+gaps, closed-form windings of the Bloch curves of the two chiral time frames
+around their common chiral (x) axis, the Z2 x Z2 phase label built from
+them, the boundary <-> virtual-bulk correspondence, and bound-state
+prediction via the topology-mismatch rule.
 
 Momentum convention: plane waves |n> ~ e^{ikn}, so the up-shift is
 S_up(k) = diag(e^{-ik}, 1) and the down-shift S_dn(k) = diag(1, e^{ik}),
@@ -21,31 +21,14 @@ import numpy as np
 
 from .lattice import BoundaryPhase, BulkParams, coin_matrix
 
-DEGENERACY_TOL = 1e-8
-
 
 class GapClosed(RuntimeError):
     """A quasi-energy gap is closed or below the momentum-grid resolution."""
 
 
-class DegeneratePoint(RuntimeError):
-    """sin E(k) vanishes at this momentum; the Bloch vector is undefined."""
-
-
-class ChiralAxisNotFound(RuntimeError):
-    """The sampled winding is not close to an integer (numeric invariant)."""
-
-
 class TimeFrame(Enum):
     F1 = 1
     F2 = 2
-
-
-@dataclass(frozen=True)
-class BlochSample:
-    k: float
-    energy: float
-    n_vec: tuple[float, float, float]
 
 
 @dataclass(frozen=True)
@@ -104,64 +87,48 @@ def dispersion_energy(params: BulkParams, k) -> np.ndarray:
     return np.arccos(np.clip(dispersion_cos_e(params, k), -1.0, 1.0))
 
 
-def dispersion_bloch(params: BulkParams, k: float) -> BlochSample:
-    """Closed-form Bloch sample (E, n) at one momentum.
+def _frame_windings(params: BulkParams, n_k: int, gaps: GapReport) -> tuple[int, int]:
+    """Windings (nu', nu'') of frames F1 and F2, with `gaps` of `params`.
 
-    Raises DegeneratePoint where sin E(k) < 1e-8 (gap closure; the Bloch
-    direction is undefined there and callers must skip or refine).
+    sin E(k) n(k) traces the ellipse (s1c2 cos k + c1s2, c2 sin k) in the y-z
+    plane in F1 and (s1c2 + c1s2 cos k, c1 sin k) in F2.  It encloses the
+    origin iff its semi-axis along y exceeds its centre's offset along y
+    (|s1c2| > |c1s2| in F1, |c1s2| > |s1c2| in F2), and then turns with the
+    sign of s1 (F1) or s2 (F2).  The curve moves at speed <= 1 in k and
+    keeps distance sin E(k) from the origin, so n_k samples count that
+    winding exactly when min(sin delta0, sin delta_pi) > 2 pi / n_k; else
+    GapClosed.
     """
+    if n_k < 1:
+        raise ValueError(f"n_k must be >= 1, got {n_k}")
+    spacing = 2.0 * math.pi / n_k
+    if min(math.sin(gaps.delta0), math.sin(gaps.delta_pi)) <= spacing:
+        raise GapClosed(f"gaps ({gaps.delta0:.2e}, {gaps.delta_pi:.2e}) not resolved "
+                        f"by n_k = {n_k}: needs sin(gap) > 2pi/n_k = {spacing:.2e}")
     c1, s1, c2, s2 = _half_angles(params)
-    cos_e = c2 * c1 * math.cos(k) - s1 * s2
-    cos_e = min(1.0, max(-1.0, cos_e))
-    energy = math.acos(cos_e)
-    sin_e = math.sin(energy)
-    if abs(sin_e) < DEGENERACY_TOL:
-        raise DegeneratePoint(f"sin E = {sin_e:.2e} at k = {k}")
-    nx = c2 * s1 * math.sin(k) / sin_e
-    ny = (s2 * c1 + c2 * s1 * math.cos(k)) / sin_e
-    nz = -c2 * c1 * math.sin(k) / sin_e
-    return BlochSample(k=k, energy=energy, n_vec=(nx, ny, nz))
-
-
-def _frame_bloch_curve(params: BulkParams, frame: TimeFrame,
-                       ks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """In-plane components (y, z) of sin E(k) n(k) in a chiral frame.
-
-    Closed form of (-Re U01, -Im U00) of `time_frame_unitary_k`; the x
-    component -Im U01 vanishes identically, so x is the chiral axis.  The
-    curve moves at speed <= 1 in k and keeps distance sin E(k) from 0.
-    """
-    c1, s1, c2, s2 = _half_angles(params)
-    if frame is TimeFrame.F1:
-        return s1 * c2 * np.cos(ks) + c1 * s2, c2 * np.sin(ks)
-    return s1 * c2 + c1 * s2 * np.cos(ks), c1 * np.sin(ks)
+    a, b = abs(s1 * c2), abs(c1 * s2)
+    nu_p = (1 if s1 > 0 else -1) if a > b else 0
+    nu_dp = (1 if s2 > 0 else -1) if b > a else 0
+    return nu_p, nu_dp
 
 
 def winding_number(params: BulkParams, frame: TimeFrame, n_k: int = 2048) -> int:
     """Winding of the frame Bloch curve around the chiral (x) axis.
 
-    Counts full turns of atan2(z, y) along the closed-form curve sampled on
-    a uniform n_k grid; (pi/2, 0) gives +1 in frame F1.  Samples lie at most
-    2 pi / n_k apart and at least min(sin delta0, sin delta_pi) from the
-    origin, so the count is exact when the latter is larger; else GapClosed.
+    Closed form of the turns of atan2(z, y) along the curve sampled on a
+    uniform n_k grid; (pi/2, 0) gives +1 in frame F1.  Raises ValueError for
+    n_k < 1 and GapClosed unless min(sin delta0, sin delta_pi) > 2 pi / n_k,
+    the condition under which that sampled count is exact.
     """
-    if n_k < 1:
-        raise ValueError(f"n_k must be >= 1, got {n_k}")
-    gaps = quasienergy_gaps(params)
-    spacing = 2.0 * math.pi / n_k
-    if min(math.sin(gaps.delta0), math.sin(gaps.delta_pi)) <= spacing:
-        raise GapClosed(f"gaps ({gaps.delta0:.2e}, {gaps.delta_pi:.2e}) not resolved "
-                        f"by n_k = {n_k}: needs sin(gap) > 2pi/n_k = {spacing:.2e}")
-    ks = np.linspace(-math.pi, math.pi, n_k, endpoint=False)
-    y, z = _frame_bloch_curve(params, frame, ks)
-    angles = np.arctan2(z, y)
-    increments = np.diff(np.concatenate([angles, angles[:1]]))
-    increments = (increments + math.pi) % (2.0 * math.pi) - math.pi
-    total = float(np.sum(increments)) / (2.0 * math.pi)
-    nearest = round(total)
-    if abs(total - nearest) > 1e-3:
-        raise ChiralAxisNotFound(f"winding {total} not close to an integer")
-    return int(nearest)
+    nu_p, nu_dp = _frame_windings(params, n_k, quasienergy_gaps(params))
+    return nu_p if frame is TimeFrame.F1 else nu_dp
+
+
+def _phase_label(params: BulkParams, n_k: int, gaps: GapReport) -> PhaseLabel:
+    nu_p, nu_dp = _frame_windings(params, n_k, gaps)
+    nu0 = ((1 + nu_p + nu_dp) // 2) % 2
+    nu_pi = ((1 - nu_p + nu_dp) // 2) % 2
+    return PhaseLabel(nu_prime=nu_p, nu_dprime=nu_dp, nu0=nu0, nu_pi=nu_pi)
 
 
 def z2_invariants(params: BulkParams, n_k: int = 2048) -> PhaseLabel:
@@ -171,11 +138,7 @@ def z2_invariants(params: BulkParams, n_k: int = 2048) -> PhaseLabel:
     combination below is fixed by the bulk-edge anchor (pi/2, 0) -> (1, 0)
     and reproduces the dense-oracle edge-mode counts across the diagram.
     """
-    nu_p = winding_number(params, TimeFrame.F1, n_k)
-    nu_dp = winding_number(params, TimeFrame.F2, n_k)
-    nu0 = ((1 + nu_p + nu_dp) // 2) % 2
-    nu_pi = ((1 - nu_p + nu_dp) // 2) % 2
-    return PhaseLabel(nu_prime=nu_p, nu_dprime=nu_dp, nu0=nu0, nu_pi=nu_pi)
+    return _phase_label(params, n_k, quasienergy_gaps(params))
 
 
 def virtual_bulk_params(theta1: float, phi: BoundaryPhase) -> BulkParams:
@@ -225,6 +188,6 @@ def phase_diagram(thetas1, thetas2, n_k: int = 1024,
             if min(gaps.delta0, gaps.delta_pi) < transition_tol:
                 points.append(DiagramPoint(float(t1), float(t2), None, gaps, "transition"))
             else:
-                label = z2_invariants(params, n_k)
+                label = _phase_label(params, n_k, gaps)
                 points.append(DiagramPoint(float(t1), float(t2), label, gaps, "ok"))
     return points

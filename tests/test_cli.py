@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import fockwalk
+from fockwalk import cli
 from fockwalk.cli import (
     EXIT_CONFIG,
     EXIT_OK,
@@ -148,7 +149,7 @@ def test_quench_scenario_rejects_keys_it_defines(tmp_path):
     ["phase-diagram", "grid=0"],
     ["phase-diagram", "grid=2", "n_k=0"],
     ["sweep", "theta1=pi/2", "theta2=0", "--workers", "0"],
-    ["phase-diagram", "grid=2", "--workers", "-3"],
+    ["sweep", "theta1=pi/2", "theta2=0", "--workers", "-3"],
     ["phase-diagram", "grid=2", "transition_tol=nan"],
     ["phase-diagram", "grid=2", "transition_tol=-1"],
 ])
@@ -157,6 +158,34 @@ def test_bad_values_exit_with_one_error_line(argv, tmp_path, capsys):
     err = capsys.readouterr().err
     assert len(err.splitlines()) == 1 and err.startswith("error: ")
     assert "Traceback" not in err
+
+
+def test_phase_diagram_has_no_workers_option(tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["phase-diagram", "grid=2", "--workers", "2", "--out", str(tmp_path / "x.csv")])
+    assert exc.value.code == 2
+    assert "--workers" in capsys.readouterr().err
+
+
+def test_unusable_output_path_is_rejected_before_any_work(tmp_path, monkeypatch, capsys):
+    def fail(*args, **kwargs):
+        raise AssertionError("the experiment ran")
+
+    monkeypatch.setattr(cli.lattice, "evolve", fail)
+    monkeypatch.setattr(cli, "_diagram_point", fail)
+    good = tmp_path / "good.csv"
+    missing = str(tmp_path / "missing" / "x.csv")
+    walk = ["walk", "theta1=pi/2", "theta2=0", "steps=4000"]
+    for argv in (walk + ["--out", str(tmp_path)],
+                 walk + ["--out", missing],
+                 walk + ["--out", str(good), "--json", str(tmp_path)],
+                 walk + ["--out", str(good), "--dist-out", missing],
+                 ["phase-diagram", "--out", str(good), "--json", missing],
+                 ["pulse-verify", "--out", str(tmp_path)]):
+        assert main(argv) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and err.startswith("error: ")
+    assert list(tmp_path.iterdir()) == []  # nothing created or truncated
 
 
 def test_unusable_path_exits_with_one_error_line(tmp_path, capsys):
@@ -200,8 +229,7 @@ def test_pulse_verify_report(tmp_path, capsys):
 
 def test_phase_diagram_csv(tmp_path):
     out = tmp_path / "pd.csv"
-    assert main(["phase-diagram", "grid=8", "n_k=512", "--out", str(out),
-                 "--workers", "1"]) == EXIT_OK
+    assert main(["phase-diagram", "grid=8", "n_k=512", "--out", str(out)]) == EXIT_OK
     lines = out.read_text().splitlines()
     assert lines[0] == "theta1,theta2,nu0,nu_pi,delta0,delta_pi,status"
     labels = set()

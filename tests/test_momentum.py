@@ -1,16 +1,15 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
 
+from fockwalk import momentum
 from fockwalk.lattice import PHI_PI, PHI_ZERO, BulkParams
 from fockwalk.momentum import (
-    DegeneratePoint,
     GapClosed,
     TimeFrame,
-    _frame_bloch_curve,
     bulk_unitary_k,
-    dispersion_bloch,
     dispersion_cos_e,
     dispersion_energy,
     phase_diagram,
@@ -69,36 +68,98 @@ def test_frame_unitaries_at_zero_coins_are_pure_shifts():
     np.testing.assert_allclose(u1, np.diag([np.exp(-1j * k), np.exp(1j * k)]), atol=1e-15)
 
 
-def test_dispersion_bloch_unit_norm_and_energy():
+PAULI = (np.array([[0, 1], [1, 0]]), np.array([[0, -1j], [1j, 0]]), np.diag([1, -1]))
+
+
+def bloch_decomposition(u):
+    """(cos E, sin E n) of a 2x2 U = cos E - i sin E (n . sigma)."""
+    cos_e = u.trace().real / 2
+    sin_e_n = np.array([-u[0, 1].imag, -u[0, 1].real, -u[0, 0].imag])
+    rebuilt = cos_e * np.eye(2) - 1j * sum(c * p for c, p in zip(sin_e_n, PAULI))
+    assert np.max(np.abs(u - rebuilt)) < 1e-12
+    return cos_e, sin_e_n
+
+
+def test_bulk_unitary_bloch_vector_has_unit_norm_and_dispersion_energy():
     for _ in range(50):
         params = BulkParams(*RNG.uniform(-2 * math.pi, 2 * math.pi, 2))
         k = float(RNG.uniform(-math.pi, math.pi))
-        try:
-            sample = dispersion_bloch(params, k)
-        except DegeneratePoint:
-            continue
-        assert np.linalg.norm(sample.n_vec) == pytest.approx(1.0, abs=1e-10)
-        assert math.cos(sample.energy) == pytest.approx(
-            float(dispersion_cos_e(params, k)), abs=1e-10)
+        cos_e, sin_e_n = bloch_decomposition(bulk_unitary_k(params, k))
+        assert cos_e == pytest.approx(float(dispersion_cos_e(params, k)), abs=1e-10)
+        sin_e = math.sin(float(dispersion_energy(params, k)))
+        if sin_e < 1e-8:
+            continue  # gap closure: the direction n is undefined
+        assert np.linalg.norm(sin_e_n / sin_e) == pytest.approx(1.0, abs=1e-10)
 
 
-def test_dispersion_bloch_examples():
+def test_bulk_unitary_bloch_vector_examples():
+    params = BulkParams(math.pi / 2, 0.0)
     # cos k = 0 kills the only term of the dispersion at (pi/2, 0)
-    s = dispersion_bloch(BulkParams(math.pi / 2, 0.0), math.pi / 2)
-    assert s.energy == pytest.approx(math.pi / 2, abs=1e-12)
+    assert float(dispersion_energy(params, math.pi / 2)) == pytest.approx(math.pi / 2, abs=1e-12)
     # k = 0 at (pi/2, 0): Bloch vector points along +y
-    s0 = dispersion_bloch(BulkParams(math.pi / 2, 0.0), 0.0)
-    assert s0.n_vec[0] == pytest.approx(0.0, abs=1e-12)
-    assert s0.n_vec[1] == pytest.approx(1.0, abs=1e-10)
-    # equal angles close the gap at k = pi
-    with pytest.raises(DegeneratePoint):
-        dispersion_bloch(BulkParams(0.9, 0.9), math.pi)
+    _, sin_e_n = bloch_decomposition(bulk_unitary_k(params, 0.0))
+    n_vec = sin_e_n / math.sin(float(dispersion_energy(params, 0.0)))
+    assert n_vec[0] == pytest.approx(0.0, abs=1e-12)
+    assert n_vec[1] == pytest.approx(1.0, abs=1e-10)
+    # equal angles close the gap at k = pi: sin E = 0, U = cos E
+    _, sin_e_n = bloch_decomposition(bulk_unitary_k(BulkParams(0.9, 0.9), math.pi))
+    assert np.linalg.norm(sin_e_n) < 1e-8
 
 
 def test_winding_anchor_values():
     params = BulkParams(math.pi / 2, 0.0)
     assert winding_number(params, TimeFrame.F1) == 1
     assert winding_number(params, TimeFrame.F2) == 0
+
+
+# The sampled winding count that `winding_number` replaced by its closed
+# form, kept as the reference the closed form must reproduce.
+
+def _frame_bloch_curve(theta1, theta2, frame, ks):
+    """In-plane components (y, z) of sin E(k) n(k) in a chiral frame.
+
+    Closed form of (-Re U01, -Im U00) of `time_frame_unitary_k`; the x
+    component -Im U01 vanishes identically, so x is the chiral axis.  The
+    curve moves at speed <= 1 in k and keeps distance sin E(k) from 0.
+    The angles may be arrays that broadcast against ks.
+    """
+    c1, s1 = np.cos(theta1 / 2.0), np.sin(theta1 / 2.0)
+    c2, s2 = np.cos(theta2 / 2.0), np.sin(theta2 / 2.0)
+    if frame is TimeFrame.F1:
+        return s1 * c2 * np.cos(ks) + c1 * s2, c2 * np.sin(ks)
+    return s1 * c2 + c1 * s2 * np.cos(ks), c1 * np.sin(ks)
+
+
+def sampled_windings(theta1, theta2, frame, n_k):
+    """Full turns of atan2(z, y) along the frame curve on a uniform n_k grid.
+
+    One count per entry of the angle arrays; each must lie within 1e-3 of
+    an integer.
+    """
+    ks = np.linspace(-math.pi, math.pi, n_k, endpoint=False)
+    y, z = _frame_bloch_curve(theta1[:, None], theta2[:, None], frame, ks)
+    angles = np.arctan2(z, y)
+    increments = np.diff(angles, axis=1, append=angles[:, :1])
+    increments = (increments + math.pi) % (2.0 * math.pi) - math.pi
+    total = np.sum(increments, axis=1) / (2.0 * math.pi)
+    nearest = np.round(total)
+    assert np.max(np.abs(total - nearest), initial=0.0) <= 1e-3
+    return nearest.astype(int)
+
+
+def sampled_frame_windings(points, min_sin_gap, n_k):
+    """(nu', nu'') of each point from the sampled count, or None where
+    min(sin delta0, sin delta_pi) <= 2 pi / n_k leaves the count unresolved."""
+    rows = np.flatnonzero(min_sin_gap > 2.0 * math.pi / n_k)
+    theta1 = np.array([p.theta1 for p in points])
+    theta2 = np.array([p.theta2 for p in points])
+    chunks = np.array_split(rows, max(1, len(rows) // 16))  # small rows: fast in cache
+    counts = [np.concatenate([sampled_windings(theta1[c], theta2[c], frame, n_k)
+                              for c in chunks]) for frame in TimeFrame]
+    result = [None] * len(points)
+    for row, nu_p, nu_dp in zip(rows, *counts):
+        result[row] = (int(nu_p), int(nu_dp))
+    return result
 
 
 def test_frame_bloch_curve_matches_frame_unitaries_and_axis_is_x():
@@ -108,7 +169,7 @@ def test_frame_bloch_curve_matches_frame_unitaries_and_axis_is_x():
         params = BulkParams(float(t1), float(t2))
         for frame in TimeFrame:
             u = time_frame_unitary_k(params, frame, float(k))
-            y, z = _frame_bloch_curve(params, frame, np.array([k]))
+            y, z = _frame_bloch_curve(params.theta1, params.theta2, frame, np.array([k]))
             assert abs(u[0, 1].imag) < 1e-12
             assert abs(y[0] + u[0, 1].real) < 1e-12
             assert abs(z[0] + u[0, 0].imag) < 1e-12
@@ -144,6 +205,33 @@ def test_winding_matches_analytic_rule_or_raises_when_unresolved():
             else:
                 unresolved += 1
     assert resolved > 100 and unresolved > 100
+
+
+def test_closed_form_windings_match_the_sampled_count():
+    # seeded points, the virtual bulks (theta1, -+pi) that predict_bound_states
+    # labels (a one-parameter family, so 2000 theta1 values), and the
+    # phase-diagram CLI grids 32 and 64 over [-2pi, 2pi]
+    rng = np.random.default_rng(29)
+    pairs = rng.uniform(-2 * math.pi, 2 * math.pi, size=(10_000, 2))
+    points = [BulkParams(float(t1), float(t2)) for t1, t2 in pairs]
+    points += [virtual_bulk_params(float(t1), phi)
+               for t1 in pairs[:2000, 0] for phi in (PHI_ZERO, PHI_PI)]
+    lo, hi = -2 * math.pi, 2 * math.pi
+    for grid in (32, 64):
+        values = [lo + (hi - lo) * (i + 0.5) / grid for i in range(grid)]
+        points += [BulkParams(t1, t2) for t1, t2 in itertools.product(values, values)]
+    min_sin_gap = np.array([min(math.sin(g.delta0), math.sin(g.delta_pi))
+                            for g in map(quasienergy_gaps, points)])
+    for n_k in (8, 64, 1024, 2048):
+        expected = sampled_frame_windings(points, min_sin_gap, n_k)
+        for params, want in zip(points, expected):
+            try:
+                label = z2_invariants(params, n_k)
+                got = (label.nu_prime, label.nu_dprime)
+            except GapClosed:
+                got = None
+            assert got == want, (params, n_k)
+        assert 0 < expected.count(None) < len(points)
 
 
 def test_winding_rejects_empty_grid():
@@ -237,6 +325,23 @@ def test_phase_diagram_has_all_four_labels_and_transitions():
     # points on the theta1 = theta2 diagonal close the pi gap
     diagonal = [p for p in points if p.theta1 == p.theta2]
     assert diagonal and all(p.status == "transition" for p in diagonal)
+
+
+def test_each_point_computes_its_gaps_once(monkeypatch):
+    calls = []
+
+    def counted(params):
+        calls.append(params)
+        return quasienergy_gaps(params)
+
+    monkeypatch.setattr(momentum, "quasienergy_gaps", counted)
+    values = [(2 * m + 1) * math.pi / 8 for m in range(-8, 8)]
+    points = phase_diagram(values, values, n_k=512)
+    assert {p.status for p in points} == {"ok", "transition"}
+    assert len(calls) == len(points) == 256
+    calls.clear()
+    predict_bound_states(BulkParams(math.pi / 2, 0.0), PHI_ZERO)
+    assert len(calls) == 2  # the real and the virtual bulk
 
 
 def test_phase_diagram_sign_flip_complements_labels():
