@@ -57,44 +57,53 @@ class LocalizationFit:
     r_squared: float
 
 
-def edge_population(state: WalkerState) -> float:
-    """P_edge = p_0 + p_1."""
-    p = state.site_probabilities()
+def _edge_weight(p: np.ndarray) -> float:
     return float(p[0] + p[1])
 
 
-def spin_expectation_x(state: WalkerState, site: int) -> float:
-    """<sigma_x> conditioned on occupying ``site``."""
-    a = state.up[site]
-    b = state.down[site]
-    weight = abs(a) ** 2 + abs(b) ** 2
-    if weight < OCCUPATION_FLOOR:
-        raise SiteUnoccupied(f"site {site} carries {weight:.2e}")
+def _spin_x(spinor: np.ndarray, weight: float) -> float:
+    """<sigma_x> of one site's (a, b) given its weight |a|^2 + |b|^2."""
+    a, b = spinor
     return float(2.0 * np.real(a * np.conj(b)) / weight)
 
 
-def phonon_moments(state: WalkerState) -> tuple[float, float]:
-    """(mean, variance) of the phonon-number distribution."""
-    p = state.site_probabilities()
+def _moments(p: np.ndarray) -> tuple[float, float, float]:
+    """(mean, variance, total) of unnormalized site probabilities."""
     total = float(np.sum(p))
     sites = np.arange(p.size)
     mean = float(np.dot(sites, p)) / total
     var = float(np.dot(sites**2, p)) / total - mean**2
-    return mean, max(var, 0.0)
+    return mean, max(var, 0.0), total
+
+
+def edge_population(state: WalkerState) -> float:
+    """P_edge = p_0 + p_1."""
+    return _edge_weight(state.site_probabilities())
+
+
+def spin_expectation_x(state: WalkerState, site: int) -> float:
+    """<sigma_x> conditioned on occupying ``site``."""
+    spinor = state.amps[:, site]
+    weight = float(np.sum(np.abs(spinor) ** 2))
+    if weight < OCCUPATION_FLOOR:
+        raise SiteUnoccupied(f"site {site} carries {weight:.2e}")
+    return _spin_x(spinor, weight)
+
+
+def phonon_moments(state: WalkerState) -> tuple[float, float]:
+    """(mean, variance) of the phonon-number distribution."""
+    return _moments(state.site_probabilities())[:2]
 
 
 def observable_record(step: int, state: WalkerState) -> ObservableRecord:
-    """Snapshot of the standard observables; unoccupied spins become nan."""
-    mean, var = phonon_moments(state)
-    sx = []
-    for site in (0, 1):
-        try:
-            sx.append(spin_expectation_x(state, site))
-        except SiteUnoccupied:
-            sx.append(float("nan"))
-    return ObservableRecord(step=step, p_edge=edge_population(state),
-                            sx0=sx[0], sx1=sx[1], mean_n=mean, var_n=var,
-                            norm=state.norm())
+    """Snapshot of the standard observables, all read from one array of site
+    probabilities; unoccupied spins become nan."""
+    p = state.site_probabilities()
+    mean, var, total = _moments(p)
+    sx0, sx1 = (_spin_x(state.amps[:, site], p[site]) if p[site] >= OCCUPATION_FLOOR
+                else math.nan for site in (0, 1))
+    return ObservableRecord(step=step, p_edge=_edge_weight(p), sx0=sx0, sx1=sx1,
+                            mean_n=mean, var_n=var, norm=math.sqrt(total))
 
 
 def _localized_group_vectors(vectors: np.ndarray) -> np.ndarray:

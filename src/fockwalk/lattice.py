@@ -1,13 +1,15 @@
 """Walker states and the boundary split-step walk on a truncated phonon lattice.
 
 The walk space is the half line n = 0..n_max (phonon number states); a walker
-state keeps one complex spinor (a_n, b_n) per site.  One Floquet step applies,
-in order: the first coin, extraction of the blocked spin-down amplitude at
-n = 0, the signed down-shift, the second coin, the signed up-shift, and
-re-injection of the blocked amplitude into (0, up) with phase e^{i*phi}.
-Every operation is O(n_max).  ``build_step_matrix`` assembles the same step
-as a dense unitary from two-site cut/uncut link operators and is used as the
-oracle throughout the test suite.
+state keeps its amplitudes in one (2, n_max+1) array, row 0 = spin up a_n and
+row 1 = spin down b_n.  The coins are real rotations and phi is 0 or pi, so the
+walk is real orthogonal: a real start stays real, and a complex state steps
+through the same code.  One Floquet step applies, in order: the first coin,
+extraction of the blocked spin-down amplitude at n = 0, the signed down-shift,
+the second coin, the signed up-shift, and re-injection of the blocked
+amplitude into (0, up) with phase e^{i*phi}.  Every operation is O(n_max).
+``build_step_matrix`` assembles the same step as a dense unitary from two-site
+cut/uncut link operators and is used as the oracle throughout the test suite.
 
 Dynamics observed in the chiral time frame (the symmetrized ordering with
 half of the first coin on each side of the step) is provided by
@@ -71,57 +73,60 @@ PHI_PI = BoundaryPhase(math.pi)
 
 @dataclass
 class WalkerState:
-    """Spinor amplitudes on sites 0..n_max: ``up[n]`` = a_n, ``down[n]`` = b_n."""
+    """Sites 0..n_max; ``up`` (a_n) and ``down`` (b_n) are writable rows of ``amps``."""
 
-    up: np.ndarray
-    down: np.ndarray
+    amps: np.ndarray
     step_count: int
-    n_max: int
 
     def __post_init__(self):
-        self.up = np.asarray(self.up, dtype=complex)
-        self.down = np.asarray(self.down, dtype=complex)
-        if self.up.shape != (self.n_max + 1,) or self.down.shape != (self.n_max + 1,):
-            raise ValueError("amplitude arrays must have length n_max + 1")
+        self.amps = np.asarray(self.amps, complex if np.iscomplexobj(self.amps) else float)
+        if self.amps.ndim != 2 or self.amps.shape[0] != 2:
+            raise ValueError(f"amplitudes must have shape (2, N), got {self.amps.shape}")
+
+    @property
+    def up(self) -> np.ndarray:
+        return self.amps[0]
+
+    @property
+    def down(self) -> np.ndarray:
+        return self.amps[1]
+
+    @property
+    def n_max(self) -> int:
+        return self.amps.shape[1] - 1
 
     def copy(self) -> "WalkerState":
-        return WalkerState(self.up.copy(), self.down.copy(), self.step_count, self.n_max)
+        return WalkerState(self.amps.copy(), self.step_count)
 
     def norm(self) -> float:
-        return float(np.sqrt(np.sum(np.abs(self.up) ** 2 + np.abs(self.down) ** 2)))
+        return float(np.sqrt(np.sum(self.site_probabilities())))
 
     def site_probabilities(self) -> np.ndarray:
         """p_n = |a_n|^2 + |b_n|^2."""
-        return np.abs(self.up) ** 2 + np.abs(self.down) ** 2
+        weights = np.abs(self.amps) ** 2
+        return weights[0] + weights[1]
 
     def to_vector(self) -> np.ndarray:
         """Flatten to the dense-matrix basis: index(n, spin) = 2n + spin."""
-        vec = np.empty(2 * (self.n_max + 1), dtype=complex)
-        vec[0::2] = self.up
-        vec[1::2] = self.down
-        return vec
+        return self.amps.T.flatten()  # a copy even for n_max = 0
 
     @classmethod
     def from_vector(cls, vec: np.ndarray, step_count: int = 0) -> "WalkerState":
-        vec = np.asarray(vec, dtype=complex)
+        vec = np.asarray(vec)
         if vec.ndim != 1 or vec.size % 2:
             raise ValueError("vector length must be even")
-        return cls(vec[0::2].copy(), vec[1::2].copy(), step_count, vec.size // 2 - 1)
+        return cls(vec.reshape(-1, 2).T.copy(), step_count)
 
 
 def initial_state(n_max: int, site: int = 0, spin: str = "down") -> WalkerState:
-    """Localized product state |site> (x) |spin>."""
+    """Localized product state |site> (x) |spin>, with real amplitudes."""
     if not 0 <= site <= n_max:
         raise SiteOutOfRange(f"site {site} outside 0..{n_max}")
-    up = np.zeros(n_max + 1, dtype=complex)
-    down = np.zeros(n_max + 1, dtype=complex)
-    if spin == "up":
-        up[site] = 1.0
-    elif spin == "down":
-        down[site] = 1.0
-    else:
+    if spin not in ("up", "down"):
         raise ValueError("spin must be 'up' or 'down'")
-    return WalkerState(up, down, 0, n_max)
+    amps = np.zeros((2, n_max + 1))
+    amps[0 if spin == "up" else 1, site] = 1.0
+    return WalkerState(amps, 0)
 
 
 def coin_matrix(theta: float) -> np.ndarray:
@@ -132,10 +137,7 @@ def coin_matrix(theta: float) -> np.ndarray:
 
 def coin_rotation(state: WalkerState, theta: float) -> WalkerState:
     """Apply the coin at every site: (a, b) -> (c a - s b, s a + c b)."""
-    c, s = math.cos(theta / 2.0), math.sin(theta / 2.0)
-    up = c * state.up - s * state.down
-    down = s * state.up + c * state.down
-    return WalkerState(up, down, state.step_count, state.n_max)
+    return WalkerState(coin_matrix(theta) @ state.amps, state.step_count)
 
 
 def _check_guard_band(state: WalkerState) -> None:
@@ -147,30 +149,27 @@ def _check_guard_band(state: WalkerState) -> None:
         )
 
 
-def _shift_cycle(up: np.ndarray, down: np.ndarray, theta2: float, phi: BoundaryPhase):
-    """Steps 2-6 of the walk: extraction, signed shifts around the second
-    coin, and boundary re-injection.  Mutates and returns the arrays."""
-    blocked = down[0]
-    down[0] = 0.0
+def _advance(amps: np.ndarray, params: BulkParams, phi: BoundaryPhase,
+             frame: str) -> np.ndarray:
+    """One walk step of a (2, N) amplitude array, returned as a new array; the
+    chiral frame splits the first coin into halves before and after the rest."""
+    first = coin_matrix(params.theta1 / 2.0 if frame == "chiral" else params.theta1)
+    amps = first @ amps
+    blocked = amps[1, 0]
     # spin-down moves one site toward the boundary, with a sign
-    down[:-1] = -down[1:]
-    down[-1] = 0.0
-    c2, s2 = math.cos(theta2 / 2.0), math.sin(theta2 / 2.0)
-    up, down = c2 * up - s2 * down, s2 * up + c2 * down
+    amps[1, :-1] = -amps[1, 1:]
+    amps[1, -1] = 0.0
+    amps = coin_matrix(params.theta2) @ amps
     # spin-up moves one site away from the boundary, with a sign
-    up[1:] = -up[:-1]
-    up[0] = phi.sign * blocked
-    return up, down
+    amps[0, 1:] = -amps[0, :-1]
+    amps[0, 0] = phi.sign * blocked
+    return first @ amps if frame == "chiral" else amps
 
 
 def floquet_step(state: WalkerState, params: BulkParams, phi: BoundaryPhase) -> WalkerState:
     """One boundary walk step in the bare (laboratory) frame."""
     _check_guard_band(state)
-    c1, s1 = math.cos(params.theta1 / 2.0), math.sin(params.theta1 / 2.0)
-    up = c1 * state.up - s1 * state.down
-    down = s1 * state.up + c1 * state.down
-    up, down = _shift_cycle(up, down, params.theta2, phi)
-    return WalkerState(up, down, state.step_count + 1, state.n_max)
+    return WalkerState(_advance(state.amps, params, phi, "walk"), state.step_count + 1)
 
 
 def chiral_step(state: WalkerState, params: BulkParams, phi: BoundaryPhase) -> WalkerState:
@@ -181,12 +180,7 @@ def chiral_step(state: WalkerState, params: BulkParams, phi: BoundaryPhase) -> W
     the spin readout is the one for which bound states pin <sigma_x> to +/-1.
     """
     _check_guard_band(state)
-    ch, sh = math.cos(params.theta1 / 4.0), math.sin(params.theta1 / 4.0)
-    up = ch * state.up - sh * state.down
-    down = sh * state.up + ch * state.down
-    up, down = _shift_cycle(up, down, params.theta2, phi)
-    up, down = ch * up - sh * down, sh * up + ch * down
-    return WalkerState(up, down, state.step_count + 1, state.n_max)
+    return WalkerState(_advance(state.amps, params, phi, "chiral"), state.step_count + 1)
 
 
 def sigma_z_kick(state: WalkerState, site: int) -> WalkerState:

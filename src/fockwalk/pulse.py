@@ -74,12 +74,6 @@ class ThreeLevelLadderState:
         amps[DOWN::3] = vec[1::2]
         return cls(amps, n_sites - 1)
 
-    def to_spinor(self) -> np.ndarray:
-        vec = np.empty(2 * (self.n_max + 1), dtype=complex)
-        vec[0::2] = self.amps[UP::3]
-        vec[1::2] = self.amps[DOWN::3]
-        return vec
-
     def aux_population(self) -> float:
         return float(np.sum(np.abs(self.amps[AUX::3]) ** 2))
 

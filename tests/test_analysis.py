@@ -5,6 +5,7 @@ import pytest
 
 from fockwalk.analysis import (
     EIGENPHASE_TOL,
+    OCCUPATION_FLOOR,
     InsufficientSupport,
     SiteUnoccupied,
     detect_stabilization,
@@ -20,6 +21,7 @@ from fockwalk.lattice import (
     PHI_PI,
     PHI_ZERO,
     BulkParams,
+    WalkerState,
     build_step_matrix,
     chiral_step,
     initial_state,
@@ -71,6 +73,33 @@ def test_observable_record_marks_unoccupied_spin():
     assert rec.p_edge == pytest.approx(1.0)
     assert math.isnan(rec.sx1)
     assert rec.norm == pytest.approx(1.0)
+
+
+def test_observable_record_agrees_with_the_public_helpers():
+    n_max = 40
+    states = [relax(BulkParams(math.pi / 2, 0.0), PHI_ZERO, 30, n_max=n_max),
+              relax(BulkParams(-2.1, 0.7), PHI_PI, 30, n_max=n_max)]
+    for trial in range(12):
+        vec = RNG.normal(size=2 * (n_max + 1))
+        if trial % 2:
+            vec = vec + 1j * RNG.normal(size=vec.size)
+        vec[2 * (trial % 3):2 * (trial % 3) + 2] *= 1e-6  # site 0, 1 or 2 unoccupied
+        states.append(WalkerState.from_vector(vec / np.linalg.norm(vec)))
+    for state in states:
+        rec = observable_record(7, state)
+        assert rec.step == 7
+        assert abs(rec.p_edge - edge_population(state)) < 1e-14
+        for site, sx in ((0, rec.sx0), (1, rec.sx1)):
+            if state.site_probabilities()[site] < OCCUPATION_FLOOR:
+                assert math.isnan(sx)
+                with pytest.raises(SiteUnoccupied):
+                    spin_expectation_x(state, site)
+            else:
+                assert abs(sx - spin_expectation_x(state, site)) < 1e-14
+        mean, var = phonon_moments(state)
+        assert abs(rec.mean_n - mean) < 1e-14 * max(1.0, mean)
+        assert abs(rec.var_n - var) < 1e-14 * max(1.0, var)
+        assert abs(rec.norm - state.norm()) < 1e-14
 
 
 def test_eigenmodes_at_anchor_single_zero_mode():

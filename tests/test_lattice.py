@@ -144,6 +144,49 @@ def test_real_initial_state_stays_real():
             state = floquet_step(state, params, phi)
             worst = max(np.max(np.abs(state.up.imag)), np.max(np.abs(state.down.imag)))
             assert worst < 1e-12
+            assert state.up.dtype == state.down.dtype == np.float64
+        # every operation of the real walk keeps the amplitudes float64
+        for out in (chiral_step(state, params, phi), coin_rotation(state, 0.3),
+                    sigma_z_kick(state, 1), evolve(initial_state(60), params, phi, 20),
+                    evolve(initial_state(60), params, phi, 20, step=chiral_step)):
+            assert out.up.dtype == out.down.dtype == out.to_vector().dtype == np.float64
+
+
+def test_complex_states_match_the_oracle_in_both_frames():
+    n_max = 30
+    for frame, step in (("walk", floquet_step), ("chiral", chiral_step)):
+        for phi in (PHI_ZERO, PHI_PI):
+            for _ in range(5):
+                params = BulkParams(*RNG.uniform(-2 * math.pi, 2 * math.pi, 2))
+                u = build_step_matrix(params, phi, n_max, frame=frame)
+                vec = RNG.normal(size=u.shape[0]) + 1j * RNG.normal(size=u.shape[0])
+                vec[-4:] = 0.0  # keep the top two sites (the guard band) empty
+                vec /= np.linalg.norm(vec)
+                state = WalkerState.from_vector(vec)
+                out = step(state, params, phi)
+                assert out.up.dtype == out.down.dtype == np.complex128
+                assert np.max(np.abs(out.to_vector() - u @ vec)) < 1e-12
+                np.testing.assert_array_equal(state.to_vector(), vec)  # input untouched
+
+
+def test_vector_round_trip_and_amplitude_shape():
+    real = RNG.normal(size=14)
+    for vec in (real, real + 1j * RNG.normal(size=14)):
+        state = WalkerState.from_vector(vec, step_count=3)
+        assert state.amps.shape == (2, 7)
+        assert state.n_max == 6 and state.step_count == 3
+        assert state.amps.dtype == vec.dtype
+        np.testing.assert_array_equal(state.up, vec[0::2])
+        np.testing.assert_array_equal(state.down, vec[1::2])
+        np.testing.assert_array_equal(state.to_vector(), vec)
+    single = WalkerState.from_vector(np.array([0.6, 0.8]))
+    single.to_vector()[0] = 7.0  # the vector is a copy, also on one site
+    assert single.up[0] == 0.6
+    for bad in (np.zeros(7), np.zeros((3, 7)), np.zeros((2, 3, 4))):
+        with pytest.raises(ValueError):
+            WalkerState(bad, 0)
+    with pytest.raises(ValueError):
+        WalkerState.from_vector(np.zeros(7))
 
 
 def test_light_cone_locality():
