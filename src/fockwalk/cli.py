@@ -18,6 +18,7 @@ Exit codes: 0 success, 2 configuration error, 3 numeric-invariant violation.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import itertools
 import json
 import math
@@ -238,15 +239,8 @@ def cmd_quench(args) -> int:
         defined = sorted(set(cfg) & _SCENARIO_KEYS)
         if defined:
             raise ConfigError(f"scenario= already defines {', '.join(defined)}")
-        matches = [s for s in quench.survival_catalog() if s.name == cfg["scenario"]]
-        if not matches:
-            names = ", ".join(s.name for s in quench.survival_catalog())
-            raise ConfigError(f"unknown scenario {cfg['scenario']!r}; known: {names}")
-        scenario = matches[0]
-        protocol = quench.QuenchProtocol(
-            initial=scenario.initial, final=scenario.final,
-            phi_initial=scenario.phi_initial, phi_final=scenario.phi_final,
-            n0=n0, nq=nq, total_steps=total, kick=scenario.kick)
+        protocol = quench.scenario(cfg["scenario"]).protocol(n0=n0, nq=nq,
+                                                             post=total - n0 - nq)
     else:
         for key in ("theta1_i", "theta2_i", "theta1_f", "theta2_f"):
             if key not in cfg:
@@ -269,12 +263,9 @@ def cmd_ramp(args) -> int:
         "scenario": "catalog entry, default fig6c", "nq_list": "comma list of ramp steps",
         "n0": "steps before the quench", "post": "steps after the ramp",
     })
-    name = cfg.get("scenario", "fig6c")
-    matches = [s for s in quench.survival_catalog() if s.name == name]
-    if not matches:
-        raise ConfigError(f"unknown scenario {name!r}")
+    scenario = quench.scenario(cfg.get("scenario", "fig6c"))
     nq_list = [int(x) for x in cfg.get("nq_list", "1,2,3,4,6,8,10,12").split(",")]
-    fit = quench.landau_zener_fit(matches[0], nq_list,
+    fit = quench.landau_zener_fit(scenario, nq_list,
                                   n0=int(cfg.get("n0", "20")),
                                   post=int(cfg.get("post", "80")))
     rows = [[nq, p, loss] for nq, p, loss in fit.curve]
@@ -322,18 +313,7 @@ def cmd_pulse_verify(args) -> int:
                                tau=float(cfg.get("tau", "100.0")),
                                integrator_step=float(cfg.get("dt", "0.004")))
     report = pulse.verify_cycle(params, phi, int(cfg.get("n_max", "12")), config)
-    payload = {
-        "unitarity_error": report.unitarity_error,
-        "leakage": report.leakage,
-        "step_deviation": report.step_deviation,
-        "transfer_probabilities": list(report.transfer_probabilities),
-        "min_transfer": report.min_transfer,
-        "transfer_spread": report.transfer_spread,
-        "fidelity_bound": report.fidelity_bound,
-        "adiabatic_margin": report.adiabatic_margin,
-        "adiabatic": report.adiabatic,
-    }
-    text = json.dumps(payload, indent=1, sort_keys=True)
+    text = json.dumps(dataclasses.asdict(report), indent=1, sort_keys=True)
     if args.out:
         with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(text + "\n")

@@ -5,13 +5,17 @@ The walk step is implemented physically as six laser operations on the
 shelving passage into the auxiliary level, a pi pulse, a second coin pulse
 on the (down, auxiliary) pair, a blue-sideband passage, and a closing pi
 pulse.  ``compile_six_step_cycle`` assembles the six ideal operators on the
-truncated ladder and reproduces the abstract one-step walk matrix exactly,
-with the auxiliary level empty after every full cycle.
+truncated ladder: the coin and pi pulses are ``lattice.coin_matrix``-style
+rotations on one level pair, and the boundary phase e^{i phi} = +/-1 is a
+sign.  The cycle is therefore real, its physical block equals the abstract
+one-step walk matrix ``build_step_matrix`` exactly (bit for bit), and the
+auxiliary level is empty after every full cycle.
 
 The sideband passages are adiabatic sweeps of a modulated Jaynes-Cummings
 Hamiltonian; ``stirap_evolve`` integrates the corresponding two-level
-Schrodinger equation and ``adiabaticity_margin`` quantifies how slow the
-sweep is.  ``verify_cycle`` ties both layers together in one report.
+Schrodinger equation and ``adiabaticity_margin`` quantifies, in closed
+form, how slow the sweep is.  ``verify_cycle`` ties both layers together in
+one report.
 
 Sign conventions: two phases of the shelving pulses are not determined by
 the ideal step list alone (the return leg of the closing pi pulse and the
@@ -28,9 +32,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lattice import BoundaryPhase, BulkParams, build_step_matrix
+from .lattice import BoundaryPhase, BulkParams, build_step_matrix, coin_matrix
 
 UP, DOWN, AUX = 0, 1, 2
+
+# verify_cycle calls a schedule adiabatic below this margin and at or above
+# this worst-case two-passage fidelity
+MARGIN_THRESHOLD = 0.1
+FIDELITY_THRESHOLD = 0.98
 
 
 class StepTooCoarse(RuntimeError):
@@ -48,47 +57,27 @@ class PulseConfig:
     integrator_step: float
 
     def __post_init__(self):
-        if min(self.omega0, self.delta0, self.tau, self.integrator_step) <= 0:
-            raise ValueError("all pulse parameters must be positive")
-
-
-@dataclass
-class ThreeLevelLadderState:
-    """Amplitudes over (phonon 0..n_max) x (up, down, aux), index 3n + level."""
-
-    amps: np.ndarray
-    n_max: int
-
-    def __post_init__(self):
-        self.amps = np.asarray(self.amps, dtype=complex)
-        if self.amps.shape != (3 * (self.n_max + 1),):
-            raise ValueError("amplitude vector has the wrong length")
-
-    @classmethod
-    def from_spinor(cls, vec: np.ndarray) -> "ThreeLevelLadderState":
-        """Embed a (site, up/down) vector with an empty auxiliary level."""
-        vec = np.asarray(vec, dtype=complex)
-        n_sites = vec.size // 2
-        amps = np.zeros(3 * n_sites, dtype=complex)
-        amps[UP::3] = vec[0::2]
-        amps[DOWN::3] = vec[1::2]
-        return cls(amps, n_sites - 1)
-
-    def aux_population(self) -> float:
-        return float(np.sum(np.abs(self.amps[AUX::3]) ** 2))
+        for name in ("omega0", "delta0", "tau", "integrator_step"):
+            value = getattr(self, name)
+            if not 0 < value < math.inf:
+                raise ValueError(f"pulse {name} must be finite and positive, got {value}")
 
 
 # ---------------------------------------------------------------------------
 # ideal six-step operators on the truncated ladder
 
+# R_y(pi) with exact zeros (coin_matrix(pi) has cos(pi/2) ~ 6e-17 there)
+_PI_TURN = np.array([[0.0, -1.0], [1.0, 0.0]])
+
+
 def _idx(n: int, level: int) -> int:
     return 3 * n + level
 
 
-def _coin_up_down(theta: float, n_max: int) -> np.ndarray:
-    """Step 1: R_y(theta) on (up, down), identity on the auxiliary level."""
-    c, s = math.cos(theta / 2.0), math.sin(theta / 2.0)
-    block = np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
+def _level_rotation(rot: np.ndarray, pair: tuple[int, int], n_max: int) -> np.ndarray:
+    """The 2x2 ``rot`` on the level ``pair`` at every phonon level."""
+    block = np.eye(3)
+    block[np.ix_(pair, pair)] = rot
     return np.kron(np.eye(n_max + 1), block)
 
 
@@ -108,27 +97,6 @@ def _red_sideband(n_max: int) -> np.ndarray:
         m[_idx(n, DOWN), _idx(n - 1, AUX)] = 1.0
     m[_idx(n_max, AUX), _idx(n_max, AUX)] = 1.0
     return m
-
-
-def _pi_up_down(n_max: int) -> np.ndarray:
-    """Step 3: R_y(pi) on (up, down): up -> down, down -> -up."""
-    block = np.array([[0.0, -1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 1.0]])
-    return np.kron(np.eye(n_max + 1), block)
-
-
-def _coin_down_aux(theta: float, n_max: int) -> np.ndarray:
-    """Step 4: R_y(theta) on (down, aux) at every phonon level except the top.
-
-    The top level is left alone: the rotation at phonon m realizes the link
-    (m, m+1) of the walk, and the link above the truncation edge is cut.
-    """
-    c, s = math.cos(theta / 2.0), math.sin(theta / 2.0)
-    block = np.array([[1.0, 0.0, 0.0], [0.0, c, -s], [0.0, s, c]])
-    blocks = [block] * n_max + [np.eye(3)]
-    out = np.zeros((3 * (n_max + 1), 3 * (n_max + 1)))
-    for n, b in enumerate(blocks):
-        out[3 * n:3 * n + 3, 3 * n:3 * n + 3] = b
-    return out
 
 
 def _blue_sideband(n_max: int) -> np.ndarray:
@@ -151,51 +119,46 @@ def _blue_sideband(n_max: int) -> np.ndarray:
     return m
 
 
-def _pi_down_aux(n_max: int) -> np.ndarray:
-    """Step 6: pi pulse on (down, aux) returning shelved amplitude: aux -> down."""
-    block = np.array([[1.0, 0.0, 0.0], [0.0, 0.0, 1.0], [0.0, -1.0, 0.0]])
-    return np.kron(np.eye(n_max + 1), block)
-
-
-def _phase_insert(phi: BoundaryPhase, n_max: int) -> np.ndarray:
-    """Boundary-phase control after step 2: e^{i phi} on every |down> level.
-
-    Only |0, down> is occupied there, so this multiplies exactly the blocked
-    boundary amplitude.
-    """
-    diag = np.ones(3 * (n_max + 1), dtype=complex)
-    diag[DOWN::3] = np.exp(1j * phi.phi)
-    return np.diag(diag)
-
-
 def compile_six_step_cycle(params: BulkParams, phi: BoundaryPhase, n_max: int) -> np.ndarray:
     """Compose the six ideal laser operators (plus the phase control) into
-    one cycle on the (phonon x three-level) space."""
+    one real cycle on the (phonon x three-level) space."""
     if n_max < 2:
         raise ValueError("n_max must be at least 2")
-    s1 = _coin_up_down(params.theta1, n_max)
+    # step 1: coin R_y(theta1) on (up, down)
+    s1 = _level_rotation(coin_matrix(params.theta1), (UP, DOWN), n_max)
     s2 = _red_sideband(n_max)
-    s3 = _pi_up_down(n_max)
-    s4 = _coin_down_aux(params.theta2, n_max)
+    # phase control e^{i phi} on the down levels after the shelving passage;
+    # only the blocked boundary amplitude |0, down> is there to pick it up
+    s2[DOWN::3] *= phi.sign
+    # step 3: pi pulse, up -> down, down -> -up
+    s3 = _level_rotation(_PI_TURN, (UP, DOWN), n_max)
+    # step 4: coin R_y(theta2) on (down, aux); the rotation at phonon m
+    # realizes the link (m, m+1) of the walk, and the link above the
+    # truncation edge is cut
+    s4 = _level_rotation(coin_matrix(params.theta2), (DOWN, AUX), n_max)
+    s4[-3:, -3:] = np.eye(3)
     s5 = _blue_sideband(n_max)
-    s6 = _pi_down_aux(n_max)
-    return s6 @ s5 @ s4 @ s3 @ _phase_insert(phi, n_max) @ s2 @ s1
+    # step 6: pi pulse returning the shelved amplitude, aux -> down
+    s6 = _level_rotation(_PI_TURN.T, (DOWN, AUX), n_max)
+    return s6 @ s5 @ s4 @ s3 @ s2 @ s1
+
+
+def _physical_indices(n_sites: int) -> np.ndarray:
+    """Indices of the (up, down) levels in walk-vector order (2n + spin)."""
+    return np.arange(3 * n_sites).reshape(n_sites, 3)[:, [UP, DOWN]].ravel()
 
 
 def spin_block(cycle: np.ndarray) -> np.ndarray:
     """Restriction of a cycle matrix to the physical (up, down) block."""
-    dim3 = cycle.shape[0]
-    n_sites = dim3 // 3
-    keep = np.array([3 * n + lvl for n in range(n_sites) for lvl in (UP, DOWN)])
+    keep = _physical_indices(cycle.shape[0] // 3)
     return cycle[np.ix_(keep, keep)]
 
 
 def aux_leakage(cycle: np.ndarray) -> float:
     """Largest matrix element from a physical column into an auxiliary row."""
     n_sites = cycle.shape[0] // 3
-    phys = np.array([3 * n + lvl for n in range(n_sites) for lvl in (UP, DOWN)])
     aux = np.arange(AUX, 3 * n_sites, 3)
-    return float(np.max(np.abs(cycle[np.ix_(aux, phys)])))
+    return float(np.max(np.abs(cycle[np.ix_(aux, _physical_indices(n_sites))])))
 
 
 # ---------------------------------------------------------------------------
@@ -265,28 +228,29 @@ def stirap_evolve(n: int, config: PulseConfig) -> tuple[np.ndarray, float]:
     return psi, float(abs(psi[1]) ** 2)
 
 
-def adiabaticity_margin(config: PulseConfig, n_grid: int = 20001) -> float:
+def adiabaticity_margin(config: PulseConfig) -> float:
     """max_t |d theta/dt| / sqrt(Omega^2 + delta^2) with tan theta = Omega/delta.
 
-    Small values mean the sweep is adiabatic; the margin scales as 1/tau.
-    Returns inf when the Bloch angle is undefined (delta0 -> 0 endpoints).
+    With x = pi t / tau and B^2 = Omega0^2 sin^2 x + delta0^2 cos^2 x,
+    d theta/dt = (pi / tau) Omega0 delta0 / B^2, so the ratio peaks where B
+    is smallest, at min(Omega0, delta0): the closed form is
+    pi Omega0 delta0 / (tau min(Omega0, delta0)^3).  Small values mean the
+    sweep is adiabatic; the margin scales as 1/tau.  Returns inf when the
+    Bloch angle is undefined (delta0 -> 0 endpoints).
     """
-    ts = np.linspace(0.0, config.tau, n_grid)
-    omega = config.omega0 * np.sin(np.pi * ts / config.tau)
-    delta = config.delta0 * np.cos(np.pi * ts / config.tau)
-    magnitude = np.sqrt(omega**2 + delta**2)
-    if np.min(magnitude) < 1e-12 * max(config.omega0, config.delta0):
+    low = min(config.omega0, config.delta0)
+    high = max(config.omega0, config.delta0)
+    if low < 1e-12 * high:
         return float("inf")
-    theta = np.arctan2(omega, delta)
-    dtheta = np.gradient(np.unwrap(theta), ts)
-    return float(np.max(np.abs(dtheta) / magnitude))
+    # Omega0 delta0 / low^3 = high / low^2, divided stepwise to avoid underflow
+    return math.pi / config.tau * (high / low) / low
 
 
 @dataclass(frozen=True)
 class CycleReport:
     unitarity_error: float
     leakage: float
-    step_deviation: float       # from the abstract walk matrix, phase-aligned
+    step_deviation: float       # max |spin block - abstract walk matrix|
     transfer_probabilities: tuple
     min_transfer: float
     transfer_spread: float
@@ -296,20 +260,14 @@ class CycleReport:
 
 
 def verify_cycle(params: BulkParams, phi: BoundaryPhase, n_max: int,
-                 config: PulseConfig, n_levels: int = 11,
-                 margin_threshold: float = 0.1,
-                 fidelity_threshold: float = 0.98) -> CycleReport:
+                 config: PulseConfig, n_levels: int = 11) -> CycleReport:
     """Check the ideal compilation against the walk matrix and score the
     adiabatic passages that realize the two sideband steps."""
     cycle = compile_six_step_cycle(params, phi, n_max)
-    dim = cycle.shape[0]
-    unitarity = float(np.max(np.abs(cycle.conj().T @ cycle - np.eye(dim))))
+    unitarity = float(np.max(np.abs(cycle.T @ cycle - np.eye(cycle.shape[0]))))
     leak = aux_leakage(cycle)
-    block = spin_block(cycle)
     target = build_step_matrix(params, phi, n_max)
-    anchor = np.unravel_index(np.argmax(np.abs(target)), target.shape)
-    rel_phase = block[anchor] / target[anchor]
-    deviation = float(np.max(np.abs(block - rel_phase * target)))
+    deviation = float(np.max(np.abs(spin_block(cycle) - target)))
 
     finals = _stirap_batch(np.arange(n_levels), config)
     transfers = [float(abs(f[1]) ** 2) for f in finals]
@@ -325,5 +283,5 @@ def verify_cycle(params: BulkParams, phi: BoundaryPhase, n_max: int,
         transfer_spread=float(max(transfers) - min(transfers)),
         fidelity_bound=fidelity,
         adiabatic_margin=margin,
-        adiabatic=margin < margin_threshold and fidelity >= fidelity_threshold,
+        adiabatic=margin < MARGIN_THRESHOLD and fidelity >= FIDELITY_THRESHOLD,
     )

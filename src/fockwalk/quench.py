@@ -4,8 +4,9 @@ A protocol builds a bound state for ``n0`` steps, moves the coin angles to
 their final values over ``nq`` steps (1 = sudden), optionally flips the
 boundary phase or applies a sigma_z kick at the end of step ``n0``, and then
 keeps evolving.  ``survival_catalog`` lists the named quench experiments and
-their expected outcomes; ``landau_zener_fit`` extracts the exponential
-dependence of the bound-state loss on the ramp duration.
+their expected outcomes, ``scenario`` looks one up by name, and
+``landau_zener_fit`` extracts the exponential dependence of the bound-state
+loss on the ramp duration.
 
 All trajectories run in the chiral time frame from |0, down>, so the spin
 readout at the boundary pins to +/-1 for a single surviving channel.
@@ -195,6 +196,16 @@ def survival_catalog() -> list[QuenchScenario]:
                             "survives while the pi component radiates"),
     ]
     return entries
+
+
+def scenario(name: str) -> QuenchScenario:
+    """The catalog entry called ``name``; ValueError names the known ones."""
+    catalog = survival_catalog()
+    for entry in catalog:
+        if entry.name == name:
+            return entry
+    known = ", ".join(entry.name for entry in catalog)
+    raise ValueError(f"unknown scenario {name!r}; known: {known}")
 
 
 def ramp_survival_curve(scenario: QuenchScenario, nq_list, n0: int = 20,

@@ -143,6 +143,11 @@ def test_quench_scenario_rejects_keys_it_defines(tmp_path):
     ["eigen", "theta1=pi/2", "n_max=10"],
     ["ramp", "nq_list=1,2"],
     ["pulse-verify", "tau=-1"],
+    ["pulse-verify", "omega0=nan"],
+    ["pulse-verify", "delta0=inf"],
+    ["pulse-verify", "tau=inf"],
+    ["pulse-verify", "dt=inf"],
+    ["ramp", "scenario=nope"],
     ["quench", "theta1_i=pi/2", "theta2_i=0", "theta1_f=pi/2", "theta2_f=0", "kick=500"],
     ["sweep", "theta1=pi/2", "theta2=0", "steps=-5"],
     ["sweep", "theta1=pi/2", "theta2="],

@@ -7,7 +7,6 @@ from fockwalk.lattice import PHI_PI, PHI_ZERO, BulkParams, build_step_matrix
 from fockwalk.pulse import (
     PulseConfig,
     StepTooCoarse,
-    ThreeLevelLadderState,
     adiabaticity_margin,
     aux_leakage,
     compile_six_step_cycle,
@@ -96,6 +95,31 @@ def test_adiabaticity_margin_value_and_scaling():
     assert doubled == pytest.approx(margin / 2, rel=0.05)
 
 
+def _sampled_margin(config, n_grid):
+    """The grid estimator the closed form replaced, kept as its oracle."""
+    ts = np.linspace(0.0, config.tau, n_grid)
+    omega = config.omega0 * np.sin(np.pi * ts / config.tau)
+    delta = config.delta0 * np.cos(np.pi * ts / config.tau)
+    theta = np.unwrap(np.arctan2(omega, delta))
+    return float(np.max(np.abs(np.gradient(theta, ts)) / np.hypot(omega, delta)))
+
+
+def test_adiabaticity_margin_is_pi_over_tau_at_equal_amplitudes():
+    for amplitude, tau in ((1.0, 100.0), (1.0, 7.0), (0.3, 7.0), (2.5, 400.0)):
+        config = PulseConfig(amplitude, amplitude, tau, 0.004)
+        expected = math.pi / (tau * amplitude)
+        assert adiabaticity_margin(config) == pytest.approx(expected, rel=1e-15, abs=0)
+
+
+def test_adiabaticity_margin_matches_the_sampled_estimator():
+    rng = np.random.default_rng(2024)
+    for _ in range(50):
+        omega0, delta0 = rng.uniform(0.05, 3.0, 2)
+        config = PulseConfig(omega0, delta0, rng.uniform(1.0, 500.0), 0.004)
+        assert adiabaticity_margin(config) == pytest.approx(
+            _sampled_margin(config, 200_001), rel=1e-6, abs=0)
+
+
 def test_adiabaticity_margin_flags_vanishing_detuning():
     degenerate = PulseConfig(omega0=1.0, delta0=1e-14, tau=50.0, integrator_step=0.004)
     assert math.isinf(adiabaticity_margin(degenerate))
@@ -118,6 +142,16 @@ def test_compiled_cycle_equals_walk_matrix_up_to_global_phase():
         assert np.max(np.abs(block - phase * target)) < 1e-12
 
 
+def test_compiled_cycle_is_real_and_equals_the_walk_matrix_exactly():
+    rng = np.random.default_rng(7)
+    for _ in range(10):
+        params = BulkParams(*rng.uniform(-2 * math.pi, 2 * math.pi, 2))
+        for phi in (PHI_ZERO, PHI_PI):
+            cycle = compile_six_step_cycle(params, phi, 7)
+            assert cycle.dtype == np.float64
+            assert np.array_equal(spin_block(cycle), build_step_matrix(params, phi, 7))
+
+
 def test_compiled_cycle_trivial_angles():
     cycle = compile_six_step_cycle(BulkParams(0.0, 0.0), PHI_ZERO, 4)
     state = np.zeros(15, dtype=complex)
@@ -134,10 +168,12 @@ def test_aux_level_empty_after_full_cycle_on_physical_states():
     vec = RNG.normal(size=2 * 11) + 1j * RNG.normal(size=2 * 11)
     vec[-4:] = 0.0  # keep the guard band empty
     vec /= np.linalg.norm(vec)
-    state = ThreeLevelLadderState.from_spinor(vec)
-    out = ThreeLevelLadderState(cycle @ state.amps, state.n_max)
-    assert out.aux_population() < 1e-10
-    assert np.linalg.norm(out.amps) == pytest.approx(1.0, abs=1e-10)
+    amps = np.zeros(3 * 11, dtype=complex)  # index 3n + level, aux empty
+    amps[0::3] = vec[0::2]
+    amps[1::3] = vec[1::2]
+    out = cycle @ amps
+    assert float(np.sum(np.abs(out[2::3]) ** 2)) < 1e-10
+    assert np.linalg.norm(out) == pytest.approx(1.0, abs=1e-10)
 
 
 def test_phase_insert_controls_the_boundary_phase():
