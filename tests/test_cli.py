@@ -11,6 +11,7 @@ import fockwalk
 from fockwalk import cli
 from fockwalk.cli import (
     EXIT_CONFIG,
+    EXIT_NUMERIC,
     EXIT_OK,
     ConfigError,
     main,
@@ -162,6 +163,18 @@ def test_bad_values_exit_with_one_error_line(argv, tmp_path, capsys):
     assert main(argv + ["--out", str(tmp_path / "x.csv")]) == EXIT_CONFIG
     err = capsys.readouterr().err
     assert len(err.splitlines()) == 1 and err.startswith("error: ")
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["pulse-verify", "omega0=1e200"],
+    ["pulse-verify", "omega0=1e300"],
+    ["pulse-verify", "delta0=1e300"],
+])
+def test_huge_pulse_amplitudes_exit_numeric_with_one_line(argv, tmp_path, capsys):
+    assert main(argv + ["--out", str(tmp_path / "x.json")]) == EXIT_NUMERIC
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and err.startswith("numeric error: ")
     assert "Traceback" not in err
 
 

@@ -7,6 +7,7 @@ from fockwalk.lattice import PHI_PI, PHI_ZERO, BulkParams, build_step_matrix
 from fockwalk.pulse import (
     PulseConfig,
     StepTooCoarse,
+    _stirap_batch,
     adiabaticity_margin,
     aux_leakage,
     compile_six_step_cycle,
@@ -86,6 +87,83 @@ def test_integrator_fourth_order_convergence():
         errors.append(np.linalg.norm(psi - reference))
     assert errors[0] / errors[1] == pytest.approx(16.0, rel=0.2)
     assert errors[1] / errors[2] == pytest.approx(16.0, rel=0.2)
+
+
+def _rk4_passage(ns, config):
+    """Classic fixed-step RK4 on the two-level Schrodinger equation, the
+    integrator the CF4 propagator replaced, kept as its oracle."""
+    steps = max(1, int(math.ceil(config.tau / config.integrator_step)))
+    dt = config.tau / steps
+    roots = np.sqrt(np.asarray(ns) + 1.0)
+
+    def deriv(t, psi):
+        omega = config.omega0 * math.sin(math.pi * t / config.tau)
+        delta = config.delta0 * math.cos(math.pi * t / config.tau)
+        g = roots * (omega / 2.0)
+        out = np.empty_like(psi)
+        out[:, 0] = -1j * (-delta / 2.0 * psi[:, 0] + g * psi[:, 1])
+        out[:, 1] = -1j * (g * psi[:, 0] + delta / 2.0 * psi[:, 1])
+        return out
+
+    psi = np.zeros((len(roots), 2), dtype=complex)
+    psi[:, 0] = 1.0
+    t = 0.0
+    for _ in range(steps):
+        k1 = deriv(t, psi)
+        k2 = deriv(t + dt / 2.0, psi + dt / 2.0 * k1)
+        k3 = deriv(t + dt / 2.0, psi + dt / 2.0 * k2)
+        k4 = deriv(t + dt, psi + dt * k3)
+        psi = psi + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        t += dt
+    return psi
+
+
+@pytest.mark.parametrize("config", [ADIABATIC, PulseConfig(0.7, 1.3, 37.0, 0.003)])
+def test_cf4_transfers_match_the_rk4_oracle(config):
+    ns = np.arange(11)
+    cf4 = np.abs(_stirap_batch(ns, config)[:, 1]) ** 2
+    rk4 = np.abs(_rk4_passage(ns, config)[:, 1]) ** 2
+    np.testing.assert_allclose(cf4, rk4, rtol=0, atol=1e-10)
+
+
+def _sequential_cf4(n, config, steps):
+    """CF4 as a plain time-ordered product of 2x2 complex matrices, each
+    exponential taken from the eigendecomposition of the Hamiltonian."""
+    dt = config.tau / steps
+    nodes = (0.5 - math.sqrt(3) / 6, 0.5 + math.sqrt(3) / 6)
+    alpha1, alpha2 = (3 - 2 * math.sqrt(3)) / 12, (3 + 2 * math.sqrt(3)) / 12
+
+    def hamiltonian(t):
+        x = math.pi * t / config.tau
+        return jc_subspace_hamiltonian(n, config.omega0 * math.sin(x),
+                                       config.delta0 * math.cos(x))
+
+    def expm(m):
+        values, vectors = np.linalg.eigh(m)
+        return (vectors * np.exp(-1j * dt * values)) @ vectors.T
+
+    psi = np.array([1.0, 0.0], dtype=complex)
+    for k in range(steps):
+        h1, h2 = (hamiltonian(k * dt + c * dt) for c in nodes)
+        psi = expm(alpha1 * h1 + alpha2 * h2) @ (expm(alpha2 * h1 + alpha1 * h2) @ psi)
+    return psi
+
+
+@pytest.mark.parametrize("steps", [1, 2, 3, 1023, 1024, 1025, 2049])
+def test_cf4_chunks_and_pairs_multiply_in_time_order(steps):
+    # coarse steps make neighbouring factors far from commuting
+    dt = 0.25
+    config = PulseConfig(0.9, 1.4, steps * dt, dt)
+    ns = [0, 3, 10]
+    batch = _stirap_batch(ns, config, enforce_step=False)
+    expected = np.array([_sequential_cf4(n, config, steps) for n in ns])
+    np.testing.assert_allclose(batch, expected, rtol=0, atol=1e-12)
+
+
+def test_cf4_passage_is_unitary():
+    slow = PulseConfig(omega0=1.0, delta0=1.0, tau=400.0, integrator_step=0.004)
+    norms = np.linalg.norm(_stirap_batch(np.arange(11), slow), axis=1)
+    np.testing.assert_allclose(norms, 1.0, rtol=0, atol=1e-11)
 
 
 def test_adiabaticity_margin_value_and_scaling():
