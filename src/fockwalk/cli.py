@@ -369,7 +369,9 @@ def _parallel_map(fn, tasks, workers: int | None):
 
 
 def _check_output_paths(args) -> None:
-    """Reject an output path that cannot be written, before any work runs."""
+    """Reject an output path that cannot be written, or that another output
+    option also names, before any work runs."""
+    claimed: dict[str, str] = {}
     for option in ("out", "json", "dist_out"):
         path = getattr(args, option, None)
         if path is None:
@@ -379,6 +381,10 @@ def _check_output_paths(args) -> None:
             raise ConfigError(f"{flag} {path!r} is a directory")
         if not os.path.isdir(os.path.dirname(os.path.abspath(path))):
             raise ConfigError(f"{flag} {path!r}: parent directory does not exist")
+        resolved = os.path.realpath(path)
+        if resolved in claimed:
+            raise ConfigError(f"{flag} {path!r} names the same file as {claimed[resolved]}")
+        claimed[resolved] = flag
 
 
 def build_parser() -> argparse.ArgumentParser:

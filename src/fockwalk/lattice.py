@@ -4,7 +4,9 @@ The walk space is the half line n = 0..n_max (phonon number states); a walker
 state keeps its amplitudes in one (2, n_max+1) array, row 0 = spin up a_n and
 row 1 = spin down b_n.  The coins are real rotations and phi is 0 or pi, so the
 walk is real orthogonal: a real start stays real, and a complex state steps
-through the same code.  One Floquet step applies, in order: the first coin,
+through the same code.  The step kernel also steps a stack of walkers, a
+(..., 2, N) array with one coin pair per walker, which the ramp sweep of
+``quench`` uses.  One Floquet step applies, in order: the first coin,
 extraction of the blocked spin-down amplitude at n = 0, the signed down-shift,
 the second coin, the signed up-shift, and re-injection of the blocked
 amplitude into (0, up) with phase e^{i*phi}.  Every operation is O(n_max).
@@ -149,27 +151,39 @@ def _check_guard_band(state: WalkerState) -> None:
         )
 
 
-def _advance(amps: np.ndarray, params: BulkParams, phi: BoundaryPhase,
+def _coin_stack(theta: np.ndarray) -> np.ndarray:
+    """``coin_matrix`` of every angle in an array: shape theta.shape + (2, 2)."""
+    c, s = np.cos(theta / 2.0), np.sin(theta / 2.0)
+    return np.stack([c, -s, s, c], -1).reshape(theta.shape + (2, 2))
+
+
+def _advance(amps: np.ndarray, first: np.ndarray, second: np.ndarray, sign: float,
              frame: str) -> np.ndarray:
-    """One walk step of a (2, N) amplitude array, returned as a new array; the
-    chiral frame splits the first coin into halves before and after the rest."""
-    first = coin_matrix(params.theta1 / 2.0 if frame == "chiral" else params.theta1)
+    """One walk step of a (..., 2, N) amplitude array with (..., 2, 2) coins,
+    returned as a new array; ``sign`` is e^{i*phi}.  In the chiral frame
+    ``first`` is the half coin, applied before and after the rest."""
     amps = first @ amps
-    blocked = amps[1, 0]
+    # the transposed view indexes site and spin from the front for any stack
+    # shape, as fast as plain (2, N) indexing (an Ellipsis index is slower)
+    sites = amps.T
+    blocked = sign * sites[0, 1]
     # spin-down moves one site toward the boundary, with a sign
-    amps[1, :-1] = -amps[1, 1:]
-    amps[1, -1] = 0.0
-    amps = coin_matrix(params.theta2) @ amps
+    sites[:-1, 1] = -sites[1:, 1]
+    sites[-1, 1] = 0.0
+    amps = second @ amps
+    sites = amps.T
     # spin-up moves one site away from the boundary, with a sign
-    amps[0, 1:] = -amps[0, :-1]
-    amps[0, 0] = phi.sign * blocked
+    sites[1:, 0] = -sites[:-1, 0]
+    sites[0, 0] = blocked
     return first @ amps if frame == "chiral" else amps
 
 
 def floquet_step(state: WalkerState, params: BulkParams, phi: BoundaryPhase) -> WalkerState:
     """One boundary walk step in the bare (laboratory) frame."""
     _check_guard_band(state)
-    return WalkerState(_advance(state.amps, params, phi, "walk"), state.step_count + 1)
+    amps = _advance(state.amps, coin_matrix(params.theta1), coin_matrix(params.theta2),
+                    phi.sign, "walk")
+    return WalkerState(amps, state.step_count + 1)
 
 
 def chiral_step(state: WalkerState, params: BulkParams, phi: BoundaryPhase) -> WalkerState:
@@ -180,7 +194,9 @@ def chiral_step(state: WalkerState, params: BulkParams, phi: BoundaryPhase) -> W
     the spin readout is the one for which bound states pin <sigma_x> to +/-1.
     """
     _check_guard_band(state)
-    return WalkerState(_advance(state.amps, params, phi, "chiral"), state.step_count + 1)
+    amps = _advance(state.amps, coin_matrix(params.theta1 / 2.0), coin_matrix(params.theta2),
+                    phi.sign, "chiral")
+    return WalkerState(amps, state.step_count + 1)
 
 
 def sigma_z_kick(state: WalkerState, site: int) -> WalkerState:

@@ -6,7 +6,9 @@ boundary phase or applies a sigma_z kick at the end of step ``n0``, and then
 keeps evolving.  ``survival_catalog`` lists the named quench experiments and
 their expected outcomes, ``scenario`` looks one up by name, and
 ``landau_zener_fit`` extracts the exponential dependence of the bound-state
-loss on the ramp duration.
+loss on the ramp duration.  ``run_quench`` steps one protocol and records
+every observable per step; ``ramp_survival_curve`` steps all ramp durations
+of a sweep together as one batch of walkers and records only P_edge.
 
 All trajectories run in the chiral time frame from |0, down>, so the spin
 readout at the boundary pins to +/-1 for a single surviving channel.
@@ -25,6 +27,9 @@ from .lattice import (
     PHI_ZERO,
     BoundaryPhase,
     BulkParams,
+    SiteOutOfRange,
+    _advance,
+    _coin_stack,
     chiral_step,
     initial_state,
     sigma_z_kick,
@@ -82,12 +87,10 @@ def run_quench(protocol: QuenchProtocol) -> list[ObservableRecord]:
     return records
 
 
-def stabilized_edge_population(records: list[ObservableRecord],
-                               start: int = 0, window: int = 10,
+def stabilized_edge_population(series, start: int = 0, window: int = 10,
                                tol: float = 0.01) -> float | None:
-    """Mean P_edge over the last ``window`` steps, provided the series has
-    stabilized (plateau detection from ``start`` on); None otherwise."""
-    series = [r.p_edge for r in records]
+    """Mean of the P_edge ``series`` over its last ``window`` steps, provided it
+    has stabilized (plateau detection from ``start`` on); None otherwise."""
     if detect_stabilization(series, window=window, tol=tol, start=start) is None:
         return None
     return float(np.mean(series[-window:]))
@@ -212,6 +215,14 @@ def ramp_survival_curve(scenario: QuenchScenario, nq_list, n0: int = 20,
                         post: int = 80) -> list[tuple[int, float, float]]:
     """Stabilized post-quench P_edge and channel loss for each ramp duration.
 
+    Every distinct nq is one row of a (P, 2, N) stack of walkers, all started
+    at |0, down> and stepped together for n0 + max(nq) + post steps; each row
+    follows ``ramp_schedule`` of its own protocol, and only P_edge is
+    recorded.  A row's P_edge at step t does not depend on later steps, so
+    row nq is read up to its own length n0 + nq + post, as ``run_quench``
+    would run it.  When a row's series finds no plateau, its mean over the
+    last 10 steps stands in.
+
     The loss column is the fraction of the bound-channel population
     transferred out relative to the adiabatic limit, estimated by the
     slowest ramp of the sweep.  (Raw P_edge cannot serve as the reference:
@@ -219,12 +230,44 @@ def ramp_survival_curve(scenario: QuenchScenario, nq_list, n0: int = 20,
     initial and final mode edge weights.)  Rows come back sorted by nq.
     """
     nqs = sorted(set(int(n) for n in nq_list))
+    if not nqs:
+        raise ValueError("nq_list needs at least one ramp duration")
+    scenario.protocol(n0=n0, nq=nqs[0], post=post)  # validates n0, nq and post
+    steps = n0 + nqs[-1] + post
+    n_sites = steps + 3  # run_quench's n_max + 1: the top two sites stay empty
+    kick = scenario.kick
+    shortest_n_max = n0 + nqs[0] + post + 2  # the smallest run_quench lattice
+    if kick is not None and not 0 <= kick <= shortest_n_max:
+        raise SiteOutOfRange(f"site {kick} outside 0..{shortest_n_max}")
+
+    # ramp_schedule's angles for every step t = 1..steps (axis 0) and row
+    durations = np.array(nqs, dtype=float)
+    frac = (np.minimum(np.maximum(np.arange(1, steps + 1) - n0, 0)[:, None], durations)
+            / durations)
+    t1 = scenario.initial.theta1 + (scenario.final.theta1 - scenario.initial.theta1) * frac
+    t2 = scenario.initial.theta2 + (scenario.final.theta2 - scenario.initial.theta2) * frac
+    angles = np.stack([t1 / 2.0, t2], axis=1)  # chiral frame: half the first coin
+
+    amps = np.zeros((len(nqs), 2, n_sites))
+    amps[:, 1, 0] = 1.0
+    p_edge = np.empty((steps + 1, len(nqs)))
+    p_edge[0] = 1.0
+    for t in range(1, steps + 1):
+        phi = scenario.phi_initial if t <= n0 else scenario.phi_final
+        half, second = _coin_stack(angles[t - 1])
+        amps = _advance(amps, half, second, phi.sign, "chiral")
+        if kick is not None and t == n0:
+            amps[:, 1, kick] = -amps[:, 1, kick]
+        weights = amps[:, :, :2] ** 2  # summed in observable_record's order
+        p = weights[:, 0] + weights[:, 1]
+        p_edge[t] = p[:, 0] + p[:, 1]
+
     stabilized = []
-    for nq in nqs:
-        records = run_quench(scenario.protocol(n0=n0, nq=nq, post=post))
-        p_stable = stabilized_edge_population(records, start=n0 + nq)
+    for row, nq in enumerate(nqs):
+        series = p_edge[:n0 + nq + post + 1, row]
+        p_stable = stabilized_edge_population(series, start=n0 + nq)
         if p_stable is None:
-            p_stable = float(np.mean([r.p_edge for r in records][-10:]))
+            p_stable = float(np.mean(series[-10:]))
         stabilized.append(p_stable)
     p_adiabatic = stabilized[-1]
     if p_adiabatic <= 0:

@@ -158,6 +158,9 @@ def test_quench_scenario_rejects_keys_it_defines(tmp_path):
     ["sweep", "theta1=pi/2", "theta2=0", "--workers", "-3"],
     ["phase-diagram", "grid=2", "transition_tol=nan"],
     ["phase-diagram", "grid=2", "transition_tol=-1"],
+    ["ramp", "nq_list=0,1,2,3,4"],
+    ["ramp", "n0=0"],
+    ["ramp", "post=-5"],
 ])
 def test_bad_values_exit_with_one_error_line(argv, tmp_path, capsys):
     assert main(argv + ["--out", str(tmp_path / "x.csv")]) == EXIT_CONFIG
@@ -203,6 +206,27 @@ def test_unusable_output_path_is_rejected_before_any_work(tmp_path, monkeypatch,
         assert main(argv) == EXIT_CONFIG
         err = capsys.readouterr().err
         assert len(err.splitlines()) == 1 and err.startswith("error: ")
+    assert list(tmp_path.iterdir()) == []  # nothing created or truncated
+
+
+def test_outputs_naming_the_same_file_are_rejected_before_any_work(tmp_path, monkeypatch,
+                                                                   capsys):
+    def fail(*args, **kwargs):
+        raise AssertionError("the experiment ran")
+
+    monkeypatch.setattr(cli.lattice, "evolve", fail)
+    monkeypatch.setattr(cli.quench, "landau_zener_fit", fail)
+    monkeypatch.chdir(tmp_path)
+    walk = ["walk", "theta1=pi/2", "theta2=0", "steps=4000"]
+    for argv in (walk + ["--out", "a.csv", "--json", "a.csv"],
+                 walk + ["--out", "a.csv", "--dist-out", "a.csv"],
+                 walk + ["--out", "a.csv", "--dist-out", str(tmp_path / "a.csv")],
+                 walk + ["--out", "a.csv", "--json", "b.json", "--dist-out", "./b.json"],
+                 ["ramp", "--out", "r.csv", "--json", "r.csv"]):
+        assert main(argv) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and err.startswith("error: ")
+        assert "same file" in err
     assert list(tmp_path.iterdir()) == []  # nothing created or truncated
 
 

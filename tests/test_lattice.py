@@ -11,8 +11,11 @@ from fockwalk.lattice import (
     GuardBandViolation,
     SiteOutOfRange,
     WalkerState,
+    _advance,
+    _coin_stack,
     build_step_matrix,
     chiral_step,
+    coin_matrix,
     coin_rotation,
     evolve,
     floquet_step,
@@ -167,6 +170,39 @@ def test_complex_states_match_the_oracle_in_both_frames():
                 assert out.up.dtype == out.down.dtype == np.complex128
                 assert np.max(np.abs(out.to_vector() - u @ vec)) < 1e-12
                 np.testing.assert_array_equal(state.to_vector(), vec)  # input untouched
+
+
+def test_coin_stack_matches_coin_matrix():
+    thetas = RNG.uniform(-4 * math.pi, 4 * math.pi, size=(7, 3))
+    stack = _coin_stack(thetas)
+    assert stack.shape == (7, 3, 2, 2)
+    for index in np.ndindex(thetas.shape):
+        assert np.max(np.abs(stack[index] - coin_matrix(thetas[index]))) < 1e-15
+
+
+def test_stacked_step_matches_per_row_steps_and_the_oracle():
+    rows, n_max = 5, 24
+    for frame, step in (("walk", floquet_step), ("chiral", chiral_step)):
+        for phi in (PHI_ZERO, PHI_PI):
+            for complex_state in (False, True):
+                thetas = RNG.uniform(-2 * math.pi, 2 * math.pi, size=(rows, 2))
+                amps = RNG.normal(size=(rows, 2, n_max + 1))
+                if complex_state:
+                    amps = amps + 1j * RNG.normal(size=amps.shape)
+                amps[:, :, -2:] = 0.0  # keep the guard band empty
+                first = _coin_stack(thetas[:, 0] / 2.0 if frame == "chiral" else thetas[:, 0])
+                before = amps.copy()
+                out = _advance(amps, first, _coin_stack(thetas[:, 1]), phi.sign, frame)
+                np.testing.assert_array_equal(amps, before)  # input untouched
+                assert out.shape == amps.shape and out.dtype == amps.dtype
+                for row in range(rows):
+                    params = BulkParams(*thetas[row])
+                    state = WalkerState(amps[row].copy(), 0)
+                    single = step(state, params, phi).to_vector()
+                    u = build_step_matrix(params, phi, n_max, frame=frame)
+                    got = WalkerState(out[row], 1).to_vector()
+                    assert np.max(np.abs(got - single)) < 1e-12
+                    assert np.max(np.abs(got - u @ state.to_vector())) < 1e-12
 
 
 def test_vector_round_trip_and_amplitude_shape():

@@ -1,9 +1,11 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
-from fockwalk.lattice import PHI_PI, PHI_ZERO, BulkParams
+from fockwalk import quench
+from fockwalk.lattice import PHI_PI, PHI_ZERO, BulkParams, SiteOutOfRange
 from fockwalk.momentum import predict_bound_states
 from fockwalk.quench import (
     InsufficientLoss,
@@ -13,6 +15,7 @@ from fockwalk.quench import (
     ramp_schedule,
     ramp_survival_curve,
     run_quench,
+    scenario,
     stabilized_edge_population,
     survival_catalog,
 )
@@ -156,10 +159,76 @@ def test_sudden_quench_continuity_in_the_same_phase():
 
 def test_stabilized_edge_population_requires_plateau():
     records = run_quench(protocol())
-    assert stabilized_edge_population(records, start=30) is not None
-    growing = [type(records[0])(step=i, p_edge=0.01 * i, sx0=0.0, sx1=0.0,
-                                mean_n=0.0, var_n=0.0, norm=1.0) for i in range(60)]
+    assert stabilized_edge_population([r.p_edge for r in records], start=30) is not None
+    growing = [0.01 * i for i in range(60)]
     assert stabilized_edge_population(growing) is None
+
+
+def ramp_survival_oracle(sc, nq_list, n0=20, post=80):
+    """The ramp sweep as one run_quench per ramp duration."""
+    nqs = sorted(set(int(n) for n in nq_list))
+    stabilized = []
+    for nq in nqs:
+        series = [r.p_edge for r in run_quench(sc.protocol(n0=n0, nq=nq, post=post))]
+        p_stable = stabilized_edge_population(series, start=n0 + nq)
+        if p_stable is None:
+            p_stable = float(np.mean(series[-10:]))
+        stabilized.append(p_stable)
+    return [(nq, p, 1.0 - p / stabilized[-1]) for nq, p in zip(nqs, stabilized)]
+
+
+@pytest.mark.parametrize("name,nq_list,n0,post", [
+    ("fig6c", range(1, 25), 20, 80),
+    ("fig9-reverse", range(1, 25), 20, 80),
+    ("fig6d-kick", [1, 2, 3, 4, 6, 8, 10, 12], 20, 80),     # sigma_z kick at n0
+    ("fig8-vquench-10", [1, 2, 3, 4, 6, 8, 10, 12], 20, 80),  # phi flips after n0
+    ("fig6c", [12, 3, 1, 3, 8, 1, 5], 20, 80),             # unsorted, duplicates
+    ("fig6d-kick", [1, 2, 4, 7], 7, 33),
+    ("fig6c", [1, 2, 4, 7], 9, 5),                          # too short to plateau
+])
+def test_ramp_survival_curve_matches_per_ramp_quenches(name, nq_list, n0, post):
+    sc = scenario(name)
+    got = ramp_survival_curve(sc, nq_list, n0=n0, post=post)
+    want = ramp_survival_oracle(sc, nq_list, n0=n0, post=post)
+    assert [row[0] for row in got] == [row[0] for row in want]
+    for (_, p, loss), (_, p_ref, loss_ref) in zip(got, want):
+        assert abs(p - p_ref) <= 1e-13
+        assert abs(loss - loss_ref) <= 1e-12
+
+
+def test_ramp_keeps_the_top_two_sites_empty(monkeypatch):
+    def checked(amps, *args):
+        out = advance(amps, *args)
+        assert out.shape[:2] == (6, 2) and out.shape[2] == 20 + 12 + 80 + 3
+        assert not np.any(out[:, :, -2:])
+        return out
+
+    advance = quench._advance
+    monkeypatch.setattr(quench, "_advance", checked)
+    ramp_survival_curve(scenario("fig6c"), [1, 2, 4, 6, 8, 12])
+
+
+def no_stepping(*args):
+    raise AssertionError("the ramp stepped")
+
+
+@pytest.mark.parametrize("nq_list,n0,post,message", [
+    ([0, 1, 2, 3, 4], 20, 80, "n0 and nq must be at least 1"),
+    ([1, 2, 3, 4, 5], 0, 80, "n0 and nq must be at least 1"),
+    ([1, 2, 3, 4, 5], 20, -5, "total_steps must cover the ramp"),
+    ([], 20, 80, "at least one ramp duration"),
+])
+def test_ramp_rejects_bad_durations_before_stepping(monkeypatch, nq_list, n0, post, message):
+    monkeypatch.setattr(quench, "_advance", no_stepping)
+    with pytest.raises(ValueError, match=message):
+        ramp_survival_curve(scenario("fig6c"), nq_list, n0=n0, post=post)
+
+
+def test_ramp_rejects_a_kick_outside_the_shortest_lattice(monkeypatch):
+    monkeypatch.setattr(quench, "_advance", no_stepping)
+    far = dataclasses.replace(scenario("fig6d-kick"), kick=20 + 1 + 80 + 3)
+    with pytest.raises(SiteOutOfRange):
+        ramp_survival_curve(far, [1, 2, 3])
 
 
 def test_ramp_survival_curve_monotone_within_wobble():
