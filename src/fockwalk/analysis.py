@@ -1,7 +1,8 @@
 """Observables and bound-state diagnostics for walker states.
 
-Edge population, site-resolved spin readout, phonon moments, localization
-fits of stable edge profiles, plateau detection, and a dense eigen-oracle
+Edge population, site-resolved spin readout, phonon moments, the per-step
+observable table of a trajectory, localization fits of stable edge
+profiles, plateau detection, and a dense eigen-oracle
 that diagonalizes the symmetric part of the real orthogonal one-step matrix
 and classifies 0- and pi-energy edge modes by their residuals.  The oracle
 is the independent reference the dynamical results are checked against.
@@ -13,8 +14,17 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
-from .lattice import BoundaryPhase, BulkParams, WalkerState, build_step_matrix
+from .lattice import (
+    BoundaryPhase,
+    BulkParams,
+    WalkerState,
+    _trajectory,
+    build_step_matrix,
+    coin_matrix,
+    initial_state,
+)
 
 EIGENPHASE_TOL = 1e-6
 OCCUPATION_FLOOR = 1e-9
@@ -57,28 +67,10 @@ class LocalizationFit:
     r_squared: float
 
 
-def _edge_weight(p: np.ndarray) -> float:
-    return float(p[0] + p[1])
-
-
-def _spin_x(spinor: np.ndarray, weight: float) -> float:
-    """<sigma_x> of one site's (a, b) given its weight |a|^2 + |b|^2."""
-    a, b = spinor
-    return float(2.0 * np.real(a * np.conj(b)) / weight)
-
-
-def _moments(p: np.ndarray) -> tuple[float, float, float]:
-    """(mean, variance, total) of unnormalized site probabilities."""
-    total = float(np.sum(p))
-    sites = np.arange(p.size)
-    mean = float(np.dot(sites, p)) / total
-    var = float(np.dot(sites**2, p)) / total - mean**2
-    return mean, max(var, 0.0), total
-
-
 def edge_population(state: WalkerState) -> float:
     """P_edge = p_0 + p_1."""
-    return _edge_weight(state.site_probabilities())
+    p = state.site_probabilities()
+    return float(p[0] + p[1])
 
 
 def spin_expectation_x(state: WalkerState, site: int) -> float:
@@ -87,23 +79,72 @@ def spin_expectation_x(state: WalkerState, site: int) -> float:
     weight = float(np.sum(np.abs(spinor) ** 2))
     if weight < OCCUPATION_FLOOR:
         raise SiteUnoccupied(f"site {site} carries {weight:.2e}")
-    return _spin_x(spinor, weight)
+    a, b = spinor
+    return float(2.0 * np.real(a * np.conj(b)) / weight)
 
 
 def phonon_moments(state: WalkerState) -> tuple[float, float]:
     """(mean, variance) of the phonon-number distribution."""
-    return _moments(state.site_probabilities())[:2]
+    p = state.site_probabilities()
+    total = float(np.sum(p))
+    sites = np.arange(p.size)
+    mean = float(np.dot(sites, p)) / total
+    var = float(np.dot(sites**2, p)) / total - mean**2
+    return mean, max(var, 0.0)
+
+
+def observable_table(states: np.ndarray) -> np.ndarray:
+    """The standard observables of a (K, 2, N) block of states, one row each.
+
+    Columns: p_edge, sx0, sx1 (<sigma_x> at sites 0 and 1, nan where the
+    site carries less than OCCUPATION_FLOOR), mean_n, var_n and norm, all
+    read from one array of site probabilities.  Real and complex states
+    alike; the chunked ``walk`` and ``quench`` time series are built from it.
+    """
+    weights = np.abs(states) ** 2
+    p = weights[:, 0] + weights[:, 1]
+    total = p.sum(axis=1)
+    sites = np.arange(p.shape[1], dtype=float)
+    table = np.empty((len(p), 6))
+    table[:, 0] = p[:, 0] + p[:, 1]
+    edge = p[:, :2]
+    spin = 2.0 * np.real(states[:, 0, :2] * np.conj(states[:, 1, :2]))
+    table[:, 1:3] = math.nan
+    np.divide(spin, edge, out=table[:, 1:3], where=edge >= OCCUPATION_FLOOR)
+    mean = (p * sites).sum(axis=1) / total
+    table[:, 3] = mean
+    table[:, 4] = np.maximum((p * sites**2).sum(axis=1) / total - mean**2, 0.0)
+    table[:, 5] = np.sqrt(total)
+    return table
 
 
 def observable_record(step: int, state: WalkerState) -> ObservableRecord:
-    """Snapshot of the standard observables, all read from one array of site
-    probabilities; unoccupied spins become nan."""
-    p = state.site_probabilities()
-    mean, var, total = _moments(p)
-    sx0, sx1 = (_spin_x(state.amps[:, site], p[site]) if p[site] >= OCCUPATION_FLOOR
-                else math.nan for site in (0, 1))
-    return ObservableRecord(step=step, p_edge=_edge_weight(p), sx0=sx0, sx1=sx1,
-                            mean_n=mean, var_n=var, norm=math.sqrt(total))
+    """Snapshot of the standard observables of one state, the one-row view of
+    ``observable_table``; unoccupied spins become nan.  ``run_quench`` and
+    ``evolve`` recorders call it once per step, the reference path that the
+    chunked time series are tested against."""
+    return ObservableRecord(step, *observable_table(state.amps[None])[0].tolist())
+
+
+def walk_table(params: BulkParams, phi: BoundaryPhase, steps: int,
+               frame: str = "walk") -> tuple[np.ndarray, WalkerState]:
+    """Time series of a walk from |0, down> and its final state.
+
+    Row k of the (steps + 1, 6) table holds the observables of
+    ``observable_table`` after step k.  The chunked counterpart of ``evolve``
+    with an ``observable_record`` recorder on an n_max = steps + 2 lattice,
+    stepping with ``floquet_step`` (``frame="walk"``) or ``chiral_step``
+    (``frame="chiral"``); those per-step functions are its reference.
+    """
+    if frame not in ("walk", "chiral"):
+        raise ValueError(f"frame must be walk or chiral, got {frame!r}")
+    start = initial_state(steps + 2)
+    first = coin_matrix(params.theta1 / 2.0 if frame == "chiral" else params.theta1)
+    tables = []
+    for block in _trajectory(start.amps, first, coin_matrix(params.theta2),
+                             [phi.sign] * steps, frame):
+        tables.append(observable_table(block))
+    return np.concatenate(tables), WalkerState(block[-1], steps)
 
 
 def _localized_group_vectors(vectors: np.ndarray) -> np.ndarray:
@@ -214,10 +255,14 @@ def detect_stabilization(series, window: int = 10, tol: float = 0.01,
     """
     if window < 4:
         raise ValueError("window must be at least 4")
-    values = np.asarray(list(series), dtype=float)
-    for i in range(max(start, 0), values.size - window + 1):
-        chunk = values[i:i + window]
-        even, odd = chunk[0::2], chunk[1::2]
-        if (even.max() - even.min() < tol) and (odd.max() - odd.min() < tol):
-            return i
-    return None
+    values = np.asarray(series, dtype=float)
+    first = max(start, 0)
+    if values.size - window < first:
+        return None
+    # one row per start index i >= first: values[i:i + window]
+    windows = sliding_window_view(values[first:], window)
+    even, odd = windows[:, 0::2], windows[:, 1::2]
+    flat = ((even.max(axis=1) - even.min(axis=1) < tol)
+            & (odd.max(axis=1) - odd.min(axis=1) < tol))
+    hits = np.flatnonzero(flat)
+    return first + int(hits[0]) if hits.size else None

@@ -136,9 +136,9 @@ RAMP_HEADER = ["nq", "p_edge_stable", "loss"]
 EIGEN_HEADER = ["mode_class", "eigenphase", "edge_weight", "p0", "p1", "ratio10", "ratio21"]
 
 
-def _record_row(record: analysis.ObservableRecord) -> list:
-    return [record.step, record.p_edge, record.sx0, record.sx1,
-            record.mean_n, record.var_n, record.norm]
+def _timeseries_rows(table) -> list[list]:
+    """TIMESERIES_HEADER rows of an observable table, row k after step k."""
+    return [[k, *row] for k, row in enumerate(table.tolist())]
 
 
 def cmd_walk(args) -> int:
@@ -153,18 +153,8 @@ def cmd_walk(args) -> int:
                                 parse_angle(cfg.get("theta2", "0")))
     phi = parse_phi(cfg.get("phi", "0"))
     steps = int(cfg.get("steps", "100"))
-    frame = cfg.get("frame", "chiral")
-    step_fn = {"walk": lattice.floquet_step, "chiral": lattice.chiral_step}.get(frame)
-    if step_fn is None:
-        raise ConfigError(f"frame must be walk or chiral, got {frame!r}")
-    state = lattice.initial_state(steps + 2)
-    rows = [_record_row(analysis.observable_record(0, state))]
-
-    def recorder(k, st):
-        rows.append(_record_row(analysis.observable_record(k, st)))
-
-    state = lattice.evolve(state, params, phi, steps, recorder=recorder, step=step_fn)
-    _emit(args, TIMESERIES_HEADER, rows)
+    table, state = analysis.walk_table(params, phi, steps, cfg.get("frame", "chiral"))
+    _emit(args, TIMESERIES_HEADER, _timeseries_rows(table))
     if getattr(args, "dist_out", None):
         dist_rows = [[n, float(abs(state.up[n])**2 + abs(state.down[n])**2),
                       float(state.up[n].real), float(state.up[n].imag),
@@ -253,8 +243,7 @@ def cmd_quench(args) -> int:
             phi_final=parse_phi(cfg.get("phi_f", "0")),
             n0=n0, nq=nq, total_steps=total,
             kick=None if kick == "none" else int(kick))
-    records = quench.run_quench(protocol)
-    _emit(args, TIMESERIES_HEADER, [_record_row(r) for r in records])
+    _emit(args, TIMESERIES_HEADER, _timeseries_rows(quench.quench_table(protocol)))
     return EXIT_OK
 
 

@@ -6,10 +6,16 @@ row 1 = spin down b_n.  The coins are real rotations and phi is 0 or pi, so the
 walk is real orthogonal: a real start stays real, and a complex state steps
 through the same code.  The step kernel also steps a stack of walkers, a
 (..., 2, N) array with one coin pair per walker, which the ramp sweep of
-``quench`` uses.  One Floquet step applies, in order: the first coin,
-extraction of the blocked spin-down amplitude at n = 0, the signed down-shift,
-the second coin, the signed up-shift, and re-injection of the blocked
-amplitude into (0, up) with phase e^{i*phi}.  Every operation is O(n_max).
+``quench`` uses.  ``floquet_step``, ``chiral_step`` and ``evolve`` step one
+``WalkerState`` at a time and are the per-step reference path; the private
+``_trajectory`` generator runs the same kernel over a whole trajectory and
+hands its states out in blocks of consecutive steps, which the ``walk`` and
+``quench`` time series reduce to observables block by block.
+
+One Floquet step applies, in order: the first coin, extraction of the
+blocked spin-down amplitude at n = 0, the signed down-shift, the second
+coin, the signed up-shift, and re-injection of the blocked amplitude into
+(0, up) with phase e^{i*phi}.  Every operation is O(n_max).
 ``build_step_matrix`` assembles the same step as a dense unitary from two-site
 cut/uncut link operators and is used as the oracle throughout the test suite.
 
@@ -21,6 +27,7 @@ spin readout differs.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -176,6 +183,45 @@ def _advance(amps: np.ndarray, first: np.ndarray, second: np.ndarray, sign: floa
     sites[1:, 0] = -sites[:-1, 0]
     sites[0, 0] = blocked
     return first @ amps if frame == "chiral" else amps
+
+
+# Consecutive states are handed out in blocks of at most this many bytes (one
+# state when a state is larger).  Blocks and the temporaries of reducing them
+# stay below glibc's 128 KB mmap threshold, so they come from the heap instead
+# of being mapped and page-faulted in afresh for every block.
+_BLOCK_BYTES = 1 << 16
+
+
+def _trajectory(amps: np.ndarray, first: np.ndarray, second: np.ndarray, signs,
+                frame: str, kick: tuple[int, int] | None = None):
+    """Step a (..., 2, N) amplitude array once per entry of ``signs`` (e^{i*phi}
+    of each step) and yield the start state and every later state, in order,
+    as consecutive (K, ..., 2, N) blocks.
+
+    ``first`` and ``second`` are one coin pair for every step, shaped
+    (..., 2, 2) as ``_advance`` takes them, or one pair per step, shaped
+    (steps, ..., 2, 2).  ``kick=(step, site)`` flips the sign of the
+    spin-down amplitude at ``site`` right after that step; the caller checks
+    that the site exists.  The input array is left untouched.
+    """
+    steps = len(signs)
+    if np.ndim(first) == amps.ndim:
+        first, second = itertools.repeat(first, steps), itertools.repeat(second, steps)
+    rows = max(1, _BLOCK_BYTES // amps.nbytes)
+    block = np.empty((min(rows, steps + 1),) + amps.shape, amps.dtype)
+    block[0] = amps
+    k = 1
+    for t, sign, a, b in zip(range(1, steps + 1), signs, first, second):
+        if k == len(block):
+            yield block
+            block = np.empty((min(rows, steps + 1 - t),) + amps.shape, amps.dtype)
+            k = 0
+        amps = _advance(amps, a, b, sign, frame)
+        if kick is not None and t == kick[0]:
+            amps[..., 1, kick[1]] = -amps[..., 1, kick[1]]
+        block[k] = amps
+        k += 1
+    yield block
 
 
 def floquet_step(state: WalkerState, params: BulkParams, phi: BoundaryPhase) -> WalkerState:

@@ -6,9 +6,13 @@ boundary phase or applies a sigma_z kick at the end of step ``n0``, and then
 keeps evolving.  ``survival_catalog`` lists the named quench experiments and
 their expected outcomes, ``scenario`` looks one up by name, and
 ``landau_zener_fit`` extracts the exponential dependence of the bound-state
-loss on the ramp duration.  ``run_quench`` steps one protocol and records
-every observable per step; ``ramp_survival_curve`` steps all ramp durations
-of a sweep together as one batch of walkers and records only P_edge.
+loss on the ramp duration.  ``quench_table`` steps one protocol through the
+chunked trajectory generator of ``lattice`` and reduces its states to the
+observable table block by block; ``run_quench`` steps the same protocol one
+``chiral_step`` and one ``observable_record`` at a time and is the per-step
+reference it is tested against.  ``ramp_survival_curve`` steps all ramp
+durations of a sweep together as one batch of walkers and records only
+P_edge.
 
 All trajectories run in the chiral time frame from |0, down>, so the spin
 readout at the boundary pins to +/-1 for a single surviving channel.
@@ -21,7 +25,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .analysis import ObservableRecord, detect_stabilization, linear_fit, observable_record
+from .analysis import (
+    ObservableRecord,
+    detect_stabilization,
+    linear_fit,
+    observable_record,
+    observable_table,
+)
 from .lattice import (
     PHI_PI,
     PHI_ZERO,
@@ -30,6 +40,7 @@ from .lattice import (
     SiteOutOfRange,
     _advance,
     _coin_stack,
+    _trajectory,
     chiral_step,
     initial_state,
     sigma_z_kick,
@@ -57,6 +68,9 @@ class QuenchProtocol:
             raise ValueError("n0 and nq must be at least 1")
         if self.total_steps < self.n0 + self.nq:
             raise ValueError("total_steps must cover the ramp")
+        n_max = self.total_steps + 2  # the lattice a quench runs on
+        if self.kick is not None and not 0 <= self.kick <= n_max:
+            raise SiteOutOfRange(f"site {self.kick} outside 0..{n_max}")
 
 
 def ramp_schedule(protocol: QuenchProtocol, t: int) -> tuple[BulkParams, BoundaryPhase]:
@@ -74,8 +88,39 @@ def ramp_schedule(protocol: QuenchProtocol, t: int) -> tuple[BulkParams, Boundar
     return BulkParams(t1, t2), phi
 
 
+def _schedule_angles(ends, n0: int, durations, steps: int) -> tuple[np.ndarray, np.ndarray]:
+    """``ramp_schedule``'s (theta1, theta2) from ``ends.initial`` to
+    ``ends.final`` for every step t = 1..steps (axis 0) and each ramp
+    duration in ``durations`` (axis 1)."""
+    durations = np.asarray(durations, dtype=float)
+    frac = (np.minimum(np.maximum(np.arange(1, steps + 1) - n0, 0)[:, None], durations)
+            / durations)
+    t1 = ends.initial.theta1 + (ends.final.theta1 - ends.initial.theta1) * frac
+    t2 = ends.initial.theta2 + (ends.final.theta2 - ends.initial.theta2) * frac
+    return t1, t2
+
+
+def quench_table(protocol: QuenchProtocol) -> np.ndarray:
+    """``run_quench``'s time series as one (total_steps + 1, 6) array.
+
+    Row t holds the observables of ``analysis.observable_table`` after step
+    t.  The coins of every step come from one vectorised ``ramp_schedule``,
+    and the trajectory is reduced to observables block by block.
+    """
+    steps = protocol.total_steps
+    t1, t2 = _schedule_angles(protocol, protocol.n0, [protocol.nq], steps)
+    signs = ([protocol.phi_initial.sign] * protocol.n0
+             + [protocol.phi_final.sign] * (steps - protocol.n0))
+    kick = None if protocol.kick is None else (protocol.n0, protocol.kick)
+    blocks = _trajectory(initial_state(steps + 2).amps, _coin_stack(t1[:, 0] / 2.0),
+                         _coin_stack(t2[:, 0]), signs, "chiral", kick)
+    return np.concatenate([observable_table(block) for block in blocks])
+
+
 def run_quench(protocol: QuenchProtocol) -> list[ObservableRecord]:
-    """Evolve |0, down> through the protocol, recording observables per step."""
+    """Evolve |0, down> through the protocol, recording observables per step.
+
+    The per-step reference path of ``quench_table``."""
     state = initial_state(protocol.total_steps + 2)
     records = [observable_record(0, state)]
     for t in range(1, protocol.total_steps + 1):
@@ -232,20 +277,11 @@ def ramp_survival_curve(scenario: QuenchScenario, nq_list, n0: int = 20,
     nqs = sorted(set(int(n) for n in nq_list))
     if not nqs:
         raise ValueError("nq_list needs at least one ramp duration")
-    scenario.protocol(n0=n0, nq=nqs[0], post=post)  # validates n0, nq and post
+    scenario.protocol(n0=n0, nq=nqs[0], post=post)  # validates n0, nq, post and kick
     steps = n0 + nqs[-1] + post
     n_sites = steps + 3  # run_quench's n_max + 1: the top two sites stay empty
     kick = scenario.kick
-    shortest_n_max = n0 + nqs[0] + post + 2  # the smallest run_quench lattice
-    if kick is not None and not 0 <= kick <= shortest_n_max:
-        raise SiteOutOfRange(f"site {kick} outside 0..{shortest_n_max}")
-
-    # ramp_schedule's angles for every step t = 1..steps (axis 0) and row
-    durations = np.array(nqs, dtype=float)
-    frac = (np.minimum(np.maximum(np.arange(1, steps + 1) - n0, 0)[:, None], durations)
-            / durations)
-    t1 = scenario.initial.theta1 + (scenario.final.theta1 - scenario.initial.theta1) * frac
-    t2 = scenario.initial.theta2 + (scenario.final.theta2 - scenario.initial.theta2) * frac
+    t1, t2 = _schedule_angles(scenario, n0, nqs, steps)
     angles = np.stack([t1 / 2.0, t2], axis=1)  # chiral frame: half the first coin
 
     amps = np.zeros((len(nqs), 2, n_sites))
@@ -258,7 +294,7 @@ def ramp_survival_curve(scenario: QuenchScenario, nq_list, n0: int = 20,
         amps = _advance(amps, half, second, phi.sign, "chiral")
         if kick is not None and t == n0:
             amps[:, 1, kick] = -amps[:, 1, kick]
-        weights = amps[:, :, :2] ** 2  # summed in observable_record's order
+        weights = amps[:, :, :2] ** 2  # summed in observable_table's order
         p = weights[:, 0] + weights[:, 1]
         p_edge[t] = p[:, 0] + p[:, 1]
 

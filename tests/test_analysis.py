@@ -13,6 +13,7 @@ from fockwalk.analysis import (
     edge_population,
     fit_localization,
     observable_record,
+    observable_table,
     phonon_moments,
     spin_expectation_x,
     successive_ratios,
@@ -100,6 +101,24 @@ def test_observable_record_agrees_with_the_public_helpers():
         assert abs(rec.mean_n - mean) < 1e-14 * max(1.0, mean)
         assert abs(rec.var_n - var) < 1e-14 * max(1.0, var)
         assert abs(rec.norm - state.norm()) < 1e-14
+
+
+def test_observable_table_rows_are_the_records_of_each_state():
+    n_max = 25
+    states = []
+    for trial in range(9):
+        vec = RNG.normal(size=2 * (n_max + 1)) + 1j * RNG.normal(size=2 * (n_max + 1))
+        vec[2 * (trial % 3):2 * (trial % 3) + 2] *= 1e-6  # site 0, 1 or 2 unoccupied
+        states.append(vec.reshape(-1, 2).T / np.linalg.norm(vec))
+    block = np.array(states)
+    table = observable_table(block)
+    assert table.shape == (9, 6) and table.dtype == np.float64
+    for row, amps in zip(table, states):
+        rec = observable_record(0, WalkerState(amps, 0))
+        want = [rec.p_edge, rec.sx0, rec.sx1, rec.mean_n, rec.var_n, rec.norm]
+        np.testing.assert_array_equal(row, want)
+    assert np.isnan(table[0::3, 1]).all() and np.isnan(table[1::3, 2]).all()
+    assert not np.isnan(table[2::3, 1:3]).any()
 
 
 def test_eigenmodes_at_anchor_single_zero_mode():
@@ -278,6 +297,36 @@ def test_detect_stabilization_basics():
     assert detect_stabilization(osc, window=10, tol=0.01) == 0
     with pytest.raises(ValueError):
         detect_stabilization([1.0] * 8, window=3)
+
+
+def detect_stabilization_loop(series, window=10, tol=0.01, start=0):
+    """The window-by-window plateau scan, the oracle of the vectorised one."""
+    values = np.asarray(list(series), dtype=float)
+    for i in range(max(start, 0), values.size - window + 1):
+        chunk = values[i:i + window]
+        even, odd = chunk[0::2], chunk[1::2]
+        if (even.max() - even.min() < tol) and (odd.max() - odd.min() < tol):
+            return i
+    return None
+
+
+def test_detect_stabilization_matches_the_window_loop():
+    rng = np.random.default_rng(11)
+    found = set()
+    for _ in range(3000):
+        size = int(rng.integers(0, 60))
+        # a decaying start, then a plateau whose noise may or may not pass tol
+        series = np.exp(-np.arange(size) / rng.uniform(1, 10))
+        series += rng.normal(scale=10.0 ** rng.uniform(-4, -1), size=size)
+        if rng.random() < 0.3:  # period-2 oscillation
+            series += rng.uniform(-0.3, 0.3) * (-1.0) ** np.arange(size)
+        window = int(rng.integers(4, 13))
+        start = int(rng.integers(-3, size + 3))
+        tol = float(rng.choice([0.001, 0.01, 0.05]))
+        got = detect_stabilization(series, window=window, tol=tol, start=start)
+        assert got == detect_stabilization_loop(series, window=window, tol=tol, start=start)
+        found.add(None if got is None else got > max(start, 0))
+    assert found == {None, False, True}  # no plateau, one at start, one later
 
 
 def test_detect_stabilization_on_trivial_phase_decay():

@@ -161,6 +161,8 @@ def test_quench_scenario_rejects_keys_it_defines(tmp_path):
     ["ramp", "nq_list=0,1,2,3,4"],
     ["ramp", "n0=0"],
     ["ramp", "post=-5"],
+    ["quench", "theta1_i=pi/2", "theta2_i=0", "theta1_f=pi/2", "theta2_f=0", "kick=-1"],
+    ["walk", "theta1=pi/2", "frame=lab"],
 ])
 def test_bad_values_exit_with_one_error_line(argv, tmp_path, capsys):
     assert main(argv + ["--out", str(tmp_path / "x.csv")]) == EXIT_CONFIG
@@ -193,6 +195,8 @@ def test_unusable_output_path_is_rejected_before_any_work(tmp_path, monkeypatch,
         raise AssertionError("the experiment ran")
 
     monkeypatch.setattr(cli.lattice, "evolve", fail)
+    for module in (cli.lattice, cli.analysis, cli.quench):  # every binding of the stepper
+        monkeypatch.setattr(module, "_trajectory", fail)
     monkeypatch.setattr(cli, "_diagram_point", fail)
     good = tmp_path / "good.csv"
     missing = str(tmp_path / "missing" / "x.csv")
@@ -201,6 +205,7 @@ def test_unusable_output_path_is_rejected_before_any_work(tmp_path, monkeypatch,
                  walk + ["--out", missing],
                  walk + ["--out", str(good), "--json", str(tmp_path)],
                  walk + ["--out", str(good), "--dist-out", missing],
+                 ["quench", "scenario=fig6d-kick", "--out", missing],
                  ["phase-diagram", "--out", str(good), "--json", missing],
                  ["pulse-verify", "--out", str(tmp_path)]):
         assert main(argv) == EXIT_CONFIG
@@ -215,10 +220,13 @@ def test_outputs_naming_the_same_file_are_rejected_before_any_work(tmp_path, mon
         raise AssertionError("the experiment ran")
 
     monkeypatch.setattr(cli.lattice, "evolve", fail)
+    for module in (cli.lattice, cli.analysis, cli.quench):  # every binding of the stepper
+        monkeypatch.setattr(module, "_trajectory", fail)
     monkeypatch.setattr(cli.quench, "landau_zener_fit", fail)
     monkeypatch.chdir(tmp_path)
     walk = ["walk", "theta1=pi/2", "theta2=0", "steps=4000"]
     for argv in (walk + ["--out", "a.csv", "--json", "a.csv"],
+                 ["quench", "scenario=fig6c", "--out", "q.csv", "--json", "q.csv"],
                  walk + ["--out", "a.csv", "--dist-out", "a.csv"],
                  walk + ["--out", "a.csv", "--dist-out", str(tmp_path / "a.csv")],
                  walk + ["--out", "a.csv", "--json", "b.json", "--dist-out", "./b.json"],

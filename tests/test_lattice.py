@@ -3,6 +3,8 @@ import math
 import numpy as np
 import pytest
 
+from fockwalk import lattice
+from fockwalk.analysis import observable_record, walk_table
 from fockwalk.lattice import (
     PHI_PI,
     PHI_ZERO,
@@ -13,6 +15,7 @@ from fockwalk.lattice import (
     WalkerState,
     _advance,
     _coin_stack,
+    _trajectory,
     build_step_matrix,
     chiral_step,
     coin_matrix,
@@ -203,6 +206,75 @@ def test_stacked_step_matches_per_row_steps_and_the_oracle():
                     got = WalkerState(out[row], 1).to_vector()
                     assert np.max(np.abs(got - single)) < 1e-12
                     assert np.max(np.abs(got - u @ state.to_vector())) < 1e-12
+
+
+def test_trajectory_blocks_hold_every_state_in_order(monkeypatch):
+    walkers, n_sites, steps = 3, 30, 23
+    angles = RNG.uniform(-2 * math.pi, 2 * math.pi, size=(steps, 2, walkers))
+    half, second = _coin_stack(angles).swapaxes(0, 1)
+    signs = RNG.choice([-1.0, 1.0], size=steps)
+    start = RNG.normal(size=(walkers, 2, n_sites))
+    start[:, :, -steps - 2:] = 0.0  # the light cone never reaches the top two sites
+    before = start.copy()
+    want = [start]
+    for t in range(steps):
+        amps = _advance(want[-1], half[t], second[t], signs[t], "chiral")
+        if t + 1 == 9:
+            amps[:, 1, 4] = -amps[:, 1, 4]
+        want.append(amps)
+    state_bytes = start.nbytes
+    for block_bytes in (1, 5 * state_bytes, lattice._BLOCK_BYTES):
+        monkeypatch.setattr(lattice, "_BLOCK_BYTES", block_bytes)
+        blocks = list(_trajectory(start, half, second, signs, "chiral", kick=(9, 4)))
+        rows = max(1, block_bytes // state_bytes)
+        assert [len(b) for b in blocks[:-1]] == [rows] * (len(blocks) - 1)
+        assert 1 <= len(blocks[-1]) <= rows
+        np.testing.assert_array_equal(np.concatenate(blocks), np.array(want))
+        np.testing.assert_array_equal(start, before)  # input untouched
+    # one coin pair for every step is the same as that pair repeated
+    block, = _trajectory(start[0], half[0, 0], second[0, 0], signs, "walk")
+    repeated, = _trajectory(start[0], np.repeat(half[:1, 0], steps, axis=0),
+                            np.repeat(second[:1, 0], steps, axis=0), signs, "walk")
+    np.testing.assert_array_equal(block, repeated)
+    assert block.shape == (steps + 1, 2, n_sites)
+
+
+@pytest.mark.parametrize("frame,step", [("walk", floquet_step), ("chiral", chiral_step)])
+@pytest.mark.parametrize("phi", [PHI_ZERO, PHI_PI])
+@pytest.mark.parametrize("steps", [0, 1, 200])
+def test_walk_table_matches_evolve_with_records(frame, step, phi, steps):
+    params = BulkParams(math.pi / 2, math.pi / 8)
+    records = [observable_record(0, initial_state(steps + 2))]
+    final = evolve(initial_state(steps + 2), params, phi, steps, step=step,
+                   recorder=lambda k, st: records.append(observable_record(k, st)))
+    table, state = walk_table(params, phi, steps, frame)
+    want = np.array([[r.step, r.p_edge, r.sx0, r.sx1, r.mean_n, r.var_n, r.norm]
+                     for r in records])
+    assert table.shape == (steps + 1, 6)
+    np.testing.assert_array_equal(want[:, 0], np.arange(steps + 1))
+    # equal numbers, nan in the same places
+    np.testing.assert_array_equal(np.isnan(table), np.isnan(want[:, 1:]))
+    np.testing.assert_array_equal(table, want[:, 1:])
+    np.testing.assert_array_equal(state.amps, final.amps)
+    assert state.step_count == final.step_count == steps
+
+
+def test_walk_table_does_not_depend_on_the_block_size(monkeypatch):
+    params = BulkParams(-2.1, 0.7)
+    for frame in ("walk", "chiral"):
+        table, state = walk_table(params, PHI_PI, 120, frame)
+        state_bytes = 2 * 123 * 8  # 121 states
+        for block_bytes in (1, 9 * state_bytes, 11 * state_bytes - 1):  # 1, 9, 10 states
+            monkeypatch.setattr(lattice, "_BLOCK_BYTES", block_bytes)
+            again, last = walk_table(params, PHI_PI, 120, frame)
+            np.testing.assert_array_equal(again, table)
+            np.testing.assert_array_equal(last.amps, state.amps)
+        monkeypatch.undo()
+
+
+def test_walk_table_rejects_an_unknown_frame():
+    with pytest.raises(ValueError, match="frame must be walk or chiral"):
+        walk_table(BulkParams(1.0, 0.5), PHI_ZERO, 10, "lab")
 
 
 def test_vector_round_trip_and_amplitude_shape():

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from fockwalk import quench
+from fockwalk import lattice, quench
 from fockwalk.lattice import PHI_PI, PHI_ZERO, BulkParams, SiteOutOfRange
 from fockwalk.momentum import predict_bound_states
 from fockwalk.quench import (
@@ -12,6 +12,7 @@ from fockwalk.quench import (
     QuenchProtocol,
     QuenchScenario,
     landau_zener_fit,
+    quench_table,
     ramp_schedule,
     ramp_survival_curve,
     run_quench,
@@ -68,6 +69,14 @@ def test_protocol_validation():
     with pytest.raises(ValueError):
         QuenchProtocol(initial=BulkParams(1, 1), final=BulkParams(1, 1),
                        n0=20, nq=5, total_steps=10)
+    # the kick site must exist on the n_max = total_steps + 2 lattice
+    for kick in (-1, 13, 500):
+        with pytest.raises(SiteOutOfRange, match=f"site {kick} outside 0..12"):
+            QuenchProtocol(initial=BulkParams(1, 1), final=BulkParams(1, 1),
+                           n0=5, nq=1, total_steps=10, kick=kick)
+    for kick in (0, 12):
+        QuenchProtocol(initial=BulkParams(1, 1), final=BulkParams(1, 1),
+                       n0=5, nq=1, total_steps=10, kick=kick)
 
 
 def test_run_quench_is_unitary_throughout():
@@ -155,6 +164,33 @@ def test_sudden_quench_continuity_in_the_same_phase():
         drifts.append(abs(stable - reference))
     assert drifts[0] > drifts[1] > drifts[2]
     assert drifts[2] < 0.01
+
+
+def assert_table_matches_records(table, records):
+    """A chunked observable table holds exactly the per-step records' numbers,
+    nan in the same places."""
+    assert [r.step for r in records] == list(range(len(table)))
+    want = np.array([[r.p_edge, r.sx0, r.sx1, r.mean_n, r.var_n, r.norm] for r in records])
+    np.testing.assert_array_equal(np.isnan(table), np.isnan(want))
+    np.testing.assert_array_equal(table, want)
+
+
+@pytest.mark.parametrize("name", [entry.name for entry in survival_catalog()])
+@pytest.mark.parametrize("nq,total", [(1, 101), (10, 300)])
+def test_quench_table_matches_run_quench(name, nq, total):
+    proto = scenario(name).protocol(nq=nq, post=total - 20 - nq)
+    assert_table_matches_records(quench_table(proto), run_quench(proto))
+
+
+@pytest.mark.parametrize("name", ["fig6d-kick", "fig8-vquench-10", "fig9-reverse"])
+def test_quench_table_does_not_depend_on_the_block_size(monkeypatch, name):
+    proto = scenario(name).protocol(nq=10, post=61)  # 92 states of 94 sites
+    want = quench_table(proto)
+    state_bytes = 2 * 94 * 8
+    # blocks of 1 state, and of 7 states, which do not divide 92
+    for block_bytes in (1, 7 * state_bytes, 8 * state_bytes - 1):
+        monkeypatch.setattr(lattice, "_BLOCK_BYTES", block_bytes)
+        np.testing.assert_array_equal(quench_table(proto), want)
 
 
 def test_stabilized_edge_population_requires_plateau():
