@@ -1,11 +1,12 @@
 """Observables and bound-state diagnostics for walker states.
 
 Edge population, site-resolved spin readout, phonon moments, the per-step
-observable table of a trajectory, localization fits of stable edge
-profiles, plateau detection, and a dense eigen-oracle
-that diagonalizes the symmetric part of the real orthogonal one-step matrix
-and classifies 0- and pi-energy edge modes by their residuals.  The oracle
-is the independent reference the dynamical results are checked against.
+observable table of a trajectory, the final edge population of every point
+of a parameter sweep, localization fits of stable edge profiles, plateau
+detection, and a dense eigen-oracle that diagonalizes the symmetric part of
+the real orthogonal one-step matrix and classifies 0- and pi-energy edge
+modes by their residuals.  The oracle is the independent reference the
+dynamical results are checked against.
 """
 
 from __future__ import annotations
@@ -17,9 +18,12 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .lattice import (
+    _BLOCK_BYTES,
     BoundaryPhase,
     BulkParams,
     WalkerState,
+    _advance,
+    _coin_stack,
     _trajectory,
     build_step_matrix,
     coin_matrix,
@@ -145,6 +149,37 @@ def walk_table(params: BulkParams, phi: BoundaryPhase, steps: int,
                              [phi.sign] * steps, frame):
         tables.append(observable_table(block))
     return np.concatenate(tables), WalkerState(block[-1], steps)
+
+
+def sweep_edge_populations(points, phi: BoundaryPhase, steps: int) -> np.ndarray:
+    """Final P_edge of a chiral-frame walk from |0, down> at every point.
+
+    One value per ``BulkParams`` of ``points``: the batched counterpart of
+    ``edge_population(evolve(initial_state(steps + 2), params, phi, steps,
+    step=chiral_step))``, its per-point reference.  The points step together
+    as (R, 2, steps + 3) stacks of walkers with per-row coins and one shared
+    phi, R rows at a time with each stack within ``_BLOCK_BYTES``, so memory
+    does not grow with the number of points.
+    """
+    if steps < 0:
+        raise ValueError(f"steps must be >= 0, got {steps}")
+    angles = np.array([(p.theta1, p.theta2) for p in points], dtype=float).reshape(-1, 2)
+    # sized once instead of a guard scan per step: from site 0 the light cone
+    # reaches site steps + 1 at most, so the top two sites stay empty
+    n_sites = steps + 3
+    rows = max(1, _BLOCK_BYTES // (2 * n_sites * 8))
+    p_edge = np.empty(len(angles))
+    for lo in range(0, len(angles), rows):
+        chunk = angles[lo:lo + rows]
+        half, second = _coin_stack(chunk[:, 0] / 2.0), _coin_stack(chunk[:, 1])
+        amps = np.zeros((len(chunk), 2, n_sites))
+        amps[:, 1, 0] = 1.0
+        for _ in range(steps):
+            amps = _advance(amps, half, second, phi.sign, "chiral")
+        weights = amps[:, :, :2] ** 2  # summed in edge_population's order
+        p = weights[:, 0] + weights[:, 1]
+        p_edge[lo:lo + rows] = p[:, 0] + p[:, 1]
+    return p_edge
 
 
 def _localized_group_vectors(vectors: np.ndarray) -> np.ndarray:

@@ -12,7 +12,8 @@ configurations round-trip without decimal drift; plain decimal radians are
 also accepted.  Key=value pairs may come from the command line or from a
 config file with one pair per line and '#' comments.
 
-Exit codes: 0 success, 2 configuration error, 3 numeric-invariant violation.
+Exit codes: 0 success, 2 configuration error (running out of memory
+included), 3 numeric-invariant violation.
 """
 
 from __future__ import annotations
@@ -25,7 +26,6 @@ import math
 import os
 import re
 import sys
-from concurrent.futures import ProcessPoolExecutor
 
 from . import analysis, lattice, momentum, pulse, quench
 
@@ -164,21 +164,16 @@ def cmd_walk(args) -> int:
     return EXIT_OK
 
 
-def _sweep_point(task):
-    index, theta1, theta2, phi_value, steps = task
-    params = lattice.BulkParams(theta1, theta2)
-    phi = lattice.BoundaryPhase(phi_value)
+def _sweep_point(index, params, phi, p_edge):
+    """One sweep row: the point, its final P_edge and the bound-state prediction."""
     try:
         try:
             b0, bpi = momentum.predict_bound_states(params, phi)
         except momentum.GapClosed:
             b0 = bpi = -1  # transition point: no static prediction
-        state = lattice.initial_state(steps + 2)
-        state = lattice.evolve(state, params, phi, steps, step=lattice.chiral_step)
-        return [index, theta1, theta2, phi_value,
-                analysis.edge_population(state), b0, bpi, "ok"]
-    except Exception as exc:  # pragma: no cover - defensive per-row status
-        return [index, theta1, theta2, phi_value, float("nan"), -1, -1,
+        return [index, params.theta1, params.theta2, phi.phi, p_edge, b0, bpi, "ok"]
+    except Exception as exc:  # defensive per-row status
+        return [index, params.theta1, params.theta2, phi.phi, float("nan"), -1, -1,
                 f"error:{type(exc).__name__}"]
 
 
@@ -195,12 +190,10 @@ def cmd_sweep(args) -> int:
     steps = int(cfg.get("steps", "100"))
     if not t1s or not t2s:
         raise ConfigError("theta1= and theta2= each need at least one angle")
-    if steps < 0:
-        raise ConfigError(f"steps must be >= 0, got {steps}")
-    _check_workers(args)
-    tasks = [(index, t1, t2, phi.phi, steps)
-             for index, (t1, t2) in enumerate(itertools.product(t1s, t2s))]
-    rows = _parallel_map(_sweep_point, tasks, args.workers)
+    points = [lattice.BulkParams(t1, t2) for t1, t2 in itertools.product(t1s, t2s)]
+    p_edge = analysis.sweep_edge_populations(points, phi, steps)
+    rows = [_sweep_point(index, params, phi, p)
+            for index, (params, p) in enumerate(zip(points, p_edge.tolist()))]
     _emit(args, SWEEP_HEADER, rows)
     if any(str(r[-1]).startswith("error") for r in rows):
         return EXIT_NUMERIC
@@ -344,15 +337,13 @@ def cmd_phase_diagram(args) -> int:
     return EXIT_OK
 
 
-def _check_workers(args) -> None:
-    if args.workers is not None and args.workers < 1:
-        raise ConfigError(f"--workers must be >= 1, got {args.workers}")
-
-
+# Unused by every subcommand; kept for the benchmark's bindings until ROADMAP item 1 deletes it.
 def _parallel_map(fn, tasks, workers: int | None):
     workers = workers or os.cpu_count() or 1
     if workers <= 1 or len(tasks) <= 1:
         return [fn(t) for t in tasks]
+    from concurrent.futures import ProcessPoolExecutor
+
     with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(fn, tasks, chunksize=max(1, len(tasks) // (4 * workers))))
 
@@ -397,7 +388,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sweep", help="final edge population over a parameter grid")
     common(p)
-    p.add_argument("--workers", type=int, default=None)
     p.set_defaults(fn=cmd_sweep)
 
     p = sub.add_parser("quench", help="sudden or ramped quench time series")
@@ -436,6 +426,9 @@ def main(argv=None) -> int:
             pulse.StepTooCoarse, quench.InsufficientLoss) as exc:
         print(f"numeric error: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
+    except MemoryError as exc:
+        print("error: out of memory" + (f": {exc}" if str(exc) else ""), file=sys.stderr)
+        return EXIT_CONFIG
 
 
 if __name__ == "__main__":

@@ -6,11 +6,12 @@ row 1 = spin down b_n.  The coins are real rotations and phi is 0 or pi, so the
 walk is real orthogonal: a real start stays real, and a complex state steps
 through the same code.  The step kernel also steps a stack of walkers, a
 (..., 2, N) array with one coin pair per walker, which the ramp sweep of
-``quench`` uses.  ``floquet_step``, ``chiral_step`` and ``evolve`` step one
-``WalkerState`` at a time and are the per-step reference path; the private
-``_trajectory`` generator runs the same kernel over a whole trajectory and
-hands its states out in blocks of consecutive steps, which the ``walk`` and
-``quench`` time series reduce to observables block by block.
+``quench`` and the parameter sweep of ``analysis`` use.  ``floquet_step``,
+``chiral_step`` and ``evolve`` step one ``WalkerState`` at a time and are the
+per-step reference path; the private ``_trajectory`` generator runs the same
+kernel over a whole trajectory and hands its states out in blocks of
+consecutive steps, which the ``walk`` and ``quench`` time series reduce to
+observables block by block.
 
 One Floquet step applies, in order: the first coin, extraction of the
 blocked spin-down amplitude at n = 0, the signed down-shift, the second

@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 import os
@@ -8,7 +9,7 @@ import numpy as np
 import pytest
 
 import fockwalk
-from fockwalk import cli
+from fockwalk import analysis, cli, lattice, momentum
 from fockwalk.cli import (
     EXIT_CONFIG,
     EXIT_NUMERIC,
@@ -99,13 +100,69 @@ def test_empty_config_is_an_error(tmp_path):
     assert main(["walk", "--out", str(tmp_path / "x.csv")]) == EXIT_CONFIG
 
 
-def test_sweep_parallel_serial_equivalence(tmp_path):
-    serial = tmp_path / "serial.csv"
-    parallel = tmp_path / "parallel.csv"
-    args = ["sweep", "theta1=pi/2", "theta2=-5pi/8,-3pi/8,pi/8,3pi/8", "steps=40"]
-    assert main(args + ["--out", str(serial), "--workers", "1"]) == EXIT_OK
-    assert main(args + ["--out", str(parallel), "--workers", "4"]) == EXIT_OK
-    assert serial.read_bytes() == parallel.read_bytes()
+def _reference_sweep_csv(path, t1s, t2s, phi, steps):
+    """The sweep CSV built point by point: one evolve with chiral_step each."""
+    rows = []
+    for index, (t1, t2) in enumerate(itertools.product(t1s, t2s)):
+        params = lattice.BulkParams(t1, t2)
+        state = lattice.evolve(lattice.initial_state(steps + 2), params, phi, steps,
+                               step=lattice.chiral_step)
+        try:
+            b0, bpi = momentum.predict_bound_states(params, phi)
+        except momentum.GapClosed:
+            b0 = bpi = -1
+        rows.append([index, t1, t2, phi.phi, analysis.edge_population(state), b0, bpi, "ok"])
+    cli.write_csv(str(path), cli.SWEEP_HEADER, rows)
+
+
+def test_sweep_matches_per_point_evolve(tmp_path):
+    t1s = [math.pi / 2, -math.pi / 3, 0.3, 2.9] + [k * math.pi / 12 for k in range(-11, 12, 3)]
+    t2s = [math.pi / 2, -5 * math.pi / 8, -math.pi / 8, math.pi / 8, 3 * math.pi / 8, 0.0,
+           7 * math.pi / 8, -1.1, 2.2, -3.0]
+    # at 40 steps one stack of _BLOCK_BYTES holds fewer rows, so a chunk boundary is crossed
+    assert len(t1s) * len(t2s) * 2 * (40 + 3) * 8 > lattice._BLOCK_BYTES
+    for phi, steps in ((lattice.PHI_ZERO, 40), (lattice.PHI_PI, 40), (lattice.PHI_ZERO, 0)):
+        out, ref = tmp_path / "sweep.csv", tmp_path / "ref.csv"
+        argv = ["sweep", "theta1=" + ",".join(map(repr, t1s)),
+                "theta2=" + ",".join(map(repr, t2s)), f"phi={phi.phi!r}", f"steps={steps}"]
+        assert main(argv + ["--out", str(out)]) == EXIT_OK
+        _reference_sweep_csv(ref, t1s, t2s, phi, steps)
+        assert out.read_bytes() == ref.read_bytes()
+        assert ",-1,-1,ok" in out.read_text().splitlines()[1]  # theta1 = theta2: gap closed
+
+
+def test_sweep_edge_populations_do_not_depend_on_the_chunk_size(monkeypatch):
+    points = [lattice.BulkParams(t1, t2) for t1 in (0.4, 1.3, -2.0) for t2 in (0.7, -0.2, 2.5)]
+    expected = analysis.sweep_edge_populations(points, lattice.PHI_PI, 30)
+    for block_bytes in (1, 4 * 2 * 33 * 8):  # one row per stack; 4 rows, not dividing 9
+        monkeypatch.setattr(analysis, "_BLOCK_BYTES", block_bytes)
+        assert np.array_equal(analysis.sweep_edge_populations(points, lattice.PHI_PI, 30),
+                              expected)
+
+
+def test_sweep_marks_a_failed_row_and_exits_numeric(tmp_path, monkeypatch):
+    predict = cli.momentum.predict_bound_states
+
+    def fail_at_zero(params, phi):
+        if params.theta2 == 0.0:
+            raise RuntimeError("prediction failed")
+        return predict(params, phi)
+
+    monkeypatch.setattr(cli.momentum, "predict_bound_states", fail_at_zero)
+    out = tmp_path / "s.csv"
+    assert main(["sweep", "theta1=pi/2", "theta2=0,pi/8", "steps=10",
+                 "--out", str(out)]) == EXIT_NUMERIC
+    rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
+    assert rows[0][4:] == ["nan", "-1", "-1", "error:RuntimeError"]
+    assert rows[1][-1] == "ok"
+
+
+def test_sweep_has_no_workers_option(tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["sweep", "theta1=pi/2", "theta2=0", "--workers", "2",
+              "--out", str(tmp_path / "x.csv")])
+    assert exc.value.code == 2
+    assert "--workers" in capsys.readouterr().err
 
 
 def test_sweep_single_point_matches_walk(tmp_path):
@@ -154,8 +211,6 @@ def test_quench_scenario_rejects_keys_it_defines(tmp_path):
     ["sweep", "theta1=pi/2", "theta2="],
     ["phase-diagram", "grid=0"],
     ["phase-diagram", "grid=2", "n_k=0"],
-    ["sweep", "theta1=pi/2", "theta2=0", "--workers", "0"],
-    ["sweep", "theta1=pi/2", "theta2=0", "--workers", "-3"],
     ["phase-diagram", "grid=2", "transition_tol=nan"],
     ["phase-diagram", "grid=2", "transition_tol=-1"],
     ["ramp", "nq_list=0,1,2,3,4"],
@@ -163,12 +218,28 @@ def test_quench_scenario_rejects_keys_it_defines(tmp_path):
     ["ramp", "post=-5"],
     ["quench", "theta1_i=pi/2", "theta2_i=0", "theta1_f=pi/2", "theta2_f=0", "kick=-1"],
     ["walk", "theta1=pi/2", "frame=lab"],
+    ["sweep", "theta1=nan", "theta2=0"],
+    ["sweep", "theta1=pi/2", "theta2=inf"],
 ])
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_bad_values_exit_with_one_error_line(argv, tmp_path, capsys):
     assert main(argv + ["--out", str(tmp_path / "x.csv")]) == EXIT_CONFIG
     err = capsys.readouterr().err
     assert len(err.splitlines()) == 1 and err.startswith("error: ")
     assert "Traceback" not in err
+    assert list(tmp_path.iterdir()) == []  # no CSV
+
+
+def test_memory_error_exits_with_one_error_line(tmp_path, monkeypatch, capsys):
+    def exhausted(*args, **kwargs):
+        raise MemoryError("Unable to allocate 1.46 TiB for an array")
+
+    monkeypatch.setattr(cli.analysis, "sweep_edge_populations", exhausted)
+    out = tmp_path / "x.csv"
+    assert main(["sweep", "theta1=pi/2", "theta2=0", "--out", str(out)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err == "error: out of memory: Unable to allocate 1.46 TiB for an array\n"
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("argv", [
@@ -198,6 +269,7 @@ def test_unusable_output_path_is_rejected_before_any_work(tmp_path, monkeypatch,
     for module in (cli.lattice, cli.analysis, cli.quench):  # every binding of the stepper
         monkeypatch.setattr(module, "_trajectory", fail)
     monkeypatch.setattr(cli, "_diagram_point", fail)
+    monkeypatch.setattr(cli.analysis, "sweep_edge_populations", fail)
     good = tmp_path / "good.csv"
     missing = str(tmp_path / "missing" / "x.csv")
     walk = ["walk", "theta1=pi/2", "theta2=0", "steps=4000"]
@@ -206,6 +278,7 @@ def test_unusable_output_path_is_rejected_before_any_work(tmp_path, monkeypatch,
                  walk + ["--out", str(good), "--json", str(tmp_path)],
                  walk + ["--out", str(good), "--dist-out", missing],
                  ["quench", "scenario=fig6d-kick", "--out", missing],
+                 ["sweep", "theta1=pi/2", "theta2=0", "--out", missing],
                  ["phase-diagram", "--out", str(good), "--json", missing],
                  ["pulse-verify", "--out", str(tmp_path)]):
         assert main(argv) == EXIT_CONFIG
@@ -248,15 +321,22 @@ def test_unusable_path_exits_with_one_error_line(tmp_path, capsys):
         assert len(err.splitlines()) == 1 and err.startswith("error: ")
 
 
-def test_cli_import_loads_no_scipy():
-    code = ("import sys, fockwalk.cli; "
-            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+def _modules_after_cli_import() -> list[str]:
+    code = "import json, sys, fockwalk.cli; print(json.dumps(sorted(sys.modules)))"
     src = os.path.dirname(os.path.dirname(fockwalk.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
     result = subprocess.run([sys.executable, "-c", code], env=env,
                             capture_output=True, text=True, check=True)
-    assert result.stdout.strip() == "[]"
+    return json.loads(result.stdout)
+
+
+def test_cli_import_loads_no_scipy():
+    assert [m for m in _modules_after_cli_import() if m.split(".")[0] == "scipy"] == []
+
+
+def test_cli_import_loads_no_process_pool():
+    assert "concurrent.futures.process" not in _modules_after_cli_import()
 
 
 def test_eigen_table(tmp_path):
