@@ -7,6 +7,11 @@ detection, and a dense eigen-oracle that diagonalizes the symmetric part of
 the real orthogonal one-step matrix and classifies 0- and pi-energy edge
 modes by their residuals.  The oracle is the independent reference the
 dynamical results are checked against.
+
+The observable table sums over sites in fixed chunks of
+``lattice._SITE_CHUNK`` sites, so trailing zero sites change no bit: a
+state's row is the same on the full lattice (``observable_record``) and in
+the narrower blocks of ``lattice._trajectory``.
 """
 
 from __future__ import annotations
@@ -19,6 +24,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .lattice import (
     _BLOCK_BYTES,
+    _SITE_CHUNK,
     BoundaryPhase,
     BulkParams,
     WalkerState,
@@ -97,29 +103,61 @@ def phonon_moments(state: WalkerState) -> tuple[float, float]:
     return mean, max(var, 0.0)
 
 
+def _state_sums(states: np.ndarray) -> np.ndarray:
+    """The reductions behind ``observable_table`` of a (K, 2, W) block of
+    states, one (K, 7) row each: p_0, p_1, 2 Re(a_n conj(b_n)) at n = 0, 1,
+    and sum_n p_n, sum_n n p_n and sum_n n^2 p_n.
+
+    The sums run over chunks of ``_SITE_CHUNK`` sites, zero-padded: numpy's
+    pairwise sum within a chunk, then the chunk sums added in order.  Trailing
+    zero sites therefore change no bit, so a state gives the same row at
+    every lattice width and in every block.
+    """
+    rows, _, width = states.shape
+    weights = np.abs(states) ** 2 if np.iscomplexobj(states) else np.square(states)
+    chunks = -(-width // _SITE_CHUNK)
+    terms = np.empty((3, rows, chunks * _SITE_CHUNK))
+    terms[:, :, width:] = 0.0
+    p, first, second = terms[:, :, :width]
+    np.add(weights[:, 0], weights[:, 1], out=p)
+    sites = np.arange(width, dtype=float)
+    np.multiply(p, sites, out=first)
+    np.multiply(first, sites, out=second)
+    chunk_sums = terms.reshape(3, rows, chunks, _SITE_CHUNK).sum(axis=-1)
+    out = np.empty((rows, 7))
+    out[:, :2] = p[:, :2]
+    out[:, 2:4] = 2.0 * np.real(states[:, 0, :2] * np.conj(states[:, 1, :2]))
+    out[:, 4:] = np.add.accumulate(chunk_sums, axis=-1)[..., -1].T
+    return out
+
+
+def _observables(sums: np.ndarray) -> np.ndarray:
+    """``observable_table``'s rows from the rows of ``_state_sums``."""
+    table = np.empty((len(sums), 6))
+    edge = sums[:, :2]
+    table[:, 0] = edge[:, 0] + edge[:, 1]
+    table[:, 1:3] = math.nan
+    np.divide(sums[:, 2:4], edge, out=table[:, 1:3], where=edge >= OCCUPATION_FLOOR)
+    total, first, second = sums[:, 4:].T
+    mean = first / total
+    table[:, 3] = mean
+    table[:, 4] = np.maximum(second / total - mean**2, 0.0)
+    table[:, 5] = np.sqrt(total)
+    return table
+
+
 def observable_table(states: np.ndarray) -> np.ndarray:
-    """The standard observables of a (K, 2, N) block of states, one row each.
+    """The standard observables of a (K, 2, W) block of states, one row each.
 
     Columns: p_edge, sx0, sx1 (<sigma_x> at sites 0 and 1, nan where the
     site carries less than OCCUPATION_FLOOR), mean_n, var_n and norm, all
     read from one array of site probabilities.  Real and complex states
-    alike; the chunked ``walk`` and ``quench`` time series are built from it.
+    alike.  A row depends on the state alone, not on how far it is
+    zero-padded or on which block holds it.  The chunked ``walk`` and
+    ``quench`` time series reduce block by block with ``_state_sums`` and
+    finish all rows at once with ``_observables``.
     """
-    weights = np.abs(states) ** 2
-    p = weights[:, 0] + weights[:, 1]
-    total = p.sum(axis=1)
-    sites = np.arange(p.shape[1], dtype=float)
-    table = np.empty((len(p), 6))
-    table[:, 0] = p[:, 0] + p[:, 1]
-    edge = p[:, :2]
-    spin = 2.0 * np.real(states[:, 0, :2] * np.conj(states[:, 1, :2]))
-    table[:, 1:3] = math.nan
-    np.divide(spin, edge, out=table[:, 1:3], where=edge >= OCCUPATION_FLOOR)
-    mean = (p * sites).sum(axis=1) / total
-    table[:, 3] = mean
-    table[:, 4] = np.maximum((p * sites**2).sum(axis=1) / total - mean**2, 0.0)
-    table[:, 5] = np.sqrt(total)
-    return table
+    return _observables(_state_sums(states))
 
 
 def observable_record(step: int, state: WalkerState) -> ObservableRecord:
@@ -144,11 +182,13 @@ def walk_table(params: BulkParams, phi: BoundaryPhase, steps: int,
         raise ValueError(f"frame must be walk or chiral, got {frame!r}")
     start = initial_state(steps + 2)
     first = coin_matrix(params.theta1 / 2.0 if frame == "chiral" else params.theta1)
-    tables = []
+    sums = []
     for block in _trajectory(start.amps, first, coin_matrix(params.theta2),
                              [phi.sign] * steps, frame):
-        tables.append(observable_table(block))
-    return np.concatenate(tables), WalkerState(block[-1], steps)
+        sums.append(_state_sums(block))
+    final = np.zeros_like(start.amps)
+    final[:, :block.shape[-1]] = block[-1]  # the sites beyond the last block are empty
+    return _observables(np.concatenate(sums)), WalkerState(final, steps)
 
 
 def sweep_edge_populations(points, phi: BoundaryPhase, steps: int) -> np.ndarray:

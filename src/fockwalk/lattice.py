@@ -11,7 +11,10 @@ through the same code.  The step kernel also steps a stack of walkers, a
 per-step reference path; the private ``_trajectory`` generator runs the same
 kernel over a whole trajectory and hands its states out in blocks of
 consecutive steps, which the ``walk`` and ``quench`` time series reduce to
-observables block by block.
+observables block by block.  Amplitude moves at most one site per step (the
+walk's light cone), so ``_trajectory`` steps only the sites the cone has
+reached, in whole chunks of ``_SITE_CHUNK`` sites, and its blocks are no
+wider than that prefix; the sites beyond it are zero.
 
 One Floquet step applies, in order: the first coin, extraction of the
 blocked spin-down amplitude at n = 0, the signed down-shift, the second
@@ -191,13 +194,26 @@ def _advance(amps: np.ndarray, first: np.ndarray, second: np.ndarray, sign: floa
 # stay below glibc's 128 KB mmap threshold, so they come from the heap instead
 # of being mapped and page-faulted in afresh for every block.
 _BLOCK_BYTES = 1 << 16
+# Trajectory blocks are stepped in whole chunks of this many sites, and
+# ``analysis`` sums over sites chunk by chunk, so trailing empty sites change
+# neither the stepping nor any sum.
+_SITE_CHUNK = 128
 
 
 def _trajectory(amps: np.ndarray, first: np.ndarray, second: np.ndarray, signs,
                 frame: str, kick: tuple[int, int] | None = None):
     """Step a (..., 2, N) amplitude array once per entry of ``signs`` (e^{i*phi}
     of each step) and yield the start state and every later state, in order,
-    as consecutive (K, ..., 2, N) blocks.
+    as consecutive (K, ..., 2, W) blocks with W <= N.
+
+    Only the occupied prefix is stepped.  A step moves amplitude by at most
+    one site, so if the input is zero beyond its first ``occ`` sites, state t
+    is zero beyond its first occ + t.  A block's states are stepped on their
+    first W sites: W is min(N, occ + t + 1) for the block's last state t,
+    rounded up to whole chunks of ``_SITE_CHUNK`` sites.  Each state in a
+    block equals the full-width state on those W sites (a zero may differ in
+    sign) and the full-width state is zero beyond them.  K is chosen so that
+    a block stays within ``_BLOCK_BYTES`` (one state when a state is larger).
 
     ``first`` and ``second`` are one coin pair for every step, shaped
     (..., 2, 2) as ``_advance`` takes them, or one pair per step, shaped
@@ -208,17 +224,36 @@ def _trajectory(amps: np.ndarray, first: np.ndarray, second: np.ndarray, signs,
     steps = len(signs)
     if np.ndim(first) == amps.ndim:
         first, second = itertools.repeat(first, steps), itertools.repeat(second, steps)
-    rows = max(1, _BLOCK_BYTES // amps.nbytes)
-    block = np.empty((min(rows, steps + 1),) + amps.shape, amps.dtype)
+    n_sites = amps.shape[-1]
+    occupied = np.flatnonzero(amps.reshape(-1, n_sites).any(axis=0))
+    occupied = int(occupied[-1]) + 1 if occupied.size else 0
+    site_bytes = amps.nbytes // n_sites
+
+    def width(t):
+        """Sites stepped for state t: its light cone and one more, in whole chunks."""
+        return min(n_sites, -(-(occupied + t + 1) // _SITE_CHUNK) * _SITE_CHUNK)
+
+    def new_block(t):
+        """An empty block for the states from t on: as many as fit at the width
+        of state t, cut down to as many as fit at the width of the last one."""
+        rows = min(steps + 1 - t, max(1, _BLOCK_BYTES // (site_bytes * width(t))))
+        rows = max(1, min(rows, _BLOCK_BYTES // (site_bytes * width(t + rows - 1))))
+        return np.empty((rows,) + amps.shape[:-1] + (width(t + rows - 1),), amps.dtype)
+
+    block = new_block(0)
+    amps = amps[..., :block.shape[-1]].copy()
     block[0] = amps
     k = 1
     for t, sign, a, b in zip(range(1, steps + 1), signs, first, second):
         if k == len(block):
             yield block
-            block = np.empty((min(rows, steps + 1 - t),) + amps.shape, amps.dtype)
-            k = 0
+            block, k = new_block(t), 0
+            if block.shape[-1] > amps.shape[-1]:
+                wider = np.zeros(block.shape[1:], amps.dtype)
+                wider[..., :amps.shape[-1]] = amps
+                amps = wider
         amps = _advance(amps, a, b, sign, frame)
-        if kick is not None and t == kick[0]:
+        if kick is not None and t == kick[0] and kick[1] < amps.shape[-1]:
             amps[..., 1, kick[1]] = -amps[..., 1, kick[1]]
         block[k] = amps
         k += 1

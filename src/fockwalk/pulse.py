@@ -41,6 +41,11 @@ UP, DOWN, AUX = 0, 1, 2
 # this worst-case two-passage fidelity
 MARGIN_THRESHOLD = 0.1
 FIDELITY_THRESHOLD = 0.98
+# A passage takes ceil(tau / dt) integrator steps; a schedule that asks for
+# more than this is rejected, so that no input runs unbounded.  10^7 steps are
+# 80x the longest passage in the tests (tau = 500 at dt = 0.004) and take about
+# half a minute for verify_cycle's 11 levels on a 2-vCPU x86-64 host.
+MAX_PASSAGE_STEPS = 10**7
 
 
 class StepTooCoarse(RuntimeError):
@@ -50,7 +55,8 @@ class StepTooCoarse(RuntimeError):
 @dataclass(frozen=True)
 class PulseConfig:
     """Sideband passage schedule: Omega(t) = omega0 sin(pi t / tau),
-    delta(t) = delta0 cos(pi t / tau) over t in [0, tau]."""
+    delta(t) = delta0 cos(pi t / tau) over t in [0, tau], integrated in
+    steps of about ``integrator_step`` (dt), at most MAX_PASSAGE_STEPS."""
 
     omega0: float
     delta0: float
@@ -62,6 +68,12 @@ class PulseConfig:
             value = getattr(self, name)
             if not 0 < value < math.inf:
                 raise ValueError(f"pulse {name} must be finite and positive, got {value}")
+        # ceil(tau / dt) > MAX exactly when tau / dt > MAX, an overflow to inf included
+        if self.tau / self.integrator_step > MAX_PASSAGE_STEPS:
+            raise ValueError(
+                f"pulse tau={self.tau:g} and dt={self.integrator_step:g} ask for "
+                f"{self.tau / self.integrator_step:.3g} passage steps; the limit is "
+                f"{MAX_PASSAGE_STEPS}")
 
 
 # ---------------------------------------------------------------------------

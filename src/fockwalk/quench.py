@@ -27,10 +27,11 @@ import numpy as np
 
 from .analysis import (
     ObservableRecord,
+    _observables,
+    _state_sums,
     detect_stabilization,
     linear_fit,
     observable_record,
-    observable_table,
 )
 from .lattice import (
     PHI_PI,
@@ -105,7 +106,7 @@ def quench_table(protocol: QuenchProtocol) -> np.ndarray:
 
     Row t holds the observables of ``analysis.observable_table`` after step
     t.  The coins of every step come from one vectorised ``ramp_schedule``,
-    and the trajectory is reduced to observables block by block.
+    and the trajectory is reduced block by block and finished at once.
     """
     steps = protocol.total_steps
     t1, t2 = _schedule_angles(protocol, protocol.n0, [protocol.nq], steps)
@@ -114,7 +115,7 @@ def quench_table(protocol: QuenchProtocol) -> np.ndarray:
     kick = None if protocol.kick is None else (protocol.n0, protocol.kick)
     blocks = _trajectory(initial_state(steps + 2).amps, _coin_stack(t1[:, 0] / 2.0),
                          _coin_stack(t2[:, 0]), signs, "chiral", kick)
-    return np.concatenate([observable_table(block) for block in blocks])
+    return _observables(np.concatenate([_state_sums(block) for block in blocks]))
 
 
 def run_quench(protocol: QuenchProtocol) -> list[ObservableRecord]:

@@ -121,6 +121,65 @@ def test_observable_table_rows_are_the_records_of_each_state():
     assert not np.isnan(table[2::3, 1:3]).any()
 
 
+def random_block(rows, width, occupied, complex_=False):
+    """``rows`` random states on ``width`` sites, zero beyond ``occupied``."""
+    states = RNG.normal(size=(rows, 2, width))
+    if complex_:
+        states = states + 1j * RNG.normal(size=states.shape)
+    states[:, :, occupied:] = 0.0
+    states[::3, :, :2] *= 1e-6  # some unoccupied boundary sites
+    return states / np.sqrt(np.sum(np.abs(states) ** 2, axis=(1, 2)))[:, None, None]
+
+
+def test_observable_table_rows_ignore_zero_padding_and_blocking():
+    for trial in range(120):
+        rows, occupied = int(RNG.integers(1, 9)), int(RNG.integers(2, 700))
+        width = occupied + int(RNG.integers(0, 300))
+        states = random_block(rows, width, occupied, complex_=trial % 2 == 1)
+        table = observable_table(states)
+        padded = np.zeros(states.shape[:2] + (width + int(RNG.integers(1, 400)),),
+                          states.dtype)
+        padded[..., :width] = states
+        cut = int(RNG.integers(0, rows + 1))
+        for other in (observable_table(padded),
+                      observable_table(states[:, :, :occupied]),
+                      np.concatenate([observable_table(states[:cut]),
+                                      observable_table(states[cut:])])):
+            assert other.tobytes() == table.tobytes()  # same bits, nan included
+
+
+def direct_observable_table(states):
+    """The observables with plain full-width sums, kept as the oracle."""
+    weights = np.abs(states) ** 2
+    p = weights[:, 0] + weights[:, 1]
+    total = p.sum(axis=1)
+    sites = np.arange(p.shape[1], dtype=float)
+    table = np.empty((len(p), 6))
+    table[:, 0] = p[:, 0] + p[:, 1]
+    edge = p[:, :2]
+    spin = 2.0 * np.real(states[:, 0, :2] * np.conj(states[:, 1, :2]))
+    table[:, 1:3] = math.nan
+    np.divide(spin, edge, out=table[:, 1:3], where=edge >= OCCUPATION_FLOOR)
+    mean = (p * sites).sum(axis=1) / total
+    table[:, 3] = mean
+    table[:, 4] = np.maximum((p * sites**2).sum(axis=1) / total - mean**2, 0.0)
+    table[:, 5] = np.sqrt(total)
+    return table
+
+
+def test_observable_table_matches_the_direct_sums():
+    for trial in range(120):
+        occupied = int(RNG.choice([3, 50, 127, 128, 129, 1000, 4003]))
+        width = occupied + int(RNG.integers(0, 200))
+        states = random_block(int(RNG.integers(1, 6)), width, occupied,
+                              complex_=trial % 2 == 1)
+        table, ref = observable_table(states), direct_observable_table(states)
+        np.testing.assert_array_equal(np.isnan(table), np.isnan(ref))
+        np.testing.assert_array_equal(table[:, :3], ref[:, :3])  # p_edge, sx0, sx1
+        assert np.all(np.abs(table[:, 3:] - ref[:, 3:])
+                      <= 1e-12 * np.maximum(1.0, np.abs(ref[:, 3:])))
+
+
 def test_eigenmodes_at_anchor_single_zero_mode():
     modes = edge_eigenmodes(BulkParams(math.pi / 2, 0.0), PHI_ZERO, n_max=64)
     assert [m.mode_class for m in modes] == ["zero"]

@@ -254,6 +254,53 @@ def test_huge_pulse_amplitudes_exit_numeric_with_one_line(argv, tmp_path, capsys
     assert "Traceback" not in err
 
 
+def test_passage_step_limit_is_checked_before_any_work(tmp_path, monkeypatch, capsys):
+    def fail(*args, **kwargs):
+        raise AssertionError("the experiment ran")
+
+    for name in ("verify_cycle", "compile_six_step_cycle", "_stirap_batch"):
+        monkeypatch.setattr(cli.pulse, name, fail)
+    out = tmp_path / "x.json"
+    assert main(["pulse-verify", "dt=1e-9", "tau=1e6", "--out", str(out)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+    for word in ("dt=1e-09", "tau=1e+06", str(cli.pulse.MAX_PASSAGE_STEPS)):
+        assert word in err
+    assert not out.exists()
+    # exactly at the limit is allowed; one step more, or an overflow, is not
+    limit = cli.pulse.MAX_PASSAGE_STEPS
+    cli.pulse.PulseConfig(1.0, 1.0, float(limit), 1.0)
+    for tau, dt in ((limit + 1.0, 1.0), (1e300, 1e-300)):
+        with pytest.raises(ValueError, match="passage steps"):
+            cli.pulse.PulseConfig(1.0, 1.0, tau, dt)
+
+
+def test_one_parser_serves_good_and_bad_calls_in_turn(tmp_path, capsys):
+    assert cli._parser() is cli._parser()  # built once
+    walk = tmp_path / "walk.csv"
+    quench = tmp_path / "quench.csv"
+    good_walk = ["walk", "theta1=pi/2", "theta2=pi/8", "steps=7", "--out", str(walk)]
+    good_quench = ["quench", "scenario=fig6b", "total=40", "--out", str(quench)]
+    assert main(good_walk) == EXIT_OK
+    assert main(good_quench) == EXIT_OK
+    first = walk.read_bytes(), quench.read_bytes()
+    capsys.readouterr()
+    for bad in (["quench", "scenario=fig6b"],  # argparse: --out missing
+                ["walk", "theta1=pi/2", "--bogus", "--out", str(walk)]):
+        with pytest.raises(SystemExit) as exc:
+            main(bad)
+        assert exc.value.code == 2
+        assert "usage: fockwalk" in capsys.readouterr().err
+    assert main(["walk", "theta1=pi/2", "steps=-5", "--out", str(walk)]) == EXIT_CONFIG
+    assert capsys.readouterr().err.startswith("error: ")
+    walk.unlink()
+    quench.unlink()
+    assert main(good_quench) == EXIT_OK
+    assert main(good_walk) == EXIT_OK
+    assert (walk.read_bytes(), quench.read_bytes()) == first
+    assert capsys.readouterr() == ("", "")
+
+
 def test_phase_diagram_has_no_workers_option(tmp_path, capsys):
     with pytest.raises(SystemExit) as exc:
         main(["phase-diagram", "grid=2", "--workers", "2", "--out", str(tmp_path / "x.csv")])

@@ -208,6 +208,17 @@ def test_stacked_step_matches_per_row_steps_and_the_oracle():
                     assert np.max(np.abs(got - u @ state.to_vector())) < 1e-12
 
 
+def assert_blocks_hold(blocks, want):
+    """The (K, ..., 2, W) blocks hold the states of ``want`` in order: equal on
+    each block's first W sites (a zero may differ in sign) and zero beyond."""
+    states = [state for block in blocks for state in block]
+    assert len(states) == len(want)
+    for state, full in zip(states, want):
+        width = state.shape[-1]
+        np.testing.assert_array_equal(state, full[..., :width])
+        assert not full[..., width:].any()
+
+
 def test_trajectory_blocks_hold_every_state_in_order(monkeypatch):
     walkers, n_sites, steps = 3, 30, 23
     angles = RNG.uniform(-2 * math.pi, 2 * math.pi, size=(steps, 2, walkers))
@@ -229,7 +240,7 @@ def test_trajectory_blocks_hold_every_state_in_order(monkeypatch):
         rows = max(1, block_bytes // state_bytes)
         assert [len(b) for b in blocks[:-1]] == [rows] * (len(blocks) - 1)
         assert 1 <= len(blocks[-1]) <= rows
-        np.testing.assert_array_equal(np.concatenate(blocks), np.array(want))
+        assert_blocks_hold(blocks, want)
         np.testing.assert_array_equal(start, before)  # input untouched
     # one coin pair for every step is the same as that pair repeated
     block, = _trajectory(start[0], half[0, 0], second[0, 0], signs, "walk")
@@ -239,9 +250,50 @@ def test_trajectory_blocks_hold_every_state_in_order(monkeypatch):
     assert block.shape == (steps + 1, 2, n_sites)
 
 
+@pytest.mark.parametrize("frame", ["walk", "chiral"])
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+@pytest.mark.parametrize("dtype", [float, complex])
+@pytest.mark.parametrize("stack", [(), (3,)])
+@pytest.mark.parametrize("kick_site", [None, 40, 100, 250])
+def test_trajectory_steps_only_the_light_cone(frame, sign, dtype, stack, kick_site):
+    occupied, n_sites, steps = 21, 300, 290
+    start = RNG.normal(size=stack + (2, n_sites)).astype(dtype)
+    if dtype is complex:
+        start += 1j * RNG.normal(size=start.shape)
+    start[..., occupied:] = 0.0  # support beyond site 0, up to site 20
+    half, second = _coin_stack(RNG.uniform(-7.0, 7.0, size=(2,) + stack))
+    # after step 30 the support is sites 0..50 and the stepped width 128
+    kick = None if kick_site is None else (30, kick_site)
+    want = [start]
+    for t in range(1, steps + 1):  # full-width stepping, the reference
+        amps = _advance(want[-1], half, second, sign, frame)
+        if kick is not None and t == kick[0]:
+            amps[..., 1, kick[1]] = -amps[..., 1, kick[1]]
+        want.append(amps)
+    before = start.copy()
+    blocks = list(_trajectory(start, half, second, [sign] * steps, frame, kick))
+    np.testing.assert_array_equal(start, before)
+    assert_blocks_hold(blocks, want)
+    last = -1
+    for block in blocks:
+        last += len(block)
+        # the light cone of the block's last state plus one site, in whole chunks
+        chunks = -(-(occupied + last + 1) // lattice._SITE_CHUNK)
+        assert block.shape == (len(block),) + stack + (
+            2, min(n_sites, chunks * lattice._SITE_CHUNK))
+        assert len(block) == 1 or block.nbytes <= lattice._BLOCK_BYTES
+    assert min(block.shape[-1] for block in blocks) == lattice._SITE_CHUNK < n_sites
+    if kick is not None:  # the kick flips amplitude inside the support, a zero outside
+        flipped = want[kick[0]][..., 1, kick_site]
+        if kick_site < occupied + kick[0]:
+            assert np.all(flipped != 0)
+        else:
+            assert not flipped.any()
+
+
 @pytest.mark.parametrize("frame,step", [("walk", floquet_step), ("chiral", chiral_step)])
 @pytest.mark.parametrize("phi", [PHI_ZERO, PHI_PI])
-@pytest.mark.parametrize("steps", [0, 1, 200])
+@pytest.mark.parametrize("steps", [0, 1, 126, 200])  # 126: the last block has 128 of 129 sites
 def test_walk_table_matches_evolve_with_records(frame, step, phi, steps):
     params = BulkParams(math.pi / 2, math.pi / 8)
     records = [observable_record(0, initial_state(steps + 2))]
