@@ -10,7 +10,8 @@ UTF-8, LF line endings); an optional JSON mirror carries the same values.
 Angles are written as multiples of pi ("pi/2", "-2pi/3", "0.25pi") so that
 configurations round-trip without decimal drift; plain decimal radians are
 also accepted.  Key=value pairs may come from the command line or from a
-config file with one pair per line and '#' comments.
+config file with one pair per line and '#' comments; the command line
+overrides the file, and a key repeated within either is an error.
 
 Exit codes: 0 success, 2 configuration error (running out of memory
 included), 3 numeric-invariant violation.
@@ -66,8 +67,31 @@ def parse_phi(text: str) -> lattice.BoundaryPhase:
     raise ConfigError(f"boundary phase must be 0 or pi, got {text!r}")
 
 
-def parse_angle_list(text: str) -> list[float]:
-    return [parse_angle(part) for part in str(text).split(",") if part.strip()]
+def _checked(convert, ok, reason: str):
+    """A key parser: ``convert`` the text, then reject a value failing ``ok``."""
+    def parse(text: str):
+        value = convert(text)
+        if not ok(value):
+            raise ValueError(reason)
+        return value
+    return parse
+
+
+_NATURAL = _checked(int, lambda n: n >= 0, "must be >= 0")
+_POSITIVE = _checked(int, lambda n: n >= 1, "must be >= 1")
+_TOLERANCE = _checked(float, lambda x: 0 <= x < math.inf, "must be finite and >= 0")
+_ANGLES = _checked(lambda text: [parse_angle(part) for part in text.split(",") if part.strip()],
+                   bool, "needs at least one angle")
+
+
+def _add_pair(pairs: dict[str, str], item: str, where: str = "") -> None:
+    key, sep, value = item.partition("=")
+    key = key.strip()
+    if not sep:
+        raise ConfigError(f"{where}expected key=value, got {item!r}")
+    if key in pairs:
+        raise ConfigError(f"{where}{key}= given twice")
+    pairs[key] = value.strip()
 
 
 def read_config_file(path: str) -> dict[str, str]:
@@ -75,30 +99,32 @@ def read_config_file(path: str) -> dict[str, str]:
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, 1):
             line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ConfigError(f"{path}:{lineno}: expected key=value")
-            key, value = line.split("=", 1)
-            pairs[key.strip()] = value.strip()
+            if line:
+                _add_pair(pairs, line, f"{path}:{lineno}: ")
     return pairs
 
 
-def gather_config(args: argparse.Namespace, allowed: dict[str, str]) -> dict[str, str]:
-    """Merge config file and key=value arguments, rejecting unknown keys."""
-    pairs: dict[str, str] = {}
-    if getattr(args, "config", None):
-        pairs.update(read_config_file(args.config))
-    for item in getattr(args, "pairs", []) or []:
-        if "=" not in item:
-            raise ConfigError(f"expected key=value, got {item!r}")
-        key, value = item.split("=", 1)
-        pairs[key.strip()] = value.strip()
-    unknown = set(pairs) - set(allowed)
+def resolve(args, keys: dict) -> tuple[argparse.Namespace, set[str]]:
+    """Every key's parsed value (None if it has no default and was not
+    given) and the set of keys given, from ``--config`` and the command line;
+    a parser's ValueError becomes a ConfigError naming the key."""
+    pairs = read_config_file(args.config) if args.config else {}
+    given: dict[str, str] = {}
+    for item in args.pairs:
+        _add_pair(given, item)
+    pairs.update(given)
+    unknown = set(pairs) - set(keys)
     if unknown:
         raise ConfigError(f"unknown keys: {', '.join(sorted(unknown))}; "
-                          f"allowed: {', '.join(sorted(allowed))}")
-    return pairs
+                          f"allowed: {', '.join(sorted(keys))}")
+    values = {}
+    for key, (parse, default, _) in keys.items():
+        text = pairs.get(key, default)
+        try:
+            values[key] = None if text is None else parse(text)
+        except ValueError as exc:
+            raise ConfigError(f"{key}={text}: {exc}") from None
+    return argparse.Namespace(**values), set(pairs)
 
 
 def fmt(value) -> str:
@@ -142,24 +168,17 @@ def _timeseries_rows(table) -> list[list]:
     return [[k, *row] for k, row in enumerate(table.tolist())]
 
 
-def cmd_walk(args) -> int:
-    cfg = gather_config(args, {
-        "theta1": "first coin angle", "theta2": "second coin angle",
-        "phi": "boundary phase (0 or pi)", "steps": "number of steps",
-        "frame": "walk or chiral",
-    })
-    if not cfg:
+def cmd_walk(args, cfg, given) -> int:
+    if not given:
         raise ConfigError("walk requires at least theta1=, theta2=")
-    params = lattice.BulkParams(parse_angle(cfg.get("theta1", "pi/2")),
-                                parse_angle(cfg.get("theta2", "0")))
-    phi = parse_phi(cfg.get("phi", "0"))
-    steps = int(cfg.get("steps", "100"))
-    table, state = analysis.walk_table(params, phi, steps, cfg.get("frame", "chiral"))
+    params = lattice.BulkParams(cfg.theta1, cfg.theta2)
+    table, state = analysis.walk_table(params, cfg.phi, cfg.steps, cfg.frame)
     _emit(args, TIMESERIES_HEADER, _timeseries_rows(table))
     if getattr(args, "dist_out", None):
-        dist_rows = [[n, float(abs(state.up[n])**2 + abs(state.down[n])**2),
-                      float(state.up[n].real), float(state.up[n].imag),
-                      float(state.down[n].real), float(state.down[n].imag)]
+        up, down = state.amps + 0.0  # an exact zero prints 0, never -0
+        dist_rows = [[n, float(abs(up[n])**2 + abs(down[n])**2),
+                      float(up[n].real), float(up[n].imag),
+                      float(down[n].real), float(down[n].imag)]
                      for n in range(state.n_max + 1)]
         write_csv(args.dist_out, DISTRIBUTION_HEADER, dist_rows)
     return EXIT_OK
@@ -178,22 +197,12 @@ def _sweep_point(index, params, phi, p_edge):
                 f"error:{type(exc).__name__}"]
 
 
-def cmd_sweep(args) -> int:
-    cfg = gather_config(args, {
-        "theta1": "fixed value or comma list", "theta2": "fixed value or comma list",
-        "phi": "boundary phase", "steps": "steps per point",
-    })
-    if not cfg:
+def cmd_sweep(args, cfg, given) -> int:
+    if not given:
         raise ConfigError("sweep requires theta1= and theta2= (one may be a list)")
-    t1s = parse_angle_list(cfg.get("theta1", "pi/2"))
-    t2s = parse_angle_list(cfg.get("theta2", "0"))
-    phi = parse_phi(cfg.get("phi", "0"))
-    steps = int(cfg.get("steps", "100"))
-    if not t1s or not t2s:
-        raise ConfigError("theta1= and theta2= each need at least one angle")
-    points = [lattice.BulkParams(t1, t2) for t1, t2 in itertools.product(t1s, t2s)]
-    p_edge = analysis.sweep_edge_populations(points, phi, steps)
-    rows = [_sweep_point(index, params, phi, p)
+    points = [lattice.BulkParams(t1, t2) for t1, t2 in itertools.product(cfg.theta1, cfg.theta2)]
+    p_edge = analysis.sweep_edge_populations(points, cfg.phi, cfg.steps)
+    rows = [_sweep_point(index, params, cfg.phi, p)
             for index, (params, p) in enumerate(zip(points, p_edge.tolist()))]
     _emit(args, SWEEP_HEADER, rows)
     if any(str(r[-1]).startswith("error") for r in rows):
@@ -201,75 +210,40 @@ def cmd_sweep(args) -> int:
     return EXIT_OK
 
 
-# keys a named quench scenario fixes itself; only n0, nq and total may vary
-_SCENARIO_KEYS = {"theta1_i", "theta2_i", "theta1_f", "theta2_f", "phi_i", "phi_f", "kick"}
-
-
-def cmd_quench(args) -> int:
-    cfg = gather_config(args, {
-        "theta1_i": "initial theta1", "theta2_i": "initial theta2",
-        "theta1_f": "final theta1", "theta2_f": "final theta2",
-        "phi_i": "initial boundary phase", "phi_f": "final boundary phase",
-        "n0": "steps before the quench", "nq": "ramp steps (1 = sudden)",
-        "total": "total steps", "kick": "site of the sigma_z kick, or none",
-        "scenario": "named catalog entry (overrides angles)",
-    })
-    if not cfg:
-        raise ConfigError("quench requires a scenario= or explicit angles")
-    n0 = int(cfg.get("n0", "20"))
-    nq = int(cfg.get("nq", "1"))
-    total = int(cfg.get("total", str(n0 + nq + 80)))
-    if "scenario" in cfg:
-        defined = sorted(set(cfg) & _SCENARIO_KEYS)
+def cmd_quench(args, cfg, given) -> int:
+    total = cfg.n0 + cfg.nq + 80 if cfg.total is None else cfg.total
+    if cfg.scenario is not None:
+        defined = sorted(given - {"scenario", "n0", "nq", "total"})  # a scenario fixes the rest
         if defined:
             raise ConfigError(f"scenario= already defines {', '.join(defined)}")
-        protocol = quench.scenario(cfg["scenario"]).protocol(n0=n0, nq=nq,
-                                                             post=total - n0 - nq)
+        protocol = cfg.scenario.protocol(n0=cfg.n0, nq=cfg.nq, post=total - cfg.n0 - cfg.nq)
     else:
         for key in ("theta1_i", "theta2_i", "theta1_f", "theta2_f"):
-            if key not in cfg:
+            if getattr(cfg, key) is None:
                 raise ConfigError(f"quench without scenario= needs {key}=")
-        kick = cfg.get("kick", "none")
         protocol = quench.QuenchProtocol(
-            initial=lattice.BulkParams(parse_angle(cfg["theta1_i"]), parse_angle(cfg["theta2_i"])),
-            final=lattice.BulkParams(parse_angle(cfg["theta1_f"]), parse_angle(cfg["theta2_f"])),
-            phi_initial=parse_phi(cfg.get("phi_i", "0")),
-            phi_final=parse_phi(cfg.get("phi_f", "0")),
-            n0=n0, nq=nq, total_steps=total,
-            kick=None if kick == "none" else int(kick))
+            initial=lattice.BulkParams(cfg.theta1_i, cfg.theta2_i),
+            final=lattice.BulkParams(cfg.theta1_f, cfg.theta2_f),
+            phi_initial=cfg.phi_i, phi_final=cfg.phi_f,
+            n0=cfg.n0, nq=cfg.nq, total_steps=total, kick=cfg.kick)
     _emit(args, TIMESERIES_HEADER, _timeseries_rows(quench.quench_table(protocol)))
     return EXIT_OK
 
 
-def cmd_ramp(args) -> int:
-    cfg = gather_config(args, {
-        "scenario": "catalog entry, default fig6c", "nq_list": "comma list of ramp steps",
-        "n0": "steps before the quench", "post": "steps after the ramp",
-    })
-    scenario = quench.scenario(cfg.get("scenario", "fig6c"))
-    nq_list = [int(x) for x in cfg.get("nq_list", "1,2,3,4,6,8,10,12").split(",")]
-    fit = quench.landau_zener_fit(scenario, nq_list,
-                                  n0=int(cfg.get("n0", "20")),
-                                  post=int(cfg.get("post", "80")))
-    rows = [[nq, p, loss] for nq, p, loss in fit.curve]
-    _emit(args, RAMP_HEADER, rows)
+def cmd_ramp(args, cfg, given) -> int:
+    fit = quench.landau_zener_fit(cfg.scenario, cfg.nq_list, n0=cfg.n0, post=cfg.post)
+    _emit(args, RAMP_HEADER, fit.curve)
     summary = {"beta": fit.beta, "amplitude": fit.amplitude,
                "r_squared": fit.r_squared, "delta_pi": fit.delta_pi}
     print(json.dumps(summary, sort_keys=True))
     return EXIT_OK
 
 
-def cmd_eigen(args) -> int:
-    cfg = gather_config(args, {
-        "theta1": "first coin angle", "theta2": "second coin angle",
-        "phi": "boundary phase", "n_max": "lattice size",
-    })
-    if not cfg:
+def cmd_eigen(args, cfg, given) -> int:
+    if not given:
         raise ConfigError("eigen requires theta1= and theta2=")
-    params = lattice.BulkParams(parse_angle(cfg.get("theta1", "pi/2")),
-                                parse_angle(cfg.get("theta2", "0")))
-    phi = parse_phi(cfg.get("phi", "0"))
-    modes = analysis.edge_eigenmodes(params, phi, n_max=int(cfg.get("n_max", "64")))
+    modes = analysis.edge_eigenmodes(lattice.BulkParams(cfg.theta1, cfg.theta2), cfg.phi,
+                                     n_max=cfg.n_max)
     rows = []
     for m in modes:
         p = m.site_probabilities()
@@ -281,21 +255,11 @@ def cmd_eigen(args) -> int:
     return EXIT_OK
 
 
-def cmd_pulse_verify(args) -> int:
-    cfg = gather_config(args, {
-        "theta1": "first coin angle", "theta2": "second coin angle",
-        "phi": "boundary phase", "n_max": "phonon cutoff",
-        "omega0": "peak Rabi frequency", "delta0": "peak detuning",
-        "tau": "passage duration", "dt": "integrator step",
-    })
-    params = lattice.BulkParams(parse_angle(cfg.get("theta1", "pi/2")),
-                                parse_angle(cfg.get("theta2", "0")))
-    phi = parse_phi(cfg.get("phi", "0"))
-    config = pulse.PulseConfig(omega0=float(cfg.get("omega0", "1.0")),
-                               delta0=float(cfg.get("delta0", "1.0")),
-                               tau=float(cfg.get("tau", "100.0")),
-                               integrator_step=float(cfg.get("dt", "0.004")))
-    report = pulse.verify_cycle(params, phi, int(cfg.get("n_max", "12")), config)
+def cmd_pulse_verify(args, cfg, given) -> int:
+    config = pulse.PulseConfig(omega0=cfg.omega0, delta0=cfg.delta0, tau=cfg.tau,
+                               integrator_step=cfg.dt)
+    report = pulse.verify_cycle(lattice.BulkParams(cfg.theta1, cfg.theta2), cfg.phi,
+                                cfg.n_max, config)
     text = json.dumps(dataclasses.asdict(report), indent=1, sort_keys=True)
     if args.out:
         with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
@@ -316,22 +280,9 @@ def _diagram_point(task):
     return [index, t1, t2, -1, -1, pt.gaps.delta0, pt.gaps.delta_pi, "transition"]
 
 
-def cmd_phase_diagram(args) -> int:
-    cfg = gather_config(args, {
-        "grid": "points per axis", "lo": "lower angle bound", "hi": "upper bound",
-        "n_k": "momentum grid", "transition_tol": "gap tolerance",
-    })
-    grid = int(cfg.get("grid", "32"))
-    lo = parse_angle(cfg.get("lo", "-2pi"))
-    hi = parse_angle(cfg.get("hi", "2pi"))
-    n_k = int(cfg.get("n_k", "1024"))
-    tol = float(cfg.get("transition_tol", "0.01"))
-    if grid < 1 or n_k < 1:
-        raise ConfigError(f"grid and n_k must be >= 1, got grid={grid}, n_k={n_k}")
-    if not 0 <= tol < math.inf:
-        raise ConfigError(f"transition_tol must be finite and >= 0, got {tol}")
-    values = [lo + (hi - lo) * (i + 0.5) / grid for i in range(grid)]
-    tasks = [(index, t1, t2, n_k, tol)
+def cmd_phase_diagram(args, cfg, given) -> int:
+    values = [cfg.lo + (cfg.hi - cfg.lo) * (i + 0.5) / cfg.grid for i in range(cfg.grid)]
+    tasks = [(index, t1, t2, cfg.n_k, cfg.transition_tol)
              for index, (t1, t2) in enumerate(itertools.product(values, values))]
     rows = [_diagram_point(t) for t in tasks]
     _emit(args, DIAGRAM_HEADER, [row[1:] for row in rows])
@@ -368,49 +319,93 @@ def _check_output_paths(args) -> None:
         claimed[resolved] = flag
 
 
+# One key table per subcommand: key -> (parser, default text or None, help).
+# A default is parsed like a value given on the command line.
+_BULK_KEYS = {
+    "theta1": (parse_angle, "pi/2", "first coin angle"),
+    "theta2": (parse_angle, "0", "second coin angle"),
+    "phi": (parse_phi, "0", "boundary phase (0 or pi)"),
+}
+WALK_KEYS = {
+    **_BULK_KEYS,
+    "steps": (_NATURAL, "100", "number of steps"),
+    "frame": (str, "chiral", "walk or chiral"),
+}
+SWEEP_KEYS = {
+    "theta1": (_ANGLES, "pi/2", "fixed value or comma list"),
+    "theta2": (_ANGLES, "0", "fixed value or comma list"),
+    "phi": _BULK_KEYS["phi"],
+    "steps": (_NATURAL, "100", "steps per point"),
+}
+QUENCH_KEYS = {
+    "theta1_i": (parse_angle, None, "initial theta1 (needed without scenario)"),
+    "theta2_i": (parse_angle, None, "initial theta2 (needed without scenario)"),
+    "theta1_f": (parse_angle, None, "final theta1 (needed without scenario)"),
+    "theta2_f": (parse_angle, None, "final theta2 (needed without scenario)"),
+    "phi_i": (parse_phi, "0", "initial boundary phase"),
+    "phi_f": (parse_phi, "0", "final boundary phase"),
+    "n0": (int, "20", "steps before the quench"),
+    "nq": (int, "1", "ramp steps (1 = sudden)"),
+    "total": (int, None, "total steps (default n0 + nq + 80)"),
+    "kick": (lambda t: None if t == "none" else int(t), "none", "sigma_z kick site, or none"),
+    "scenario": (quench.scenario, None,
+                 "named catalog entry; it fixes the angle, phi and kick keys"),
+}
+RAMP_KEYS = {
+    "scenario": (quench.scenario, "fig6c", "catalog entry"),
+    "nq_list": (lambda text: [int(x) for x in text.split(",")], "1,2,3,4,6,8,10,12",
+                "comma list of ramp steps"),
+    "n0": (int, "20", "steps before the quench"),
+    "post": (int, "80", "steps after the ramp"),
+}
+EIGEN_KEYS = {**_BULK_KEYS, "n_max": (int, "64", "lattice size")}
+PULSE_KEYS = {
+    **_BULK_KEYS,
+    "n_max": (int, "12", "phonon cutoff"),
+    "omega0": (float, "1.0", "peak Rabi frequency"),
+    "delta0": (float, "1.0", "peak detuning"),
+    "tau": (float, "100.0", "passage duration"),
+    "dt": (float, "0.004", "integrator step"),
+}
+DIAGRAM_KEYS = {
+    "grid": (_POSITIVE, "32", "points per axis"),
+    "lo": (parse_angle, "-2pi", "lower angle bound"),
+    "hi": (parse_angle, "2pi", "upper angle bound"),
+    "n_k": (_POSITIVE, "1024", "momentum grid"),
+    "transition_tol": (_TOLERANCE, "0.01", "gap tolerance"),
+}
+COMMANDS = {
+    "walk": (cmd_walk, WALK_KEYS, "single evolution time series"),
+    "sweep": (cmd_sweep, SWEEP_KEYS, "final edge population over a parameter grid"),
+    "quench": (cmd_quench, QUENCH_KEYS, "sudden or ramped quench time series"),
+    "ramp": (cmd_ramp, RAMP_KEYS, "Landau-Zener sweep over ramp durations"),
+    "eigen": (cmd_eigen, EIGEN_KEYS, "edge eigenmode table"),
+    "pulse-verify": (cmd_pulse_verify, PULSE_KEYS, "six-step cycle verification report"),
+    "phase-diagram": (cmd_phase_diagram, DIAGRAM_KEYS, "Z2 x Z2 labels over an angle grid"),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="fockwalk",
         description="Boundary split-step walk experiments with deterministic CSV output.")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p, needs_out=True):
-        p.add_argument("pairs", nargs="*", metavar="key=value",
-                       help="experiment parameters")
-        p.add_argument("--config", help="key=value file, one pair per line")
-        if needs_out:
+    for name, (handler, keys, summary) in COMMANDS.items():
+        epilog = "keys (key=value, each at most once):" + "".join(
+            f"\n  {key:<16}{text}" + ("" if default is None else f" (default {default})")
+            for key, (_, default, text) in keys.items())
+        p = sub.add_parser(name, help=summary, description=summary, epilog=epilog,
+                           formatter_class=argparse.RawDescriptionHelpFormatter)
+        p.add_argument("pairs", nargs="*", metavar="key=value", help="the keys listed below")
+        p.add_argument("--config", help="key=value file; the command line overrides it")
+        if name == "pulse-verify":
+            p.add_argument("--out", help="JSON report path (default: stdout)")
+        else:
             p.add_argument("--out", required=True, help="CSV output path")
             p.add_argument("--json", help="optional JSON mirror path")
-
-    p = sub.add_parser("walk", help="single evolution time series")
-    common(p)
-    p.add_argument("--dist-out", help="final phonon distribution CSV")
-    p.set_defaults(fn=cmd_walk)
-
-    p = sub.add_parser("sweep", help="final edge population over a parameter grid")
-    common(p)
-    p.set_defaults(fn=cmd_sweep)
-
-    p = sub.add_parser("quench", help="sudden or ramped quench time series")
-    common(p)
-    p.set_defaults(fn=cmd_quench)
-
-    p = sub.add_parser("ramp", help="Landau-Zener sweep over ramp durations")
-    common(p)
-    p.set_defaults(fn=cmd_ramp)
-
-    p = sub.add_parser("eigen", help="edge eigenmode table")
-    common(p)
-    p.set_defaults(fn=cmd_eigen)
-
-    p = sub.add_parser("pulse-verify", help="six-step cycle verification report")
-    common(p, needs_out=False)
-    p.add_argument("--out", help="JSON report path (default: stdout)")
-    p.set_defaults(fn=cmd_pulse_verify)
-
-    p = sub.add_parser("phase-diagram", help="Z2 x Z2 labels over an angle grid")
-    common(p)
-    p.set_defaults(fn=cmd_phase_diagram)
+        if name == "walk":
+            p.add_argument("--dist-out", help="final phonon distribution CSV")
+        p.set_defaults(fn=handler, keys=keys)
     return parser
 
 
@@ -425,7 +420,7 @@ def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
         _check_output_paths(args)
-        return args.fn(args)
+        return args.fn(args, *resolve(args, args.keys))
     except (ValueError, lattice.SiteOutOfRange, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -2,6 +2,7 @@ import itertools
 import json
 import math
 import os
+import shlex
 import subprocess
 import sys
 
@@ -83,12 +84,15 @@ def test_walk_json_mirror_has_identical_values(tmp_path):
 def test_walk_distribution_schema(tmp_path):
     out = tmp_path / "w.csv"
     dist = tmp_path / "d.csv"
-    main(["walk", "theta1=pi/2", "theta2=0", "steps=20",
-          "--out", str(out), "--dist-out", str(dist)])
-    lines = dist.read_text().splitlines()
-    assert lines[0] == "n,p_n,re_a,im_a,re_b,im_b"
-    total = sum(float(line.split(",")[1]) for line in lines[1:])
-    assert total == pytest.approx(1.0, abs=1e-9)
+    for (theta1, theta2, steps), frame in itertools.product(
+            (("pi/2", "0", 20), ("pi/2", "0", 3), ("-pi", "pi/4", 10)), ("walk", "chiral")):
+        assert main(["walk", f"theta1={theta1}", f"theta2={theta2}", f"steps={steps}",
+                     f"frame={frame}", "--out", str(out), "--dist-out", str(dist)]) == EXIT_OK
+        lines = dist.read_text().splitlines()
+        assert lines[0] == "n,p_n,re_a,im_a,re_b,im_b"
+        total = sum(float(line.split(",")[1]) for line in lines[1:])
+        assert total == pytest.approx(1.0, abs=1e-9)
+        assert "-0" not in {cell for line in lines[1:] for cell in line.split(",")}
 
 
 def test_walk_rejects_unknown_keys(tmp_path):
@@ -98,6 +102,55 @@ def test_walk_rejects_unknown_keys(tmp_path):
 
 def test_empty_config_is_an_error(tmp_path):
     assert main(["walk", "--out", str(tmp_path / "x.csv")]) == EXIT_CONFIG
+
+
+def test_repeated_key_is_rejected_and_the_command_line_overrides_config(tmp_path, capsys):
+    out, ref, cfg = tmp_path / "w.csv", tmp_path / "ref.csv", tmp_path / "run.cfg"
+    cfg.write_text("theta1 = pi/2\ntheta1=0\n")
+    for argv in (["walk", "theta1=pi/2", "theta2=0", "theta1=0"],
+                 ["walk", "--config", str(cfg)],
+                 ["walk", "--config", str(cfg), "theta1=0"]):
+        assert main(argv + ["--out", str(out)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and err.startswith("error: ")
+        assert "theta1= given twice" in err
+    assert not out.exists()
+    cfg.write_text("theta1=pi/2\ntheta2=pi/4\nsteps=12\n")
+    assert main(["walk", "--config", str(cfg), "theta2=0", "--out", str(out)]) == EXIT_OK
+    assert main(["walk", "theta1=pi/2", "theta2=0", "steps=12", "--out", str(ref)]) == EXIT_OK
+    assert out.read_bytes() == ref.read_bytes()
+
+
+# Every key of every subcommand with the default its --help must show (None: no default).
+HELP_DEFAULTS = {
+    "walk": {"theta1": "pi/2", "theta2": "0", "phi": "0", "steps": "100", "frame": "chiral"},
+    "sweep": {"theta1": "pi/2", "theta2": "0", "phi": "0", "steps": "100"},
+    "quench": {"theta1_i": None, "theta2_i": None, "theta1_f": None, "theta2_f": None,
+               "phi_i": "0", "phi_f": "0", "n0": "20", "nq": "1", "total": "n0 + nq + 80",
+               "kick": "none", "scenario": None},
+    "ramp": {"scenario": "fig6c", "nq_list": "1,2,3,4,6,8,10,12", "n0": "20", "post": "80"},
+    "eigen": {"theta1": "pi/2", "theta2": "0", "phi": "0", "n_max": "64"},
+    "pulse-verify": {"theta1": "pi/2", "theta2": "0", "phi": "0", "n_max": "12",
+                     "omega0": "1.0", "delta0": "1.0", "tau": "100.0", "dt": "0.004"},
+    "phase-diagram": {"grid": "32", "lo": "-2pi", "hi": "2pi", "n_k": "1024",
+                      "transition_tol": "0.01"},
+}
+
+
+@pytest.mark.parametrize("command", sorted(HELP_DEFAULTS))
+def test_help_lists_every_key_with_its_default(command, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--help"])
+    assert exc.value.code == 0
+    text = capsys.readouterr().out
+    listed = {line.split()[0]: line for line in text.split("keys (key=value", 1)[1].splitlines()[1:]
+              if line.strip()}
+    assert list(listed) == list(HELP_DEFAULTS[command])
+    for key, default in HELP_DEFAULTS[command].items():
+        if default is None:
+            assert "(default" not in listed[key]
+        else:
+            assert listed[key].endswith(f"(default {default})")
 
 
 def _reference_sweep_csv(path, t1s, t2s, phi, steps):
@@ -194,6 +247,12 @@ def test_quench_scenario_rejects_keys_it_defines(tmp_path):
                  "--out", out]) == EXIT_OK
 
 
+# The bad pair, last in its case below, of each case a key table's parser rejects.
+TABLE_REJECTS = {"steps=abc", "steps=-5", "theta2=", "grid=0", "n_k=0", "transition_tol=nan",
+                 "transition_tol=-1", "n0=abc", "n_max=1.5", "n_k=1.5", "nq_list=1,2,x,4,5",
+                 "steps=1e3", "theta2=abc"}
+
+
 @pytest.mark.parametrize("argv", [
     ["walk", "steps=abc"],
     ["walk", "theta1=nan", "theta2=0"],
@@ -220,6 +279,12 @@ def test_quench_scenario_rejects_keys_it_defines(tmp_path):
     ["walk", "theta1=pi/2", "frame=lab"],
     ["sweep", "theta1=nan", "theta2=0"],
     ["sweep", "theta1=pi/2", "theta2=inf"],
+    ["quench", "scenario=fig6b", "n0=abc"],
+    ["pulse-verify", "n_max=1.5"],
+    ["phase-diagram", "n_k=1.5"],
+    ["ramp", "nq_list=1,2,x,4,5"],
+    ["walk", "steps=1e3"],
+    ["walk", "theta2=abc"],
 ])
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_bad_values_exit_with_one_error_line(argv, tmp_path, capsys):
@@ -228,6 +293,8 @@ def test_bad_values_exit_with_one_error_line(argv, tmp_path, capsys):
     assert len(err.splitlines()) == 1 and err.startswith("error: ")
     assert "Traceback" not in err
     assert list(tmp_path.iterdir()) == []  # no CSV
+    if argv[-1] in TABLE_REJECTS:
+        assert err.startswith(f"error: {argv[-1]}: ")
 
 
 def test_memory_error_exits_with_one_error_line(tmp_path, monkeypatch, capsys):
@@ -423,3 +490,20 @@ def test_output_files_use_lf_line_endings(tmp_path):
     raw = out.read_bytes()
     assert b"\r" not in raw
     assert raw.decode("utf-8")
+
+
+def _readme_examples() -> list[list[str]]:
+    """The argv of every ``fockwalk`` command in README's "Command line" block."""
+    readme = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+    with open(readme, encoding="utf-8") as fh:
+        section = fh.read().split("## Command line", 1)[1]
+    block = section.split("```sh\n", 1)[1].split("```", 1)[0].replace("\\\n", " ")
+    return [shlex.split(line)[1:] for line in block.splitlines() if line.startswith("fockwalk ")]
+
+
+def test_readme_command_line_examples_run(tmp_path, monkeypatch, capsys):
+    examples = _readme_examples()
+    assert sorted({argv[0] for argv in examples}) == sorted(cli.COMMANDS)
+    monkeypatch.chdir(tmp_path)
+    for argv in examples:
+        assert main(argv) == EXIT_OK, argv
