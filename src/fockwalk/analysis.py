@@ -8,14 +8,16 @@ the real orthogonal one-step matrix and classifies 0- and pi-energy edge
 modes by their residuals.  The oracle is the independent reference the
 dynamical results are checked against.
 
-The observable table sums over sites in fixed chunks of
-``lattice._SITE_CHUNK`` sites, so trailing zero sites change no bit: a
-state's row is the same on the full lattice (``observable_record``) and in
-the narrower blocks of ``lattice._trajectory``.
+The parameter sweep runs on ``lattice._trajectory`` like the time series and
+shares one P_edge reduction with the table and the ramp sweep of ``quench``.
+The table sums over sites in fixed chunks of ``lattice._SITE_CHUNK`` sites, so
+trailing zero sites change no bit: a state's row is the same on the full lattice
+(``observable_record``) and in the narrower blocks of ``lattice._trajectory``.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -28,8 +30,8 @@ from .lattice import (
     BoundaryPhase,
     BulkParams,
     WalkerState,
-    _advance,
     _coin_stack,
+    _site_probabilities,
     _trajectory,
     build_step_matrix,
     coin_matrix,
@@ -79,8 +81,7 @@ class LocalizationFit:
 
 def edge_population(state: WalkerState) -> float:
     """P_edge = p_0 + p_1."""
-    p = state.site_probabilities()
-    return float(p[0] + p[1])
+    return float(_edge_populations(state.site_probabilities()))
 
 
 def spin_expectation_x(state: WalkerState, site: int) -> float:
@@ -103,6 +104,11 @@ def phonon_moments(state: WalkerState) -> tuple[float, float]:
     return mean, max(var, 0.0)
 
 
+def _edge_populations(p: np.ndarray) -> np.ndarray:
+    """P_edge = p_0 + p_1 from site probabilities (..., W); every P_edge reads it."""
+    return p[..., 0] + p[..., 1]
+
+
 def _state_sums(states: np.ndarray) -> np.ndarray:
     """The reductions behind ``observable_table`` of a (K, 2, W) block of
     states, one (K, 7) row each: p_0, p_1, 2 Re(a_n conj(b_n)) at n = 0, 1,
@@ -114,12 +120,11 @@ def _state_sums(states: np.ndarray) -> np.ndarray:
     every lattice width and in every block.
     """
     rows, _, width = states.shape
-    weights = np.abs(states) ** 2 if np.iscomplexobj(states) else np.square(states)
     chunks = -(-width // _SITE_CHUNK)
     terms = np.empty((3, rows, chunks * _SITE_CHUNK))
     terms[:, :, width:] = 0.0
     p, first, second = terms[:, :, :width]
-    np.add(weights[:, 0], weights[:, 1], out=p)
+    _site_probabilities(states, out=p)
     sites = np.arange(width, dtype=float)
     np.multiply(p, sites, out=first)
     np.multiply(first, sites, out=second)
@@ -135,7 +140,7 @@ def _observables(sums: np.ndarray) -> np.ndarray:
     """``observable_table``'s rows from the rows of ``_state_sums``."""
     table = np.empty((len(sums), 6))
     edge = sums[:, :2]
-    table[:, 0] = edge[:, 0] + edge[:, 1]
+    table[:, 0] = _edge_populations(edge)
     table[:, 1:3] = math.nan
     np.divide(sums[:, 2:4], edge, out=table[:, 1:3], where=edge >= OCCUPATION_FLOOR)
     total, first, second = sums[:, 4:].T
@@ -182,9 +187,9 @@ def walk_table(params: BulkParams, phi: BoundaryPhase, steps: int,
         raise ValueError(f"frame must be walk or chiral, got {frame!r}")
     start = initial_state(steps + 2)
     first = coin_matrix(params.theta1 / 2.0 if frame == "chiral" else params.theta1)
+    coins = itertools.repeat((first, coin_matrix(params.theta2)))
     sums = []
-    for block in _trajectory(start.amps, first, coin_matrix(params.theta2),
-                             [phi.sign] * steps, frame):
+    for block in _trajectory(start.amps, coins, [phi.sign] * steps, frame):
         sums.append(_state_sums(block))
     final = np.zeros_like(start.amps)
     final[:, :block.shape[-1]] = block[-1]  # the sites beyond the last block are empty
@@ -196,10 +201,10 @@ def sweep_edge_populations(points, phi: BoundaryPhase, steps: int) -> np.ndarray
 
     One value per ``BulkParams`` of ``points``: the batched counterpart of
     ``edge_population(evolve(initial_state(steps + 2), params, phi, steps,
-    step=chiral_step))``, its per-point reference.  The points step together
-    as (R, 2, steps + 3) stacks of walkers with per-row coins and one shared
-    phi, R rows at a time with each stack within ``_BLOCK_BYTES``, so memory
-    does not grow with the number of points.
+    step=chiral_step))``, its per-point reference.  The points run through
+    ``_trajectory`` as (R, 2, steps + 3) stacks of walkers with per-row coins
+    and one shared phi, R rows at a time with each stack within
+    ``_BLOCK_BYTES``, so memory does not grow with the number of points.
     """
     if steps < 0:
         raise ValueError(f"steps must be >= 0, got {steps}")
@@ -211,14 +216,11 @@ def sweep_edge_populations(points, phi: BoundaryPhase, steps: int) -> np.ndarray
     p_edge = np.empty(len(angles))
     for lo in range(0, len(angles), rows):
         chunk = angles[lo:lo + rows]
-        half, second = _coin_stack(chunk[:, 0] / 2.0), _coin_stack(chunk[:, 1])
-        amps = np.zeros((len(chunk), 2, n_sites))
-        amps[:, 1, 0] = 1.0
-        for _ in range(steps):
-            amps = _advance(amps, half, second, phi.sign, "chiral")
-        weights = amps[:, :, :2] ** 2  # summed in edge_population's order
-        p = weights[:, 0] + weights[:, 1]
-        p_edge[lo:lo + rows] = p[:, 0] + p[:, 1]
+        coins = (_coin_stack(chunk[:, 0] / 2.0), _coin_stack(chunk[:, 1]))
+        amps = np.broadcast_to(initial_state(steps + 2).amps, (len(chunk), 2, n_sites))
+        for block in _trajectory(amps, itertools.repeat(coins), [phi.sign] * steps, "chiral"):
+            pass
+        p_edge[lo:lo + rows] = _edge_populations(_site_probabilities(block[-1, ..., :2]))
     return p_edge
 
 
@@ -262,7 +264,7 @@ def edge_eigenmodes(params: BulkParams, phi: BoundaryPhase, n_max: int = 64,
             p = v[0::2] ** 2 + v[1::2] ** 2
             if float(np.sum(p[:half])) <= 0.5:
                 continue  # lives at the mirrored right edge
-            edge_weight = float(p[0] + p[1])
+            edge_weight = float(_edge_populations(p))
             if edge_weight <= 0.5:
                 continue
             turn = 2.0 * math.asin(float(np.linalg.norm(u @ v - sign * v)) / 2.0)

@@ -80,8 +80,12 @@ def _checked(convert, ok, reason: str):
 _NATURAL = _checked(int, lambda n: n >= 0, "must be >= 0")
 _POSITIVE = _checked(int, lambda n: n >= 1, "must be >= 1")
 _TOLERANCE = _checked(float, lambda x: 0 <= x < math.inf, "must be finite and >= 0")
-_ANGLES = _checked(lambda text: [parse_angle(part) for part in text.split(",") if part.strip()],
+_ANGLE = _checked(parse_angle, math.isfinite, "must be finite")
+_ANGLES = _checked(lambda text: [_ANGLE(part) for part in text.split(",") if part.strip()],
                    bool, "needs at least one angle")
+_KICK = _checked(lambda text: None if text == "none" else int(text),
+                 lambda site: site is None or site >= 0, "must be a site >= 0 or none")
+_FRAME = _checked(str, lambda frame: frame in ("walk", "chiral"), "must be walk or chiral")
 
 
 def _add_pair(pairs: dict[str, str], item: str, where: str = "") -> None:
@@ -221,6 +225,8 @@ def cmd_quench(args, cfg, given) -> int:
         for key in ("theta1_i", "theta2_i", "theta1_f", "theta2_f"):
             if getattr(cfg, key) is None:
                 raise ConfigError(f"quench without scenario= needs {key}=")
+        if cfg.kick is not None and cfg.kick > total + 2:
+            raise ConfigError(f"kick={cfg.kick}: site outside 0..{total + 2}")
         protocol = quench.QuenchProtocol(
             initial=lattice.BulkParams(cfg.theta1_i, cfg.theta2_i),
             final=lattice.BulkParams(cfg.theta1_f, cfg.theta2_f),
@@ -271,25 +277,25 @@ def cmd_pulse_verify(args, cfg, given) -> int:
     return EXIT_OK
 
 
-def _diagram_point(task):
-    index, t1, t2, n_k, tol = task
-    pt = momentum.phase_diagram([t1], [t2], n_k=n_k, transition_tol=tol)[0]
-    if pt.status == "ok":
-        return [index, t1, t2, pt.label.nu0, pt.label.nu_pi,
-                pt.gaps.delta0, pt.gaps.delta_pi, "ok"]
-    return [index, t1, t2, -1, -1, pt.gaps.delta0, pt.gaps.delta_pi, "transition"]
+def _diagram_row(pt) -> list:
+    """One DIAGRAM_HEADER row of a ``momentum.DiagramPoint``."""
+    nu = (pt.label.nu0, pt.label.nu_pi) if pt.status == "ok" else (-1, -1)
+    return [pt.theta1, pt.theta2, *nu, pt.gaps.delta0, pt.gaps.delta_pi, pt.status]
 
 
 def cmd_phase_diagram(args, cfg, given) -> int:
     values = [cfg.lo + (cfg.hi - cfg.lo) * (i + 0.5) / cfg.grid for i in range(cfg.grid)]
-    tasks = [(index, t1, t2, cfg.n_k, cfg.transition_tol)
-             for index, (t1, t2) in enumerate(itertools.product(values, values))]
-    rows = [_diagram_point(t) for t in tasks]
-    _emit(args, DIAGRAM_HEADER, [row[1:] for row in rows])
+    points = momentum.phase_diagram(values, values, n_k=cfg.n_k,
+                                    transition_tol=cfg.transition_tol)
+    _emit(args, DIAGRAM_HEADER, [_diagram_row(pt) for pt in points])
     return EXIT_OK
 
 
-# Unused by every subcommand; kept for the benchmark's bindings until ROADMAP item 1 deletes it.
+# Unused by every subcommand; kept for the benchmark's bindings until ROADMAP item 1 deletes them.
+def _diagram_point(task):  # (index, theta1, theta2, n_k, transition_tol)
+    return _diagram_row(momentum.phase_diagram([task[1]], [task[2]], task[3], task[4])[0])
+
+
 def _parallel_map(fn, tasks, workers: int | None):
     workers = workers or os.cpu_count() or 1
     if workers <= 1 or len(tasks) <= 1:
@@ -322,14 +328,14 @@ def _check_output_paths(args) -> None:
 # One key table per subcommand: key -> (parser, default text or None, help).
 # A default is parsed like a value given on the command line.
 _BULK_KEYS = {
-    "theta1": (parse_angle, "pi/2", "first coin angle"),
-    "theta2": (parse_angle, "0", "second coin angle"),
+    "theta1": (_ANGLE, "pi/2", "first coin angle"),
+    "theta2": (_ANGLE, "0", "second coin angle"),
     "phi": (parse_phi, "0", "boundary phase (0 or pi)"),
 }
 WALK_KEYS = {
     **_BULK_KEYS,
     "steps": (_NATURAL, "100", "number of steps"),
-    "frame": (str, "chiral", "walk or chiral"),
+    "frame": (_FRAME, "chiral", "walk or chiral"),
 }
 SWEEP_KEYS = {
     "theta1": (_ANGLES, "pi/2", "fixed value or comma list"),
@@ -338,16 +344,16 @@ SWEEP_KEYS = {
     "steps": (_NATURAL, "100", "steps per point"),
 }
 QUENCH_KEYS = {
-    "theta1_i": (parse_angle, None, "initial theta1 (needed without scenario)"),
-    "theta2_i": (parse_angle, None, "initial theta2 (needed without scenario)"),
-    "theta1_f": (parse_angle, None, "final theta1 (needed without scenario)"),
-    "theta2_f": (parse_angle, None, "final theta2 (needed without scenario)"),
+    "theta1_i": (_ANGLE, None, "initial theta1 (needed without scenario)"),
+    "theta2_i": (_ANGLE, None, "initial theta2 (needed without scenario)"),
+    "theta1_f": (_ANGLE, None, "final theta1 (needed without scenario)"),
+    "theta2_f": (_ANGLE, None, "final theta2 (needed without scenario)"),
     "phi_i": (parse_phi, "0", "initial boundary phase"),
     "phi_f": (parse_phi, "0", "final boundary phase"),
     "n0": (int, "20", "steps before the quench"),
     "nq": (int, "1", "ramp steps (1 = sudden)"),
     "total": (int, None, "total steps (default n0 + nq + 80)"),
-    "kick": (lambda t: None if t == "none" else int(t), "none", "sigma_z kick site, or none"),
+    "kick": (_KICK, "none", "sigma_z kick site, or none"),
     "scenario": (quench.scenario, None,
                  "named catalog entry; it fixes the angle, phi and kick keys"),
 }
@@ -369,8 +375,8 @@ PULSE_KEYS = {
 }
 DIAGRAM_KEYS = {
     "grid": (_POSITIVE, "32", "points per axis"),
-    "lo": (parse_angle, "-2pi", "lower angle bound"),
-    "hi": (parse_angle, "2pi", "upper angle bound"),
+    "lo": (_ANGLE, "-2pi", "lower angle bound"),
+    "hi": (_ANGLE, "2pi", "upper angle bound"),
     "n_k": (_POSITIVE, "1024", "momentum grid"),
     "transition_tol": (_TOLERANCE, "0.01", "gap tolerance"),
 }

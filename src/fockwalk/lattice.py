@@ -4,17 +4,16 @@ The walk space is the half line n = 0..n_max (phonon number states); a walker
 state keeps its amplitudes in one (2, n_max+1) array, row 0 = spin up a_n and
 row 1 = spin down b_n.  The coins are real rotations and phi is 0 or pi, so the
 walk is real orthogonal: a real start stays real, and a complex state steps
-through the same code.  The step kernel also steps a stack of walkers, a
-(..., 2, N) array with one coin pair per walker, which the ramp sweep of
-``quench`` and the parameter sweep of ``analysis`` use.  ``floquet_step``,
+through the same code.  The step kernel ``_advance`` also steps a stack of
+walkers, a (..., 2, N) array with one coin pair per walker.  ``floquet_step``,
 ``chiral_step`` and ``evolve`` step one ``WalkerState`` at a time and are the
-per-step reference path; the private ``_trajectory`` generator runs the same
-kernel over a whole trajectory and hands its states out in blocks of
-consecutive steps, which the ``walk`` and ``quench`` time series reduce to
-observables block by block.  Amplitude moves at most one site per step (the
-walk's light cone), so ``_trajectory`` steps only the sites the cone has
-reached, in whole chunks of ``_SITE_CHUNK`` sites, and its blocks are no
-wider than that prefix; the sites beyond it are zero.
+per-step reference path; the private ``_trajectory`` generator, the one
+stepping loop of every batched path (the time series, the parameter sweep
+and the ramp sweep), runs the kernel over a whole trajectory and hands its
+states out in blocks of consecutive steps.  Amplitude moves at most one site
+per step (the walk's light cone), so ``_trajectory`` steps only the sites the
+cone has reached, in whole chunks of ``_SITE_CHUNK`` sites, and its blocks
+are no wider than that prefix; the sites beyond it are zero.
 
 One Floquet step applies, in order: the first coin, extraction of the
 blocked spin-down amplitude at n = 0, the signed down-shift, the second
@@ -24,14 +23,13 @@ coin, the signed up-shift, and re-injection of the blocked amplitude into
 cut/uncut link operators and is used as the oracle throughout the test suite.
 
 Dynamics observed in the chiral time frame (the symmetrized ordering with
-half of the first coin on each side of the step) is provided by
-``chiral_step``; site populations are identical in both frames, only the
-spin readout differs.
+half of the first coin on each side of the step; Asboth and Obuse, PRB 88,
+121406(R) (2013)) is provided by ``chiral_step``; site populations are
+identical in both frames, only the spin readout differs.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -84,6 +82,12 @@ PHI_ZERO = BoundaryPhase(0.0)
 PHI_PI = BoundaryPhase(math.pi)
 
 
+def _site_probabilities(states: np.ndarray, out=None) -> np.ndarray:
+    """p_n = |a_n|^2 + |b_n|^2 of every state of a (..., 2, W) array: (..., W)."""
+    weights = np.abs(states) ** 2 if np.iscomplexobj(states) else np.square(states)
+    return np.add(weights[..., 0, :], weights[..., 1, :], out=out)
+
+
 @dataclass
 class WalkerState:
     """Sites 0..n_max; ``up`` (a_n) and ``down`` (b_n) are writable rows of ``amps``."""
@@ -116,8 +120,7 @@ class WalkerState:
 
     def site_probabilities(self) -> np.ndarray:
         """p_n = |a_n|^2 + |b_n|^2."""
-        weights = np.abs(self.amps) ** 2
-        return weights[0] + weights[1]
+        return _site_probabilities(self.amps)
 
     def to_vector(self) -> np.ndarray:
         """Flatten to the dense-matrix basis: index(n, spin) = 2n + spin."""
@@ -200,11 +203,16 @@ _BLOCK_BYTES = 1 << 16
 _SITE_CHUNK = 128
 
 
-def _trajectory(amps: np.ndarray, first: np.ndarray, second: np.ndarray, signs,
-                frame: str, kick: tuple[int, int] | None = None):
+def _trajectory(amps: np.ndarray, coins, signs, frame: str,
+                kick: tuple[int, int] | None = None):
     """Step a (..., 2, N) amplitude array once per entry of ``signs`` (e^{i*phi}
     of each step) and yield the start state and every later state, in order,
     as consecutive (K, ..., 2, W) blocks with W <= N.
+
+    ``coins`` yields the (first, second) coin pair of each step, shaped
+    (..., 2, 2) as ``_advance`` takes them.  ``kick=(step, site)`` flips the
+    sign of the spin-down amplitude at ``site`` right after that step; the
+    caller checks that the site exists.  The input array is left untouched.
 
     Only the occupied prefix is stepped.  A step moves amplitude by at most
     one site, so if the input is zero beyond its first ``occ`` sites, state t
@@ -212,18 +220,10 @@ def _trajectory(amps: np.ndarray, first: np.ndarray, second: np.ndarray, signs,
     first W sites: W is min(N, occ + t + 1) for the block's last state t,
     rounded up to whole chunks of ``_SITE_CHUNK`` sites.  Each state in a
     block equals the full-width state on those W sites (a zero may differ in
-    sign) and the full-width state is zero beyond them.  K is chosen so that
-    a block stays within ``_BLOCK_BYTES`` (one state when a state is larger).
-
-    ``first`` and ``second`` are one coin pair for every step, shaped
-    (..., 2, 2) as ``_advance`` takes them, or one pair per step, shaped
-    (steps, ..., 2, 2).  ``kick=(step, site)`` flips the sign of the
-    spin-down amplitude at ``site`` right after that step; the caller checks
-    that the site exists.  The input array is left untouched.
+    sign) and the full-width state is zero beyond them.  K >= 1 keeps a block
+    within ``_BLOCK_BYTES`` if it can; a one-state block views the stepped array.
     """
     steps = len(signs)
-    if np.ndim(first) == amps.ndim:
-        first, second = itertools.repeat(first, steps), itertools.repeat(second, steps)
     n_sites = amps.shape[-1]
     occupied = np.flatnonzero(amps.reshape(-1, n_sites).any(axis=0))
     occupied = int(occupied[-1]) + 1 if occupied.size else 0
@@ -233,29 +233,36 @@ def _trajectory(amps: np.ndarray, first: np.ndarray, second: np.ndarray, signs,
         """Sites stepped for state t: its light cone and one more, in whole chunks."""
         return min(n_sites, -(-(occupied + t + 1) // _SITE_CHUNK) * _SITE_CHUNK)
 
-    def new_block(t):
-        """An empty block for the states from t on: as many as fit at the width
-        of state t, cut down to as many as fit at the width of the last one."""
+    def layout(t):
+        """(K, W) of the block from state t: K states fit at its first and last widths."""
         rows = min(steps + 1 - t, max(1, _BLOCK_BYTES // (site_bytes * width(t))))
         rows = max(1, min(rows, _BLOCK_BYTES // (site_bytes * width(t + rows - 1))))
-        return np.empty((rows,) + amps.shape[:-1] + (width(t + rows - 1),), amps.dtype)
+        return rows, width(t + rows - 1)
 
-    block = new_block(0)
-    amps = amps[..., :block.shape[-1]].copy()
+    rows, sites = layout(0)
+    amps = amps[..., :sites].copy()
+    block = np.empty((rows,) + amps.shape, amps.dtype)
     block[0] = amps
     k = 1
-    for t, sign, a, b in zip(range(1, steps + 1), signs, first, second):
-        if k == len(block):
+    for t, sign, (first, second) in zip(range(1, steps + 1), signs, coins):
+        if k == rows:
             yield block
-            block, k = new_block(t), 0
-            if block.shape[-1] > amps.shape[-1]:
-                wider = np.zeros(block.shape[1:], amps.dtype)
+            if (rows, sites) != (1, n_sites):  # else settled: one full-width state per block
+                rows, sites = layout(t)
+            if sites > amps.shape[-1]:
+                wider = np.zeros(amps.shape[:-1] + (sites,), amps.dtype)
                 wider[..., :amps.shape[-1]] = amps
                 amps = wider
-        amps = _advance(amps, a, b, sign, frame)
-        if kick is not None and t == kick[0] and kick[1] < amps.shape[-1]:
+            if rows > 1:
+                block = np.empty((rows,) + amps.shape, amps.dtype)
+            k = 0
+        amps = _advance(amps, first, second, sign, frame)
+        if kick is not None and t == kick[0] and kick[1] < sites:
             amps[..., 1, kick[1]] = -amps[..., 1, kick[1]]
-        block[k] = amps
+        if rows == 1:
+            block = amps[None]  # no later step writes to the stepped array
+        else:
+            block[k] = amps
         k += 1
     yield block
 

@@ -6,13 +6,13 @@ boundary phase or applies a sigma_z kick at the end of step ``n0``, and then
 keeps evolving.  ``survival_catalog`` lists the named quench experiments and
 their expected outcomes, ``scenario`` looks one up by name, and
 ``landau_zener_fit`` extracts the exponential dependence of the bound-state
-loss on the ramp duration.  ``quench_table`` steps one protocol through the
-chunked trajectory generator of ``lattice`` and reduces its states to the
-observable table block by block; ``run_quench`` steps the same protocol one
-``chiral_step`` and one ``observable_record`` at a time and is the per-step
-reference it is tested against.  ``ramp_survival_curve`` steps all ramp
-durations of a sweep together as one batch of walkers and records only
-P_edge.
+loss on the ramp duration.  Both batched paths step through
+``lattice._trajectory``: ``quench_table`` runs one protocol and reduces its
+states to the observable table block by block, and ``ramp_survival_curve``
+runs all ramp durations of a sweep together as one stack of walkers and
+reads only P_edge.  ``run_quench`` steps one protocol one ``chiral_step``
+and one ``observable_record`` at a time and is the per-step reference they
+are tested against.
 
 All trajectories run in the chiral time frame from |0, down>, so the spin
 readout at the boundary pins to +/-1 for a single surviving channel.
@@ -27,6 +27,7 @@ import numpy as np
 
 from .analysis import (
     ObservableRecord,
+    _edge_populations,
     _observables,
     _state_sums,
     detect_stabilization,
@@ -39,8 +40,8 @@ from .lattice import (
     BoundaryPhase,
     BulkParams,
     SiteOutOfRange,
-    _advance,
     _coin_stack,
+    _site_probabilities,
     _trajectory,
     chiral_step,
     initial_state,
@@ -89,16 +90,18 @@ def ramp_schedule(protocol: QuenchProtocol, t: int) -> tuple[BulkParams, Boundar
     return BulkParams(t1, t2), phi
 
 
-def _schedule_angles(ends, n0: int, durations, steps: int) -> tuple[np.ndarray, np.ndarray]:
-    """``ramp_schedule``'s (theta1, theta2) from ``ends.initial`` to
-    ``ends.final`` for every step t = 1..steps (axis 0) and each ramp
-    duration in ``durations`` (axis 1)."""
+def _schedule(ends, n0: int, durations, steps: int) -> tuple[np.ndarray, list[float]]:
+    """``ramp_schedule`` from ``ends.initial`` to ``ends.final`` for every step
+    t = 1..steps and each ramp duration in ``durations``: the chiral-frame
+    coin angles (theta1 / 2, theta2), shaped (steps, 2, len(durations)), and
+    e^{i*phi} of every step."""
     durations = np.asarray(durations, dtype=float)
     frac = (np.minimum(np.maximum(np.arange(1, steps + 1) - n0, 0)[:, None], durations)
             / durations)
     t1 = ends.initial.theta1 + (ends.final.theta1 - ends.initial.theta1) * frac
     t2 = ends.initial.theta2 + (ends.final.theta2 - ends.initial.theta2) * frac
-    return t1, t2
+    signs = [ends.phi_initial.sign] * n0 + [ends.phi_final.sign] * (steps - n0)
+    return np.stack([t1 / 2.0, t2], axis=1), signs
 
 
 def quench_table(protocol: QuenchProtocol) -> np.ndarray:
@@ -109,12 +112,10 @@ def quench_table(protocol: QuenchProtocol) -> np.ndarray:
     and the trajectory is reduced block by block and finished at once.
     """
     steps = protocol.total_steps
-    t1, t2 = _schedule_angles(protocol, protocol.n0, [protocol.nq], steps)
-    signs = ([protocol.phi_initial.sign] * protocol.n0
-             + [protocol.phi_final.sign] * (steps - protocol.n0))
+    angles, signs = _schedule(protocol, protocol.n0, [protocol.nq], steps)
     kick = None if protocol.kick is None else (protocol.n0, protocol.kick)
-    blocks = _trajectory(initial_state(steps + 2).amps, _coin_stack(t1[:, 0] / 2.0),
-                         _coin_stack(t2[:, 0]), signs, "chiral", kick)
+    coins = zip(_coin_stack(angles[:, 0, 0]), _coin_stack(angles[:, 1, 0]))
+    blocks = _trajectory(initial_state(steps + 2).amps, coins, signs, "chiral", kick)
     return _observables(np.concatenate([_state_sums(block) for block in blocks]))
 
 
@@ -262,12 +263,13 @@ def ramp_survival_curve(scenario: QuenchScenario, nq_list, n0: int = 20,
     """Stabilized post-quench P_edge and channel loss for each ramp duration.
 
     Every distinct nq is one row of a (P, 2, N) stack of walkers, all started
-    at |0, down> and stepped together for n0 + max(nq) + post steps; each row
-    follows ``ramp_schedule`` of its own protocol, and only P_edge is
-    recorded.  A row's P_edge at step t does not depend on later steps, so
-    row nq is read up to its own length n0 + nq + post, as ``run_quench``
-    would run it.  When a row's series finds no plateau, its mean over the
-    last 10 steps stands in.
+    at |0, down> and run together through ``lattice._trajectory`` for
+    n0 + max(nq) + post steps; each row follows ``ramp_schedule`` of its own
+    protocol, with coins built step by step, and only P_edge is read.  A
+    row's P_edge at step t does not depend on later steps, so row nq is read
+    up to its own length n0 + nq + post, as ``run_quench`` would run it.
+    When a row's series finds no plateau, its mean over the last 10 steps
+    stands in.
 
     The loss column is the fraction of the bound-channel population
     transferred out relative to the adiabatic limit, estimated by the
@@ -280,24 +282,12 @@ def ramp_survival_curve(scenario: QuenchScenario, nq_list, n0: int = 20,
         raise ValueError("nq_list needs at least one ramp duration")
     scenario.protocol(n0=n0, nq=nqs[0], post=post)  # validates n0, nq, post and kick
     steps = n0 + nqs[-1] + post
-    n_sites = steps + 3  # run_quench's n_max + 1: the top two sites stay empty
-    kick = scenario.kick
-    t1, t2 = _schedule_angles(scenario, n0, nqs, steps)
-    angles = np.stack([t1 / 2.0, t2], axis=1)  # chiral frame: half the first coin
-
-    amps = np.zeros((len(nqs), 2, n_sites))
-    amps[:, 1, 0] = 1.0
-    p_edge = np.empty((steps + 1, len(nqs)))
-    p_edge[0] = 1.0
-    for t in range(1, steps + 1):
-        phi = scenario.phi_initial if t <= n0 else scenario.phi_final
-        half, second = _coin_stack(angles[t - 1])
-        amps = _advance(amps, half, second, phi.sign, "chiral")
-        if kick is not None and t == n0:
-            amps[:, 1, kick] = -amps[:, 1, kick]
-        weights = amps[:, :, :2] ** 2  # summed in observable_table's order
-        p = weights[:, 0] + weights[:, 1]
-        p_edge[t] = p[:, 0] + p[:, 1]
+    angles, signs = _schedule(scenario, n0, nqs, steps)
+    amps = np.broadcast_to(initial_state(steps + 2).amps, (len(nqs), 2, steps + 3))
+    kick = None if scenario.kick is None else (n0, scenario.kick)
+    blocks = _trajectory(amps, map(_coin_stack, angles), signs, "chiral", kick)
+    p_edge = np.concatenate([_edge_populations(_site_probabilities(block[..., :2]))
+                             for block in blocks])
 
     stabilized = []
     for row, nq in enumerate(nqs):

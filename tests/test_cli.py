@@ -247,10 +247,13 @@ def test_quench_scenario_rejects_keys_it_defines(tmp_path):
                  "--out", out]) == EXIT_OK
 
 
-# The bad pair, last in its case below, of each case a key table's parser rejects.
+# The bad pair, last in its case below, of each case whose error line names it: a key
+# table's parser rejects it, or (kick=) a check of the resolved keys does.
 TABLE_REJECTS = {"steps=abc", "steps=-5", "theta2=", "grid=0", "n_k=0", "transition_tol=nan",
                  "transition_tol=-1", "n0=abc", "n_max=1.5", "n_k=1.5", "nq_list=1,2,x,4,5",
-                 "steps=1e3", "theta2=abc"}
+                 "steps=1e3", "theta2=abc", "kick=500", "kick=-1", "frame=lab", "theta2=inf",
+                 "theta1=nan", "frame=bogus", "theta1=0,nan", "kick=53", "lo=nan",
+                 "theta1=1e400", "theta2_f=-inf", "hi=inf", "theta2=-inf"}
 
 
 @pytest.mark.parametrize("argv", [
@@ -285,6 +288,16 @@ TABLE_REJECTS = {"steps=abc", "steps=-5", "theta2=", "grid=0", "n_k=0", "transit
     ["ramp", "nq_list=1,2,x,4,5"],
     ["walk", "steps=1e3"],
     ["walk", "theta2=abc"],
+    ["walk", "theta2=0", "theta1=nan"],
+    ["walk", "frame=bogus"],
+    ["sweep", "theta2=0", "theta1=0,nan"],
+    ["quench", "theta1_i=pi/2", "theta2_i=0", "theta1_f=pi/2", "theta2_f=0", "total=50",
+     "kick=53"],
+    ["phase-diagram", "grid=2", "lo=nan"],
+    ["eigen", "theta1=1e400"],
+    ["quench", "theta1_i=pi/2", "theta2_i=0", "theta1_f=pi/2", "theta2_f=-inf"],
+    ["phase-diagram", "grid=2", "hi=inf"],
+    ["pulse-verify", "theta2=-inf"],
 ])
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_bad_values_exit_with_one_error_line(argv, tmp_path, capsys):
@@ -382,7 +395,7 @@ def test_unusable_output_path_is_rejected_before_any_work(tmp_path, monkeypatch,
     monkeypatch.setattr(cli.lattice, "evolve", fail)
     for module in (cli.lattice, cli.analysis, cli.quench):  # every binding of the stepper
         monkeypatch.setattr(module, "_trajectory", fail)
-    monkeypatch.setattr(cli, "_diagram_point", fail)
+    monkeypatch.setattr(cli.momentum, "phase_diagram", fail)
     monkeypatch.setattr(cli.analysis, "sweep_edge_populations", fail)
     good = tmp_path / "good.csv"
     missing = str(tmp_path / "missing" / "x.csv")

@@ -1,4 +1,7 @@
+import ast
+import itertools
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -236,16 +239,16 @@ def test_trajectory_blocks_hold_every_state_in_order(monkeypatch):
     state_bytes = start.nbytes
     for block_bytes in (1, 5 * state_bytes, lattice._BLOCK_BYTES):
         monkeypatch.setattr(lattice, "_BLOCK_BYTES", block_bytes)
-        blocks = list(_trajectory(start, half, second, signs, "chiral", kick=(9, 4)))
+        blocks = list(_trajectory(start, zip(half, second), signs, "chiral", kick=(9, 4)))
         rows = max(1, block_bytes // state_bytes)
         assert [len(b) for b in blocks[:-1]] == [rows] * (len(blocks) - 1)
         assert 1 <= len(blocks[-1]) <= rows
         assert_blocks_hold(blocks, want)
         np.testing.assert_array_equal(start, before)  # input untouched
     # one coin pair for every step is the same as that pair repeated
-    block, = _trajectory(start[0], half[0, 0], second[0, 0], signs, "walk")
-    repeated, = _trajectory(start[0], np.repeat(half[:1, 0], steps, axis=0),
-                            np.repeat(second[:1, 0], steps, axis=0), signs, "walk")
+    block, = _trajectory(start[0], itertools.repeat((half[0, 0], second[0, 0])), signs, "walk")
+    repeated, = _trajectory(start[0], zip(np.repeat(half[:1, 0], steps, axis=0),
+                                          np.repeat(second[:1, 0], steps, axis=0)), signs, "walk")
     np.testing.assert_array_equal(block, repeated)
     assert block.shape == (steps + 1, 2, n_sites)
 
@@ -271,7 +274,8 @@ def test_trajectory_steps_only_the_light_cone(frame, sign, dtype, stack, kick_si
             amps[..., 1, kick[1]] = -amps[..., 1, kick[1]]
         want.append(amps)
     before = start.copy()
-    blocks = list(_trajectory(start, half, second, [sign] * steps, frame, kick))
+    blocks = list(_trajectory(start, itertools.repeat((half, second)), [sign] * steps, frame,
+                              kick))
     np.testing.assert_array_equal(start, before)
     assert_blocks_hold(blocks, want)
     last = -1
@@ -289,6 +293,60 @@ def test_trajectory_steps_only_the_light_cone(frame, sign, dtype, stack, kick_si
             assert np.all(flipped != 0)
         else:
             assert not flipped.any()
+
+
+# _BLOCK_BYTES for a (2, 2, 300) float trajectory: one state per block; four at full
+# width; and four at 128 sites, two at 256, then one at the full 300
+BLOCK_SIZES = {"one": 1, "many": 4 * 2 * 2 * 300 * 8, "settling": 2 * 2 * 2 * 300 * 8 - 1}
+
+
+@pytest.mark.parametrize("blocks_of", sorted(BLOCK_SIZES))
+@pytest.mark.parametrize("per_step", [False, True])
+@pytest.mark.parametrize("kick", [None, (7, 3)])
+def test_trajectory_states_match_per_step_advance_after_collection(monkeypatch, blocks_of,
+                                                                   per_step, kick):
+    walkers, n_sites, steps = 2, 300, 290
+    start = np.zeros((walkers, 2, n_sites))
+    start[:, :, :5] = RNG.normal(size=(walkers, 2, 5))
+    angles = RNG.uniform(-7.0, 7.0, size=(steps, 2, walkers))
+    signs = RNG.choice([-1.0, 1.0], size=steps).tolist()
+    want = [start]
+    for t in range(steps):  # full-width stepping, one _advance per step
+        first, second = _coin_stack(angles[t] if per_step else angles[0])
+        amps = _advance(want[-1], first, second, signs[t], "chiral")
+        if kick is not None and t + 1 == kick[0]:
+            amps[:, 1, kick[1]] = -amps[:, 1, kick[1]]
+        want.append(amps)
+    coins = map(_coin_stack, angles) if per_step else itertools.repeat(_coin_stack(angles[0]))
+    monkeypatch.setattr(lattice, "_BLOCK_BYTES", BLOCK_SIZES[blocks_of])
+    blocks = list(_trajectory(start, coins, signs, "chiral", kick))  # every block kept
+    states = [state for block in blocks for state in block]
+    assert len(states) == steps + 1
+    for state, full in zip(states, want):
+        width = state.shape[-1]
+        # bit for bit, up to the sign of a zero
+        assert (state + 0.0).tobytes() == (full[..., :width] + 0.0).tobytes()
+        assert not full[..., width:].any()
+    sizes = {(len(block), block.shape[-1]) for block in blocks[:-1]}
+    if blocks_of == "one":
+        assert {rows for rows, _ in sizes} == {1}
+    elif blocks_of == "many":
+        assert (4, n_sites) in sizes and all(rows >= 4 for rows, _ in sizes)
+    else:
+        assert {(4, 128), (2, 256), (1, n_sites)} <= sizes
+        assert all(rows == 1 for rows, width in sizes if width == n_sites)
+
+
+def test_only_lattice_refers_to_the_step_kernel():
+    """``_advance`` is stepped only through ``_trajectory`` and the per-step
+    functions of ``lattice``: no other module grows a stepping loop."""
+    users = set()
+    for path in Path(lattice.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            names = {getattr(node, field, None) for field in ("id", "attr", "name", "asname")}
+            if "_advance" in names:
+                users.add(path.name)
+    assert users == {"lattice.py"}
 
 
 @pytest.mark.parametrize("frame,step", [("walk", floquet_step), ("chiral", chiral_step)])

@@ -239,8 +239,8 @@ def test_ramp_keeps_the_top_two_sites_empty(monkeypatch):
         assert not np.any(out[:, :, -2:])
         return out
 
-    advance = quench._advance
-    monkeypatch.setattr(quench, "_advance", checked)
+    advance = lattice._advance
+    monkeypatch.setattr(lattice, "_advance", checked)
     ramp_survival_curve(scenario("fig6c"), [1, 2, 4, 6, 8, 12])
 
 
@@ -255,13 +255,13 @@ def no_stepping(*args):
     ([], 20, 80, "at least one ramp duration"),
 ])
 def test_ramp_rejects_bad_durations_before_stepping(monkeypatch, nq_list, n0, post, message):
-    monkeypatch.setattr(quench, "_advance", no_stepping)
+    monkeypatch.setattr(lattice, "_advance", no_stepping)
     with pytest.raises(ValueError, match=message):
         ramp_survival_curve(scenario("fig6c"), nq_list, n0=n0, post=post)
 
 
 def test_ramp_rejects_a_kick_outside_the_shortest_lattice(monkeypatch):
-    monkeypatch.setattr(quench, "_advance", no_stepping)
+    monkeypatch.setattr(lattice, "_advance", no_stepping)
     far = dataclasses.replace(scenario("fig6d-kick"), kick=20 + 1 + 80 + 3)
     with pytest.raises(SiteOutOfRange):
         ramp_survival_curve(far, [1, 2, 3])
