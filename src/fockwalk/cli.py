@@ -29,6 +29,8 @@ import os
 import re
 import sys
 
+import numpy as np
+
 from . import analysis, lattice, momentum, pulse, quench
 
 EXIT_OK = 0
@@ -131,18 +133,15 @@ def resolve(args, keys: dict) -> tuple[argparse.Namespace, set[str]]:
     return argparse.Namespace(**values), set(pairs)
 
 
-def fmt(value) -> str:
-    """Fixed 17-significant-digit float formatting (round-trip exact)."""
-    if isinstance(value, float):
-        return format(value, ".17g")
-    return str(value)
-
-
 def write_csv(path: str, header: list[str], rows: list[list]) -> None:
+    """Write ``rows`` under ``header`` with one ``%`` template made from the
+    cell types of the first row, which every row must share: ``%.17g`` for
+    a float (round-trip exact), ``%s`` for an int or a label."""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(fmt(v) for v in row) + "\n")
+        if rows:
+            template = ",".join("%.17g" if isinstance(v, float) else "%s" for v in rows[0]) + "\n"
+            fh.writelines(template % tuple(row) for row in rows)
 
 
 def write_json_mirror(path: str, header: list[str], rows: list[list]) -> None:
@@ -188,30 +187,27 @@ def cmd_walk(args, cfg, given) -> int:
     return EXIT_OK
 
 
-def _sweep_point(index, params, phi, p_edge):
-    """One sweep row: the point, its final P_edge and the bound-state prediction."""
-    try:
-        try:
-            b0, bpi = momentum.predict_bound_states(params, phi)
-        except momentum.GapClosed:
-            b0 = bpi = -1  # transition point: no static prediction
-        return [index, params.theta1, params.theta2, phi.phi, p_edge, b0, bpi, "ok"]
-    except Exception as exc:  # defensive per-row status
-        return [index, params.theta1, params.theta2, phi.phi, float("nan"), -1, -1,
-                f"error:{type(exc).__name__}"]
+def _sweep_point(index, params, phi, p_edge, b0, b_pi, status):
+    """One sweep row: the point, its final P_edge and bound-state prediction."""
+    return [index, params.theta1, params.theta2, phi.phi, p_edge, b0, b_pi, status]
 
 
 def cmd_sweep(args, cfg, given) -> int:
     if not given:
         raise ConfigError("sweep requires theta1= and theta2= (one may be a list)")
-    points = [lattice.BulkParams(t1, t2) for t1, t2 in itertools.product(cfg.theta1, cfg.theta2)]
-    p_edge = analysis.sweep_edge_populations(points, cfg.phi, cfg.steps)
-    rows = [_sweep_point(index, params, cfg.phi, p)
-            for index, (params, p) in enumerate(zip(points, p_edge.tolist()))]
+    theta1, theta2 = zip(*itertools.product(cfg.theta1, cfg.theta2))
+    points = list(map(lattice.BulkParams, theta1, theta2))
+    p_edge = analysis.sweep_edge_populations(points, cfg.phi, cfg.steps).tolist()
+    grid, status = lattice.BulkParams(np.array(theta1), np.array(theta2)), "ok"
+    try:
+        predicted = zip(*(b.tolist() for b in momentum.bound_state_channels(grid, cfg.phi)))
+    except Exception as exc:  # one prediction for all rows: every row carries its failure
+        status = f"error:{type(exc).__name__}"
+        p_edge, predicted = [math.nan] * len(points), itertools.repeat((-1, -1))
+    rows = [_sweep_point(index, params, cfg.phi, p, *b, status)
+            for index, (params, p, b) in enumerate(zip(points, p_edge, predicted))]
     _emit(args, SWEEP_HEADER, rows)
-    if any(str(r[-1]).startswith("error") for r in rows):
-        return EXIT_NUMERIC
-    return EXIT_OK
+    return EXIT_OK if status == "ok" else EXIT_NUMERIC
 
 
 def cmd_quench(args, cfg, given) -> int:
@@ -277,23 +273,26 @@ def cmd_pulse_verify(args, cfg, given) -> int:
     return EXIT_OK
 
 
-def _diagram_row(pt) -> list:
-    """One DIAGRAM_HEADER row of a ``momentum.DiagramPoint``."""
-    nu = (pt.label.nu0, pt.label.nu_pi) if pt.status == "ok" else (-1, -1)
-    return [pt.theta1, pt.theta2, *nu, pt.gaps.delta0, pt.gaps.delta_pi, pt.status]
+def _diagram_rows(params, gaps, label, transition) -> list:
+    """DIAGRAM_HEADER rows of ``momentum.phase_diagram``'s columns."""
+    return list(zip(params.theta1.tolist(), params.theta2.tolist(),
+                    np.where(transition, -1, label.nu0).tolist(),
+                    np.where(transition, -1, label.nu_pi).tolist(),
+                    gaps.delta0.tolist(), gaps.delta_pi.tolist(),
+                    ["transition" if t else "ok" for t in transition.tolist()]))
 
 
 def cmd_phase_diagram(args, cfg, given) -> int:
     values = [cfg.lo + (cfg.hi - cfg.lo) * (i + 0.5) / cfg.grid for i in range(cfg.grid)]
-    points = momentum.phase_diagram(values, values, n_k=cfg.n_k,
-                                    transition_tol=cfg.transition_tol)
-    _emit(args, DIAGRAM_HEADER, [_diagram_row(pt) for pt in points])
+    columns = momentum.phase_diagram(values, values, n_k=cfg.n_k,
+                                     transition_tol=cfg.transition_tol)
+    _emit(args, DIAGRAM_HEADER, _diagram_rows(*columns))
     return EXIT_OK
 
 
 # Unused by every subcommand; kept for the benchmark's bindings until ROADMAP item 1 deletes them.
 def _diagram_point(task):  # (index, theta1, theta2, n_k, transition_tol)
-    return _diagram_row(momentum.phase_diagram([task[1]], [task[2]], task[3], task[4])[0])
+    return _diagram_rows(*momentum.phase_diagram([task[1]], [task[2]], task[3], task[4]))[0]
 
 
 def _parallel_map(fn, tasks, workers: int | None):

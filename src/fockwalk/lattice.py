@@ -49,13 +49,18 @@ class SiteOutOfRange(IndexError):
 
 @dataclass(frozen=True)
 class BulkParams:
-    """Coin angles (theta1, theta2) in radians, stored unwrapped."""
+    """Coin angles (theta1, theta2) in radians, stored unwrapped; arrays of
+    angles serve the elementwise analytics of `fockwalk.momentum`."""
 
     theta1: float
     theta2: float
 
     def __post_init__(self):
-        if not (math.isfinite(self.theta1) and math.isfinite(self.theta2)):
+        try:
+            finite = math.isfinite(self.theta1) and math.isfinite(self.theta2)
+        except TypeError:  # arrays of angles
+            finite = np.isfinite(self.theta1).all() and np.isfinite(self.theta2).all()
+        if not finite:
             raise ValueError("coin angles must be finite")
 
 

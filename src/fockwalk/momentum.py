@@ -33,7 +33,7 @@ class TimeFrame(Enum):
 
 @dataclass(frozen=True)
 class PhaseLabel:
-    """Frame windings (nu_prime, nu_dprime) and the Z2 pair (nu0, nu_pi)."""
+    """Frame windings (nu_prime, nu_dprime) and Z2 pair (nu0, nu_pi), ints or int arrays."""
 
     nu_prime: int
     nu_dprime: int
@@ -43,6 +43,8 @@ class PhaseLabel:
 
 @dataclass(frozen=True)
 class GapReport:
+    """Gaps of the band to 0 and to pi; arrays when the angles are arrays."""
+
     delta0: float
     delta_pi: float
 
@@ -70,10 +72,10 @@ def time_frame_unitary_k(params: BulkParams, frame: TimeFrame, k: float) -> np.n
     return half @ _shift_down(k) @ coin_matrix(params.theta1) @ _shift_up(k) @ half
 
 
-def _half_angles(params: BulkParams) -> tuple[float, float, float, float]:
-    """(cos, sin) of theta1/2, then (cos, sin) of theta2/2."""
-    return (math.cos(params.theta1 / 2.0), math.sin(params.theta1 / 2.0),
-            math.cos(params.theta2 / 2.0), math.sin(params.theta2 / 2.0))
+def _half_angles(params: BulkParams):
+    """(cos, sin) of theta1/2, then (cos, sin) of theta2/2, elementwise."""
+    h1, h2 = params.theta1 / 2.0, params.theta2 / 2.0
+    return np.cos(h1), np.sin(h1), np.cos(h2), np.sin(h2)
 
 
 def dispersion_cos_e(params: BulkParams, k) -> np.ndarray:
@@ -87,8 +89,20 @@ def dispersion_energy(params: BulkParams, k) -> np.ndarray:
     return np.arccos(np.clip(dispersion_cos_e(params, k), -1.0, 1.0))
 
 
-def _frame_windings(params: BulkParams, n_k: int, gaps: GapReport) -> tuple[int, int]:
-    """Windings (nu', nu'') of frames F1 and F2, with `gaps` of `params`.
+def quasienergy_gaps(params: BulkParams) -> GapReport:
+    """Minimal distances of the band E(k) to 0 and to pi, elementwise.
+
+    cos E(k) = c1 c2 cos k - s1 s2 is monotone in cos k, so the band edges
+    sit at k = 0 and k = pi: delta0 = min E and delta_pi = pi - max E.  Array
+    angles (theta1 sets the shape) give the gaps of every point at once.
+    """
+    ks = np.reshape([0.0, math.pi], (2,) + (1,) * np.ndim(params.theta1))
+    edges = dispersion_energy(params, ks)
+    return GapReport(delta0=edges.min(axis=0), delta_pi=math.pi - edges.max(axis=0))
+
+
+def _labels(params: BulkParams, n_k: int) -> tuple[PhaseLabel, GapReport, np.ndarray]:
+    """Label and gaps of `params`, elementwise, and where n_k resolves the label.
 
     sin E(k) n(k) traces the ellipse (s1c2 cos k + c1s2, c2 sin k) in the y-z
     plane in F1 and (s1c2 + c1s2 cos k, c1 sin k) in F2.  It encloses the
@@ -96,20 +110,39 @@ def _frame_windings(params: BulkParams, n_k: int, gaps: GapReport) -> tuple[int,
     (|s1c2| > |c1s2| in F1, |c1s2| > |s1c2| in F2), and then turns with the
     sign of s1 (F1) or s2 (F2).  The curve moves at speed <= 1 in k and
     keeps distance sin E(k) from the origin, so n_k samples count that
-    winding exactly when min(sin delta0, sin delta_pi) > 2 pi / n_k; else
-    GapClosed.
+    winding exactly where min(sin delta0, sin delta_pi) > 2 pi / n_k.
     """
     if n_k < 1:
         raise ValueError(f"n_k must be >= 1, got {n_k}")
-    spacing = 2.0 * math.pi / n_k
-    if min(math.sin(gaps.delta0), math.sin(gaps.delta_pi)) <= spacing:
-        raise GapClosed(f"gaps ({gaps.delta0:.2e}, {gaps.delta_pi:.2e}) not resolved "
-                        f"by n_k = {n_k}: needs sin(gap) > 2pi/n_k = {spacing:.2e}")
+    gaps = quasienergy_gaps(params)
     c1, s1, c2, s2 = _half_angles(params)
-    a, b = abs(s1 * c2), abs(c1 * s2)
-    nu_p = (1 if s1 > 0 else -1) if a > b else 0
-    nu_dp = (1 if s2 > 0 else -1) if b > a else 0
-    return nu_p, nu_dp
+    a, b = np.abs(s1 * c2), np.abs(c1 * s2)
+    nu_p = np.where(a > b, np.where(s1 > 0, 1, -1), 0)
+    nu_dp = np.where(b > a, np.where(s2 > 0, 1, -1), 0)
+    label = PhaseLabel(nu_p, nu_dp, (1 + nu_p + nu_dp) // 2 % 2, (1 - nu_p + nu_dp) // 2 % 2)
+    resolved = np.minimum(np.sin(gaps.delta0), np.sin(gaps.delta_pi)) > 2.0 * math.pi / n_k
+    return label, gaps, resolved
+
+
+def _unresolved(delta0: float, delta_pi: float, n_k: int) -> GapClosed:
+    spacing = 2.0 * math.pi / n_k
+    return GapClosed(f"gaps ({delta0:.2e}, {delta_pi:.2e}) not resolved "
+                     f"by n_k = {n_k}: needs sin(gap) > 2pi/n_k = {spacing:.2e}")
+
+
+def z2_invariants(params: BulkParams, n_k: int = 2048) -> PhaseLabel:
+    """Z2 x Z2 phase label of one point from the two frame windings.
+
+    nu0 = ((1 + nu' + nu'') // 2) mod 2 counts the 0-energy channel and
+    nu_pi = ((1 - nu' + nu'') // 2) mod 2 the pi-energy channel, as fixed by
+    the bulk-edge anchor (pi/2, 0) -> (1, 0); this reproduces the
+    dense-oracle edge-mode counts across the diagram.  Raises as
+    `winding_number` does.
+    """
+    label, gaps, resolved = _labels(params, n_k)
+    if not resolved:
+        raise _unresolved(gaps.delta0, gaps.delta_pi, n_k)
+    return PhaseLabel(*map(int, vars(label).values()))
 
 
 def winding_number(params: BulkParams, frame: TimeFrame, n_k: int = 2048) -> int:
@@ -117,33 +150,20 @@ def winding_number(params: BulkParams, frame: TimeFrame, n_k: int = 2048) -> int
 
     Closed form of the turns of atan2(z, y) along the curve sampled on a
     uniform n_k grid; (pi/2, 0) gives +1 in frame F1.  Raises ValueError for
-    n_k < 1 and GapClosed unless min(sin delta0, sin delta_pi) > 2 pi / n_k,
-    the condition under which that sampled count is exact.
+    n_k < 1 and GapClosed where that sampled count is not exact.
     """
-    nu_p, nu_dp = _frame_windings(params, n_k, quasienergy_gaps(params))
-    return nu_p if frame is TimeFrame.F1 else nu_dp
+    label = z2_invariants(params, n_k)
+    return label.nu_prime if frame is TimeFrame.F1 else label.nu_dprime
 
 
-def _phase_label(params: BulkParams, n_k: int, gaps: GapReport) -> PhaseLabel:
-    nu_p, nu_dp = _frame_windings(params, n_k, gaps)
-    nu0 = ((1 + nu_p + nu_dp) // 2) % 2
-    nu_pi = ((1 - nu_p + nu_dp) // 2) % 2
-    return PhaseLabel(nu_prime=nu_p, nu_dprime=nu_dp, nu0=nu0, nu_pi=nu_pi)
-
-
-def z2_invariants(params: BulkParams, n_k: int = 2048) -> PhaseLabel:
-    """Z2 x Z2 phase label from the two frame windings.
-
-    nu0 counts the 0-energy channel and nu_pi the pi-energy channel.  The
-    combination below is fixed by the bulk-edge anchor (pi/2, 0) -> (1, 0)
-    and reproduces the dense-oracle edge-mode counts across the diagram.
-    """
-    return _phase_label(params, n_k, quasienergy_gaps(params))
-
-
-def virtual_bulk_params(theta1: float, phi: BoundaryPhase) -> BulkParams:
+def virtual_bulk_params(theta1, phi: BoundaryPhase) -> BulkParams:
     """Bulk parameters of the virtual phase encoded by the boundary operator."""
     return BulkParams(theta1, -math.pi if phi.phi == 0.0 else math.pi)
+
+
+def _mismatch(real: PhaseLabel, virtual: PhaseLabel):
+    """(b0, b_pi): 1 in each channel where the two labels differ, else 0."""
+    return real.nu0 ^ virtual.nu0, real.nu_pi ^ virtual.nu_pi
 
 
 def predict_bound_states(real: BulkParams, phi: BoundaryPhase,
@@ -153,41 +173,35 @@ def predict_bound_states(real: BulkParams, phi: BoundaryPhase,
     (b0, b_pi) with b = 1 where the real and virtual bulks disagree in that
     channel: bound states exist iff the two topologies differ.
     """
-    real_label = z2_invariants(real, n_k)
-    virt_label = z2_invariants(virtual_bulk_params(real.theta1, phi), n_k)
-    return (real_label.nu0 ^ virt_label.nu0, real_label.nu_pi ^ virt_label.nu_pi)
+    return _mismatch(z2_invariants(real, n_k),
+                     z2_invariants(virtual_bulk_params(real.theta1, phi), n_k))
 
 
-def quasienergy_gaps(params: BulkParams) -> GapReport:
-    """Minimal distances of the band E(k) to 0 and to pi.
+def bound_state_channels(real: BulkParams, phi: BoundaryPhase,
+                         n_k: int = 2048) -> tuple[np.ndarray, np.ndarray]:
+    """`predict_bound_states` elementwise over array angles: int arrays
+    (b0, b_pi) holding -1 wherever either bulk's label is unresolved."""
+    (real_label, _, real_ok), (virtual_label, _, virtual_ok) = (
+        _labels(params, n_k) for params in (real, virtual_bulk_params(real.theta1, phi)))
+    return tuple(np.where(real_ok & virtual_ok, b, -1)
+                 for b in _mismatch(real_label, virtual_label))
 
-    cos E(k) = c1 c2 cos k - s1 s2 is monotone in cos k, so the band edges
-    sit at k = 0 and k = pi: delta0 = min E and delta_pi = pi - max E.
+
+def phase_diagram(thetas1, thetas2, n_k: int = 1024, transition_tol: float = 1e-2,
+                  ) -> tuple[BulkParams, GapReport, PhaseLabel, np.ndarray]:
+    """Classify every (theta1, theta2) grid point; mark gap closures.
+
+    Returns the columns (params, gaps, label, transition) over the grid in
+    row-major order (theta1 outer), from one elementwise pass that computes
+    each point's gaps once.  A point is a transition, with a meaningless
+    label, when its smaller gap is below transition_tol; GapClosed names the
+    first other point whose label n_k leaves unresolved.
     """
-    edges = dispersion_energy(params, np.array([0.0, math.pi]))
-    return GapReport(delta0=float(edges.min()), delta_pi=math.pi - float(edges.max()))
-
-
-@dataclass(frozen=True)
-class DiagramPoint:
-    theta1: float
-    theta2: float
-    label: PhaseLabel | None
-    gaps: GapReport
-    status: str  # "ok" or "transition"
-
-
-def phase_diagram(thetas1, thetas2, n_k: int = 1024,
-                  transition_tol: float = 1e-2) -> list[DiagramPoint]:
-    """Classify every (theta1, theta2) grid point; mark gap closures."""
-    points = []
-    for t1 in thetas1:
-        for t2 in thetas2:
-            params = BulkParams(float(t1), float(t2))
-            gaps = quasienergy_gaps(params)
-            if min(gaps.delta0, gaps.delta_pi) < transition_tol:
-                points.append(DiagramPoint(float(t1), float(t2), None, gaps, "transition"))
-            else:
-                label = _phase_label(params, n_k, gaps)
-                points.append(DiagramPoint(float(t1), float(t2), label, gaps, "ok"))
-    return points
+    t1, t2 = np.asarray(thetas1, dtype=float), np.asarray(thetas2, dtype=float)
+    grid = BulkParams(np.repeat(t1, t2.size), np.tile(t2, t1.size))
+    label, gaps, resolved = _labels(grid, n_k)
+    transition = np.minimum(gaps.delta0, gaps.delta_pi) < transition_tol
+    unresolved = np.flatnonzero(~(transition | resolved))
+    if unresolved.size:
+        raise _unresolved(gaps.delta0[unresolved[0]], gaps.delta_pi[unresolved[0]], n_k)
+    return grid, gaps, label, transition

@@ -193,21 +193,21 @@ def test_sweep_edge_populations_do_not_depend_on_the_chunk_size(monkeypatch):
                               expected)
 
 
-def test_sweep_marks_a_failed_row_and_exits_numeric(tmp_path, monkeypatch):
-    predict = cli.momentum.predict_bound_states
+def test_sweep_marks_a_failed_row_and_exits_numeric(tmp_path, monkeypatch, capsys):
+    # one batched prediction covers every row, so its failure marks them all
+    def fail(real, phi):
+        raise RuntimeError("prediction failed")
 
-    def fail_at_zero(params, phi):
-        if params.theta2 == 0.0:
-            raise RuntimeError("prediction failed")
-        return predict(params, phi)
-
-    monkeypatch.setattr(cli.momentum, "predict_bound_states", fail_at_zero)
+    monkeypatch.setattr(cli.momentum, "bound_state_channels", fail)
     out = tmp_path / "s.csv"
-    assert main(["sweep", "theta1=pi/2", "theta2=0,pi/8", "steps=10",
+    assert main(["sweep", "theta1=pi/2", "theta2=0,pi/8,pi/4", "steps=10",
                  "--out", str(out)]) == EXIT_NUMERIC
     rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
-    assert rows[0][4:] == ["nan", "-1", "-1", "error:RuntimeError"]
-    assert rows[1][-1] == "ok"
+    assert [row[:4] for row in rows] == [[str(i), format(math.pi / 2, ".17g"),
+                                          format(t2, ".17g"), "0"]
+                                         for i, t2 in enumerate((0.0, math.pi / 8, math.pi / 4))]
+    assert all(row[4:] == ["nan", "-1", "-1", "error:RuntimeError"] for row in rows)
+    assert capsys.readouterr() == ("", "")
 
 
 def test_sweep_has_no_workers_option(tmp_path, capsys):
@@ -495,6 +495,80 @@ def test_phase_diagram_csv(tmp_path):
         if parts[-1] == "ok":
             labels.add((int(parts[2]), int(parts[3])))
     assert labels == {(0, 0), (0, 1), (1, 0), (1, 1)}
+
+
+def _oracle_diagram_rows(values, n_k, transition_tol):
+    """DIAGRAM_HEADER rows point by point with the scalar formulas (math
+    half-angles, numpy band edges at k = 0 and pi) that the array-valued
+    `momentum.phase_diagram` replaced; raises its GapClosed at the first
+    unresolved point."""
+    rows = []
+    for t1, t2 in itertools.product(values, values):
+        c1, s1, c2, s2 = math.cos(t1 / 2), math.sin(t1 / 2), math.cos(t2 / 2), math.sin(t2 / 2)
+        edges = np.arccos(np.clip(c2 * c1 * np.cos(np.array([0.0, math.pi])) - s1 * s2,
+                                  -1.0, 1.0))
+        d0, dpi = float(edges.min()), math.pi - float(edges.max())
+        if min(d0, dpi) < transition_tol:
+            rows.append([t1, t2, -1, -1, d0, dpi, "transition"])
+            continue
+        spacing = 2.0 * math.pi / n_k
+        if min(math.sin(d0), math.sin(dpi)) <= spacing:
+            raise momentum.GapClosed(f"gaps ({d0:.2e}, {dpi:.2e}) not resolved by n_k = {n_k}: "
+                                     f"needs sin(gap) > 2pi/n_k = {spacing:.2e}")
+        a, b = abs(s1 * c2), abs(c1 * s2)
+        nu_p = (1 if s1 > 0 else -1) if a > b else 0
+        nu_dp = (1 if s2 > 0 else -1) if b > a else 0
+        rows.append([t1, t2, ((1 + nu_p + nu_dp) // 2) % 2, ((1 - nu_p + nu_dp) // 2) % 2,
+                     d0, dpi, "ok"])
+    return rows
+
+
+def _oracle_csv(header, rows) -> str:
+    """CSV text formatted cell by cell: 17 significant digits for a float."""
+    return "".join(",".join(format(v, ".17g") if isinstance(v, float) else str(v) for v in row)
+                   + "\n" for row in [header, *rows])
+
+
+def test_write_csv_matches_cell_by_cell_formatting(tmp_path):
+    header = ["n", "x", "label", "y"]
+    rows = [[0, 0.1, "ok", float("nan")], [1, -0.0, "transition", np.float64(2.5)],
+            [-1, 1e-300, "error:RuntimeError", float("inf")], [12, 0.0, "ok", -math.pi]]
+    for table in (rows, []):
+        path = tmp_path / "t.csv"
+        cli.write_csv(str(path), header, table)
+        assert path.read_text(encoding="utf-8") == _oracle_csv(header, table)
+
+
+# The default grid, grids 7 and 64, and the shifted bounds of the scan
+# benchmark's seeds 1 and 3 (which coincide) and 2.
+@pytest.mark.parametrize("keys", [
+    {"grid": 7}, {}, {"grid": 64}, {"grid": 32, "n_k": 2048, "transition_tol": 0.2},
+    {"lo": "-7.1667582410017152", "hi": "5.3996123733574573"},
+    {"lo": "-5.203262832508095", "hi": "7.3631077818510775"},
+])
+def test_phase_diagram_matches_the_per_point_oracle(tmp_path, keys):
+    config = {"grid": 32, "lo": "-2pi", "hi": "2pi", "n_k": 1024, "transition_tol": 0.01, **keys}
+    lo, hi, grid = parse_angle(config["lo"]), parse_angle(config["hi"]), config["grid"]
+    values = [lo + (hi - lo) * (i + 0.5) / grid for i in range(grid)]
+    rows = _oracle_diagram_rows(values, config["n_k"], config["transition_tol"])
+    assert {row[-1] for row in rows} == {"ok", "transition"}
+    out, mirror = tmp_path / "pd.csv", tmp_path / "pd.json"
+    argv = ["phase-diagram", *(f"{key}={value}" for key, value in config.items())]
+    assert main(argv + ["--out", str(out), "--json", str(mirror)]) == EXIT_OK
+    assert out.read_text(encoding="utf-8") == _oracle_csv(cli.DIAGRAM_HEADER, rows)
+    payload = [dict(zip(cli.DIAGRAM_HEADER, row)) for row in rows]
+    assert mirror.read_text(encoding="utf-8") == json.dumps(payload, indent=1) + "\n"
+
+
+@pytest.mark.parametrize("lo,hi", [("-2pi", "2pi"), ("-7.1667582410017152", "5.3996123733574573")])
+def test_phase_diagram_reports_the_oracle_s_first_unresolved_point(tmp_path, capsys, lo, hi):
+    low, high = parse_angle(lo), parse_angle(hi)
+    values = [low + (high - low) * (i + 0.5) / 8 for i in range(8)]
+    with pytest.raises(momentum.GapClosed) as exc:
+        _oracle_diagram_rows(values, 8, 0.01)
+    argv = ["phase-diagram", "grid=8", "n_k=8", f"lo={lo}", f"hi={hi}"]
+    assert main(argv + ["--out", str(tmp_path / "pd.csv")]) == EXIT_NUMERIC
+    assert capsys.readouterr().err == f"numeric error: {exc.value}\n"
 
 
 def test_output_files_use_lf_line_endings(tmp_path):

@@ -9,6 +9,7 @@ from fockwalk.lattice import PHI_PI, PHI_ZERO, BulkParams
 from fockwalk.momentum import (
     GapClosed,
     TimeFrame,
+    bound_state_channels,
     bulk_unitary_k,
     dispersion_cos_e,
     dispersion_energy,
@@ -140,7 +141,7 @@ def sampled_windings(theta1, theta2, frame, n_k):
     y, z = _frame_bloch_curve(theta1[:, None], theta2[:, None], frame, ks)
     angles = np.arctan2(z, y)
     increments = np.diff(angles, axis=1, append=angles[:, :1])
-    increments = (increments + math.pi) % (2.0 * math.pi) - math.pi
+    increments -= 2.0 * math.pi * np.round(increments / (2.0 * math.pi))  # into [-pi, pi]
     total = np.sum(increments, axis=1) / (2.0 * math.pi)
     nearest = np.round(total)
     assert np.max(np.abs(total - nearest), initial=0.0) <= 1e-3
@@ -153,7 +154,8 @@ def sampled_frame_windings(points, min_sin_gap, n_k):
     rows = np.flatnonzero(min_sin_gap > 2.0 * math.pi / n_k)
     theta1 = np.array([p.theta1 for p in points])
     theta2 = np.array([p.theta2 for p in points])
-    chunks = np.array_split(rows, max(1, len(rows) // 16))  # small rows: fast in cache
+    # chunks of ~2^14 samples: each temporary stays in cache
+    chunks = np.array_split(rows, max(1, len(rows) * n_k // 2**14))
     counts = [np.concatenate([sampled_windings(theta1[c], theta2[c], frame, n_k)
                               for c in chunks]) for frame in TimeFrame]
     result = [None] * len(points)
@@ -217,21 +219,30 @@ def test_closed_form_windings_match_the_sampled_count():
     points += [virtual_bulk_params(float(t1), phi)
                for t1 in pairs[:2000, 0] for phi in (PHI_ZERO, PHI_PI)]
     lo, hi = -2 * math.pi, 2 * math.pi
+    first_grid_point = len(points)
     for grid in (32, 64):
         values = [lo + (hi - lo) * (i + 0.5) / grid for i in range(grid)]
         points += [BulkParams(t1, t2) for t1, t2 in itertools.product(values, values)]
-    min_sin_gap = np.array([min(math.sin(g.delta0), math.sin(g.delta_pi))
-                            for g in map(quasienergy_gaps, points)])
-    for n_k in (8, 64, 1024, 2048):
+    every = BulkParams(np.array([p.theta1 for p in points]), np.array([p.theta2 for p in points]))
+    gaps = quasienergy_gaps(every)
+    min_sin_gap = np.minimum(np.sin(gaps.delta0), np.sin(gaps.delta_pi))
+    # the scalar view on every grid point and the first 1000 seeded points,
+    # each point at one of the four n_k
+    viewed = list(range(1000)) + list(range(first_grid_point, len(points)))
+    for j, n_k in enumerate((8, 64, 1024, 2048)):
         expected = sampled_frame_windings(points, min_sin_gap, n_k)
-        for params, want in zip(points, expected):
-            try:
-                label = z2_invariants(params, n_k)
-                got = (label.nu_prime, label.nu_dprime)
-            except GapClosed:
-                got = None
-            assert got == want, (params, n_k)
+        label, _, resolved = momentum._labels(every, n_k)
+        got = [(int(p), int(dp)) if ok else None
+               for p, dp, ok in zip(label.nu_prime, label.nu_dprime, resolved)]
+        assert got == expected, n_k
         assert 0 < expected.count(None) < len(points)
+        for i in viewed[j::4]:
+            try:
+                view = z2_invariants(points[i], n_k)
+                view = (view.nu_prime, view.nu_dprime)
+            except GapClosed:
+                view = None
+            assert view == expected[i], (points[i], n_k)
 
 
 def test_winding_rejects_empty_grid():
@@ -319,12 +330,17 @@ def test_quasienergy_gaps_match_dense_band_scan():
 
 def test_phase_diagram_has_all_four_labels_and_transitions():
     values = [(2 * m + 1) * math.pi / 8 for m in range(-8, 8)]
-    points = phase_diagram(values, values, n_k=512)
-    labels = {(p.label.nu0, p.label.nu_pi) for p in points if p.status == "ok"}
-    assert labels == {(0, 0), (0, 1), (1, 0), (1, 1)}
-    # points on the theta1 = theta2 diagonal close the pi gap
-    diagonal = [p for p in points if p.theta1 == p.theta2]
-    assert diagonal and all(p.status == "transition" for p in diagonal)
+    params, gaps, label, transition = phase_diagram(values, values, n_k=512)
+    ok = ~transition
+    assert set(zip(label.nu0[ok].tolist(), label.nu_pi[ok].tolist())) == \
+        {(0, 0), (0, 1), (1, 0), (1, 1)}
+    # row-major order, theta1 outer; points on the theta1 = theta2 diagonal
+    # close the pi gap
+    assert params.theta1.tolist() == [t1 for t1 in values for _ in values]
+    assert params.theta2.tolist() == values * len(values)
+    assert np.array_equal(transition, np.minimum(gaps.delta0, gaps.delta_pi) < 1e-2)
+    diagonal = params.theta1 == params.theta2
+    assert diagonal.any() and transition[diagonal].all()
 
 
 def test_each_point_computes_its_gaps_once(monkeypatch):
@@ -336,12 +352,54 @@ def test_each_point_computes_its_gaps_once(monkeypatch):
 
     monkeypatch.setattr(momentum, "quasienergy_gaps", counted)
     values = [(2 * m + 1) * math.pi / 8 for m in range(-8, 8)]
-    points = phase_diagram(values, values, n_k=512)
-    assert {p.status for p in points} == {"ok", "transition"}
-    assert len(calls) == len(points) == 256
+    _, gaps, _, transition = phase_diagram(values, values, n_k=512)
+    assert set(transition.tolist()) == {False, True}
+    assert len(calls) == 1  # one call covers the whole grid
+    assert np.shape(calls[0].theta1) == np.shape(gaps.delta0) == (256,)
     calls.clear()
     predict_bound_states(BulkParams(math.pi / 2, 0.0), PHI_ZERO)
     assert len(calls) == 2  # the real and the virtual bulk
+
+
+def test_bound_state_channels_match_the_scalar_prediction():
+    # seeded points and the diagonal closures of a pi/8 grid, where the
+    # scalar view raises GapClosed and the arrays hold -1
+    rng = np.random.default_rng(31)
+    values = [(2 * m + 1) * math.pi / 8 for m in range(-8, 8)]
+    pairs = np.concatenate([rng.uniform(-2 * math.pi, 2 * math.pi, size=(600, 2)),
+                            list(itertools.product(values, values))])
+    real = BulkParams(pairs[:, 0], pairs[:, 1])
+    for phi, n_k in ((PHI_ZERO, 64), (PHI_PI, 2048), (PHI_ZERO, 2048)):
+        expected = []
+        for t1, t2 in pairs.tolist():
+            try:
+                expected.append(predict_bound_states(BulkParams(t1, t2), phi, n_k))
+            except GapClosed:
+                expected.append((-1, -1))
+        got = list(zip(*(b.tolist() for b in bound_state_channels(real, phi, n_k))))
+        assert got == expected
+        assert (-1, -1) in got and {(0, 0), (1, 0)} <= set(got)
+
+
+def test_numpy_trig_is_bit_equal_to_math():
+    # The array code reproduces the scalar code's bytes only because this
+    # numpy build evaluates cos and sin like libm and arccos independently
+    # of the array length; another build fails here first.
+    try:
+        config = np.show_config(mode="dicts")
+        blas = config["Build Dependencies"]["blas"]
+        build = (f"numpy {np.__version__}, BLAS {blas['name']} {blas['version']}, "
+                 f"SIMD {config['SIMD Extensions']['found']}")
+    except TypeError:  # numpy < 1.26 only prints its configuration
+        build = f"numpy {np.__version__}"
+    rng = np.random.default_rng(37)
+    x = rng.uniform(-8 * math.pi, 8 * math.pi, 20_000)
+    for ufunc, scalar in ((np.cos, math.cos), (np.sin, math.sin)):
+        assert np.array_equal(ufunc(x), [scalar(v) for v in x.tolist()]), \
+            f"{ufunc.__name__} differs from math on {build}"
+    c = rng.uniform(-1.0, 1.0, 20_000)
+    pieces = np.concatenate([np.arccos(c[i:i + 2]) for i in range(0, c.size, 2)])
+    assert np.array_equal(np.arccos(c), pieces), f"arccos depends on the array length on {build}"
 
 
 def test_phase_diagram_sign_flip_complements_labels():
