@@ -196,10 +196,10 @@ def walk_table(params: BulkParams, phi: BoundaryPhase, steps: int,
     return _observables(np.concatenate(sums)), WalkerState(final, steps)
 
 
-def sweep_edge_populations(points, phi: BoundaryPhase, steps: int) -> np.ndarray:
+def sweep_edge_populations(points: BulkParams, phi: BoundaryPhase, steps: int) -> np.ndarray:
     """Final P_edge of a chiral-frame walk from |0, down> at every point.
 
-    One value per ``BulkParams`` of ``points``: the batched counterpart of
+    One value per point of the array-valued ``points``: the batched counterpart of
     ``edge_population(evolve(initial_state(steps + 2), params, phi, steps,
     step=chiral_step))``, its per-point reference.  The points run through
     ``_trajectory`` as (R, 2, steps + 3) stacks of walkers with per-row coins
@@ -208,7 +208,7 @@ def sweep_edge_populations(points, phi: BoundaryPhase, steps: int) -> np.ndarray
     """
     if steps < 0:
         raise ValueError(f"steps must be >= 0, got {steps}")
-    angles = np.array([(p.theta1, p.theta2) for p in points], dtype=float).reshape(-1, 2)
+    angles = np.stack([points.theta1, points.theta2], -1, dtype=float).reshape(-1, 2)
     # sized once instead of a guard scan per step: from site 0 the light cone
     # reaches site steps + 1 at most, so the top two sites stay empty
     n_sites = steps + 3

@@ -187,25 +187,23 @@ def cmd_walk(args, cfg, given) -> int:
     return EXIT_OK
 
 
-def _sweep_point(index, params, phi, p_edge, b0, b_pi, status):
+def _sweep_point(index, theta1, theta2, phi, p_edge, b0, b_pi, status):
     """One sweep row: the point, its final P_edge and bound-state prediction."""
-    return [index, params.theta1, params.theta2, phi.phi, p_edge, b0, b_pi, status]
+    return [index, theta1, theta2, phi.phi, p_edge, b0, b_pi, status]
 
 
 def cmd_sweep(args, cfg, given) -> int:
     if not given:
         raise ConfigError("sweep requires theta1= and theta2= (one may be a list)")
-    theta1, theta2 = zip(*itertools.product(cfg.theta1, cfg.theta2))
-    points = list(map(lattice.BulkParams, theta1, theta2))
-    p_edge = analysis.sweep_edge_populations(points, cfg.phi, cfg.steps).tolist()
-    grid, status = lattice.BulkParams(np.array(theta1), np.array(theta2)), "ok"
+    grid = lattice.BulkParams(*np.array(list(itertools.product(cfg.theta1, cfg.theta2))).T)
+    p_edge, status = analysis.sweep_edge_populations(grid, cfg.phi, cfg.steps).tolist(), "ok"
     try:
         predicted = zip(*(b.tolist() for b in momentum.bound_state_channels(grid, cfg.phi)))
     except Exception as exc:  # one prediction for all rows: every row carries its failure
         status = f"error:{type(exc).__name__}"
-        p_edge, predicted = [math.nan] * len(points), itertools.repeat((-1, -1))
-    rows = [_sweep_point(index, params, cfg.phi, p, *b, status)
-            for index, (params, p, b) in enumerate(zip(points, p_edge, predicted))]
+        p_edge, predicted = [math.nan] * len(p_edge), itertools.repeat((-1, -1))
+    rows = [_sweep_point(index, t1, t2, cfg.phi, p, *b, status) for index, (t1, t2, p, b)
+            in enumerate(zip(grid.theta1.tolist(), grid.theta2.tolist(), p_edge, predicted))]
     _emit(args, SWEEP_HEADER, rows)
     return EXIT_OK if status == "ok" else EXIT_NUMERIC
 
@@ -275,11 +273,10 @@ def cmd_pulse_verify(args, cfg, given) -> int:
 
 def _diagram_rows(params, gaps, label, transition) -> list:
     """DIAGRAM_HEADER rows of ``momentum.phase_diagram``'s columns."""
-    return list(zip(params.theta1.tolist(), params.theta2.tolist(),
-                    np.where(transition, -1, label.nu0).tolist(),
-                    np.where(transition, -1, label.nu_pi).tolist(),
+    nu0, nu_pi = np.where(transition, -1, [label.nu0, label.nu_pi]).tolist()
+    return list(zip(params.theta1.tolist(), params.theta2.tolist(), nu0, nu_pi,
                     gaps.delta0.tolist(), gaps.delta_pi.tolist(),
-                    ["transition" if t else "ok" for t in transition.tolist()]))
+                    np.where(transition, "transition", "ok").tolist()))
 
 
 def cmd_phase_diagram(args, cfg, given) -> int:

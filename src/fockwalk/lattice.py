@@ -49,18 +49,13 @@ class SiteOutOfRange(IndexError):
 
 @dataclass(frozen=True)
 class BulkParams:
-    """Coin angles (theta1, theta2) in radians, stored unwrapped; arrays of
-    angles serve the elementwise analytics of `fockwalk.momentum`."""
+    """Coin angles (theta1, theta2) in radians, stored unwrapped; scalars or arrays."""
 
     theta1: float
     theta2: float
 
     def __post_init__(self):
-        try:
-            finite = math.isfinite(self.theta1) and math.isfinite(self.theta2)
-        except TypeError:  # arrays of angles
-            finite = np.isfinite(self.theta1).all() and np.isfinite(self.theta2).all()
-        if not finite:
+        if not (np.isfinite(self.theta1).all() and np.isfinite(self.theta2).all()):
             raise ValueError("coin angles must be finite")
 
 

@@ -90,12 +90,10 @@ def dispersion_energy(params: BulkParams, k) -> np.ndarray:
 
 
 def quasienergy_gaps(params: BulkParams) -> GapReport:
-    """Minimal distances of the band E(k) to 0 and to pi, elementwise.
-
-    cos E(k) = c1 c2 cos k - s1 s2 is monotone in cos k, so the band edges
-    sit at k = 0 and k = pi: delta0 = min E and delta_pi = pi - max E.  Array
-    angles (theta1 sets the shape) give the gaps of every point at once.
-    """
+    """Minimal distances of the band E(k) to 0 and to pi, elementwise over
+    array angles (theta1 sets the shape): cos E(k) = c1 c2 cos k - s1 s2 is
+    monotone in cos k, so the band edges sit at k = 0 and k = pi, and
+    delta0 = min E, delta_pi = pi - max E."""
     ks = np.reshape([0.0, math.pi], (2,) + (1,) * np.ndim(params.theta1))
     edges = dispersion_energy(params, ks)
     return GapReport(delta0=edges.min(axis=0), delta_pi=math.pi - edges.max(axis=0))
@@ -110,7 +108,9 @@ def _labels(params: BulkParams, n_k: int) -> tuple[PhaseLabel, GapReport, np.nda
     (|s1c2| > |c1s2| in F1, |c1s2| > |s1c2| in F2), and then turns with the
     sign of s1 (F1) or s2 (F2).  The curve moves at speed <= 1 in k and
     keeps distance sin E(k) from the origin, so n_k samples count that
-    winding exactly where min(sin delta0, sin delta_pi) > 2 pi / n_k.
+    winding exactly where min(sin delta0, sin delta_pi) > 2 pi / n_k.  The
+    Z2 pair is fixed by the bulk-edge anchor (pi/2, 0) -> (1, 0) and
+    reproduces the dense-oracle edge-mode counts across the diagram.
     """
     if n_k < 1:
         raise ValueError(f"n_k must be >= 1, got {n_k}")
@@ -125,20 +125,14 @@ def _labels(params: BulkParams, n_k: int) -> tuple[PhaseLabel, GapReport, np.nda
 
 
 def _unresolved(delta0: float, delta_pi: float, n_k: int) -> GapClosed:
-    spacing = 2.0 * math.pi / n_k
-    return GapClosed(f"gaps ({delta0:.2e}, {delta_pi:.2e}) not resolved "
-                     f"by n_k = {n_k}: needs sin(gap) > 2pi/n_k = {spacing:.2e}")
+    return GapClosed(f"gaps ({delta0:.2e}, {delta_pi:.2e}) not resolved by n_k = {n_k}: "
+                     f"needs sin(gap) > 2pi/n_k = {2.0 * math.pi / n_k:.2e}")
 
 
 def z2_invariants(params: BulkParams, n_k: int = 2048) -> PhaseLabel:
-    """Z2 x Z2 phase label of one point from the two frame windings.
-
-    nu0 = ((1 + nu' + nu'') // 2) mod 2 counts the 0-energy channel and
-    nu_pi = ((1 - nu' + nu'') // 2) mod 2 the pi-energy channel, as fixed by
-    the bulk-edge anchor (pi/2, 0) -> (1, 0); this reproduces the
-    dense-oracle edge-mode counts across the diagram.  Raises as
-    `winding_number` does.
-    """
+    """Z2 x Z2 phase label of one point: nu0 = ((1 + nu' + nu'') // 2) mod 2
+    counts the 0-energy channel and nu_pi = ((1 - nu' + nu'') // 2) mod 2 the
+    pi-energy channel.  Raises as `winding_number` does."""
     label, gaps, resolved = _labels(params, n_k)
     if not resolved:
         raise _unresolved(gaps.delta0, gaps.delta_pi, n_k)
@@ -146,12 +140,10 @@ def z2_invariants(params: BulkParams, n_k: int = 2048) -> PhaseLabel:
 
 
 def winding_number(params: BulkParams, frame: TimeFrame, n_k: int = 2048) -> int:
-    """Winding of the frame Bloch curve around the chiral (x) axis.
-
-    Closed form of the turns of atan2(z, y) along the curve sampled on a
-    uniform n_k grid; (pi/2, 0) gives +1 in frame F1.  Raises ValueError for
-    n_k < 1 and GapClosed where that sampled count is not exact.
-    """
+    """Winding of the frame Bloch curve around the chiral (x) axis: the closed
+    form of the turns of atan2(z, y) along the curve sampled on a uniform n_k
+    grid; (pi/2, 0) gives +1 in frame F1.  Raises ValueError for n_k < 1 and
+    GapClosed where that sampled count is not exact."""
     label = z2_invariants(params, n_k)
     return label.nu_prime if frame is TimeFrame.F1 else label.nu_dprime
 
@@ -166,8 +158,7 @@ def _mismatch(real: PhaseLabel, virtual: PhaseLabel):
     return real.nu0 ^ virtual.nu0, real.nu_pi ^ virtual.nu_pi
 
 
-def predict_bound_states(real: BulkParams, phi: BoundaryPhase,
-                         n_k: int = 2048) -> tuple[int, int]:
+def predict_bound_states(real: BulkParams, phi: BoundaryPhase, n_k: int = 2048) -> tuple[int, int]:
     """Channel-resolved bound-state prediction at the boundary.
 
     (b0, b_pi) with b = 1 where the real and virtual bulks disagree in that
@@ -183,19 +174,17 @@ def bound_state_channels(real: BulkParams, phi: BoundaryPhase,
     (b0, b_pi) holding -1 wherever either bulk's label is unresolved."""
     (real_label, _, real_ok), (virtual_label, _, virtual_ok) = (
         _labels(params, n_k) for params in (real, virtual_bulk_params(real.theta1, phi)))
-    return tuple(np.where(real_ok & virtual_ok, b, -1)
-                 for b in _mismatch(real_label, virtual_label))
+    return tuple(np.where(real_ok & virtual_ok, b, -1) for b in _mismatch(real_label, virtual_label))
 
 
-def phase_diagram(thetas1, thetas2, n_k: int = 1024, transition_tol: float = 1e-2,
+def phase_diagram(thetas1, thetas2, n_k: int = 1024, transition_tol: float = 1e-2
                   ) -> tuple[BulkParams, GapReport, PhaseLabel, np.ndarray]:
     """Classify every (theta1, theta2) grid point; mark gap closures.
 
-    Returns the columns (params, gaps, label, transition) over the grid in
-    row-major order (theta1 outer), from one elementwise pass that computes
-    each point's gaps once.  A point is a transition, with a meaningless
-    label, when its smaller gap is below transition_tol; GapClosed names the
-    first other point whose label n_k leaves unresolved.
+    Returns the columns (params, gaps, label, transition) in row-major order
+    (theta1 outer), each point's gaps computed once in one elementwise pass.
+    A transition point (smaller gap below transition_tol) has a meaningless
+    label; GapClosed names the first other point that n_k leaves unresolved.
     """
     t1, t2 = np.asarray(thetas1, dtype=float), np.asarray(thetas2, dtype=float)
     grid = BulkParams(np.repeat(t1, t2.size), np.tile(t2, t1.size))

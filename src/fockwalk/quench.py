@@ -20,6 +20,7 @@ readout at the boundary pins to +/-1 for a single surviving channel.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -172,15 +173,16 @@ class QuenchScenario:
                               n0=n0, nq=nq, total_steps=n0 + nq + post, kick=self.kick)
 
 
-def survival_catalog() -> list[QuenchScenario]:
-    """Named quench experiments as a declarative table.
+@functools.cache
+def survival_catalog() -> tuple[QuenchScenario, ...]:
+    """Named quench experiments as a declarative table, built once.
 
     Phase labels in the comments are the computed (nu0, nu_pi) pairs, and
     every expectation follows the channel rule; entries carry notes where
     the classification is easy to get wrong.
     """
     pi = math.pi
-    entries = [
+    return (
         # --- sudden quenches of the real bulk, start (3pi/4, pi/4) in (1,0) ---
         QuenchScenario("fig6b", BulkParams(3 * pi / 4, pi / 4), BulkParams(pi / 2, pi / 4),
                        PHI_ZERO, PHI_ZERO, "survive", (1, 0), (1, 0), sx_final=+1.0,
@@ -244,8 +246,7 @@ def survival_catalog() -> list[QuenchScenario]:
                        PHI_ZERO, PHI_ZERO, "survive", (1, 1), (1, 0), sx_final=+1.0,
                        note="reverse of fig6c for rate sweeps; the zero channel "
                             "survives while the pi component radiates"),
-    ]
-    return entries
+    )
 
 
 def scenario(name: str) -> QuenchScenario:

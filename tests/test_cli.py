@@ -185,7 +185,7 @@ def test_sweep_matches_per_point_evolve(tmp_path):
 
 
 def test_sweep_edge_populations_do_not_depend_on_the_chunk_size(monkeypatch):
-    points = [lattice.BulkParams(t1, t2) for t1 in (0.4, 1.3, -2.0) for t2 in (0.7, -0.2, 2.5)]
+    points = lattice.BulkParams(np.repeat([0.4, 1.3, -2.0], 3), np.tile([0.7, -0.2, 2.5], 3))
     expected = analysis.sweep_edge_populations(points, lattice.PHI_PI, 30)
     for block_bytes in (1, 4 * 2 * 33 * 8):  # one row per stack; 4 rows, not dividing 9
         monkeypatch.setattr(analysis, "_BLOCK_BYTES", block_bytes)
