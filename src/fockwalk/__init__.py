@@ -8,7 +8,6 @@ from .lattice import (
     WalkerState,
     build_step_matrix,
     chiral_step,
-    coin_rotation,
     evolve,
     floquet_step,
     initial_state,
@@ -23,7 +22,6 @@ __all__ = [
     "WalkerState",
     "build_step_matrix",
     "chiral_step",
-    "coin_rotation",
     "evolve",
     "floquet_step",
     "initial_state",

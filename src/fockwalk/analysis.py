@@ -1,12 +1,13 @@
 """Observables and bound-state diagnostics for walker states.
 
-Edge population, site-resolved spin readout, phonon moments, the per-step
-observable table of a trajectory, the final edge population of every point
-of a parameter sweep, localization fits of stable edge profiles, plateau
-detection, and a dense eigen-oracle that diagonalizes the symmetric part of
-the real orthogonal one-step matrix and classifies 0- and pi-energy edge
-modes by their residuals.  The oracle is the independent reference the
-dynamical results are checked against.
+One table holds every per-step observable of a state: P_edge, <sigma_x> at
+sites 0 and 1, the phonon moments and the norm (``observable_table`` for a
+block of states, ``observable_record`` for one).  Also: the final P_edge of
+every point of a parameter sweep, localization fits of stable edge profiles,
+plateau detection, and a dense eigen-oracle that diagonalizes the symmetric
+part of the real orthogonal one-step matrix and classifies 0- and pi-energy
+edge modes by their residuals, the independent reference the dynamical
+results are checked against.
 
 The parameter sweep runs on ``lattice._trajectory`` like the time series and
 shares one P_edge reduction with the table and the ramp sweep of ``quench``.
@@ -42,10 +43,6 @@ EIGENPHASE_TOL = 1e-6
 OCCUPATION_FLOOR = 1e-9
 
 
-class SiteUnoccupied(RuntimeError):
-    """Too little population on the site for a conditional spin readout."""
-
-
 class InsufficientSupport(RuntimeError):
     """Not enough sites above the probability floor to fit a decay length."""
 
@@ -69,7 +66,7 @@ class EigenMode:
     mode_class: str  # "zero" or "pi"
 
     def site_probabilities(self) -> np.ndarray:
-        return np.abs(self.amplitudes[0::2]) ** 2 + np.abs(self.amplitudes[1::2]) ** 2
+        return _site_probabilities(self.amplitudes.reshape(-1, 2).T)
 
 
 @dataclass(frozen=True)
@@ -77,31 +74,6 @@ class LocalizationFit:
     lam: float          # decay length: p_n ~ exp(-n / lam)
     ratio_even: float   # fitted p_{n+2} / p_n
     r_squared: float
-
-
-def edge_population(state: WalkerState) -> float:
-    """P_edge = p_0 + p_1."""
-    return float(_edge_populations(state.site_probabilities()))
-
-
-def spin_expectation_x(state: WalkerState, site: int) -> float:
-    """<sigma_x> conditioned on occupying ``site``."""
-    spinor = state.amps[:, site]
-    weight = float(np.sum(np.abs(spinor) ** 2))
-    if weight < OCCUPATION_FLOOR:
-        raise SiteUnoccupied(f"site {site} carries {weight:.2e}")
-    a, b = spinor
-    return float(2.0 * np.real(a * np.conj(b)) / weight)
-
-
-def phonon_moments(state: WalkerState) -> tuple[float, float]:
-    """(mean, variance) of the phonon-number distribution."""
-    p = state.site_probabilities()
-    total = float(np.sum(p))
-    sites = np.arange(p.size)
-    mean = float(np.dot(sites, p)) / total
-    var = float(np.dot(sites**2, p)) / total - mean**2
-    return mean, max(var, 0.0)
 
 
 def _edge_populations(p: np.ndarray) -> np.ndarray:
@@ -167,9 +139,9 @@ def observable_table(states: np.ndarray) -> np.ndarray:
 
 def observable_record(step: int, state: WalkerState) -> ObservableRecord:
     """Snapshot of the standard observables of one state, the one-row view of
-    ``observable_table``; unoccupied spins become nan.  ``run_quench`` and
-    ``evolve`` recorders call it once per step, the reference path that the
-    chunked time series are tested against."""
+    ``observable_table``; unoccupied spins become nan.  ``run_quench`` calls
+    it once per step, the per-step reference path that the chunked time
+    series are tested against."""
     return ObservableRecord(step, *observable_table(state.amps[None])[0].tolist())
 
 
@@ -178,10 +150,10 @@ def walk_table(params: BulkParams, phi: BoundaryPhase, steps: int,
     """Time series of a walk from |0, down> and its final state.
 
     Row k of the (steps + 1, 6) table holds the observables of
-    ``observable_table`` after step k.  The chunked counterpart of ``evolve``
-    with an ``observable_record`` recorder on an n_max = steps + 2 lattice,
-    stepping with ``floquet_step`` (``frame="walk"``) or ``chiral_step``
-    (``frame="chiral"``); those per-step functions are its reference.
+    ``observable_table`` after step k.  The chunked counterpart of reading
+    ``observable_record`` after every step of ``floquet_step``
+    (``frame="walk"``) or ``chiral_step`` (``frame="chiral"``) on an
+    n_max = steps + 2 lattice; those per-step functions are its reference.
     """
     if frame not in ("walk", "chiral"):
         raise ValueError(f"frame must be walk or chiral, got {frame!r}")
@@ -199,12 +171,13 @@ def walk_table(params: BulkParams, phi: BoundaryPhase, steps: int,
 def sweep_edge_populations(points: BulkParams, phi: BoundaryPhase, steps: int) -> np.ndarray:
     """Final P_edge of a chiral-frame walk from |0, down> at every point.
 
-    One value per point of the array-valued ``points``: the batched counterpart of
-    ``edge_population(evolve(initial_state(steps + 2), params, phi, steps,
-    step=chiral_step))``, its per-point reference.  The points run through
-    ``_trajectory`` as (R, 2, steps + 3) stacks of walkers with per-row coins
-    and one shared phi, R rows at a time with each stack within
-    ``_BLOCK_BYTES``, so memory does not grow with the number of points.
+    One value per point of the array-valued ``points``: the batched
+    counterpart of ``observable_record(steps, evolve(initial_state(steps + 2),
+    params, phi, steps, step=chiral_step)).p_edge``, its per-point reference.
+    The points run through ``_trajectory`` as (R, 2, steps + 3) stacks of
+    walkers with per-row coins and one shared phi, R rows at a time with each
+    stack within ``_BLOCK_BYTES``, so memory does not grow with the number of
+    points.
     """
     if steps < 0:
         raise ValueError(f"steps must be >= 0, got {steps}")
@@ -261,7 +234,7 @@ def edge_eigenmodes(params: BulkParams, phi: BoundaryPhase, n_max: int = 64,
     for target, sign in (("zero", 1.0), ("pi", -1.0)):
         group = np.linalg.norm(turned - sign * vectors, axis=0) < tol
         for v in _localized_group_vectors(vectors[:, group]).T:
-            p = v[0::2] ** 2 + v[1::2] ** 2
+            p = _site_probabilities(v.reshape(-1, 2).T)
             if float(np.sum(p[:half])) <= 0.5:
                 continue  # lives at the mirrored right edge
             edge_weight = float(_edge_populations(p))

@@ -82,9 +82,12 @@ def _checked(convert, ok, reason: str):
 _NATURAL = _checked(int, lambda n: n >= 0, "must be >= 0")
 _POSITIVE = _checked(int, lambda n: n >= 1, "must be >= 1")
 _TOLERANCE = _checked(float, lambda x: 0 <= x < math.inf, "must be finite and >= 0")
+_POSITIVE_REAL = _checked(float, lambda x: 0 < x < math.inf, "must be finite and > 0")
 _ANGLE = _checked(parse_angle, math.isfinite, "must be finite")
 _ANGLES = _checked(lambda text: [_ANGLE(part) for part in text.split(",") if part.strip()],
                    bool, "needs at least one angle")
+_DURATIONS = _checked(lambda text: [_POSITIVE(part) for part in text.split(",")],
+                      lambda nqs: len(set(nqs)) >= 5, "needs at least 5 distinct ramp durations")
 _KICK = _checked(lambda text: None if text == "none" else int(text),
                  lambda site: site is None or site >= 0, "must be a site >= 0 or none")
 _FRAME = _checked(str, lambda frame: frame in ("walk", "chiral"), "must be walk or chiral")
@@ -179,10 +182,9 @@ def cmd_walk(args, cfg, given) -> int:
     _emit(args, TIMESERIES_HEADER, _timeseries_rows(table))
     if getattr(args, "dist_out", None):
         up, down = state.amps + 0.0  # an exact zero prints 0, never -0
-        dist_rows = [[n, float(abs(up[n])**2 + abs(down[n])**2),
-                      float(up[n].real), float(up[n].imag),
-                      float(down[n].real), float(down[n].imag)]
-                     for n in range(state.n_max + 1)]
+        columns = (lattice._site_probabilities(state.amps), up.real, up.imag,
+                   down.real, down.imag)
+        dist_rows = list(zip(range(state.n_max + 1), *(c.tolist() for c in columns)))
         write_csv(args.dist_out, DISTRIBUTION_HEADER, dist_rows)
     return EXIT_OK
 
@@ -210,6 +212,8 @@ def cmd_sweep(args, cfg, given) -> int:
 
 def cmd_quench(args, cfg, given) -> int:
     total = cfg.n0 + cfg.nq + 80 if cfg.total is None else cfg.total
+    if total < cfg.n0 + cfg.nq:
+        raise ConfigError(f"total={total}: must be >= n0 + nq = {cfg.n0 + cfg.nq}")
     if cfg.scenario is not None:
         defined = sorted(given - {"scenario", "n0", "nq", "total"})  # a scenario fixes the rest
         if defined:
@@ -346,8 +350,8 @@ QUENCH_KEYS = {
     "theta2_f": (_ANGLE, None, "final theta2 (needed without scenario)"),
     "phi_i": (parse_phi, "0", "initial boundary phase"),
     "phi_f": (parse_phi, "0", "final boundary phase"),
-    "n0": (int, "20", "steps before the quench"),
-    "nq": (int, "1", "ramp steps (1 = sudden)"),
+    "n0": (_POSITIVE, "20", "steps before the quench"),
+    "nq": (_POSITIVE, "1", "ramp steps (1 = sudden)"),
     "total": (int, None, "total steps (default n0 + nq + 80)"),
     "kick": (_KICK, "none", "sigma_z kick site, or none"),
     "scenario": (quench.scenario, None,
@@ -355,19 +359,19 @@ QUENCH_KEYS = {
 }
 RAMP_KEYS = {
     "scenario": (quench.scenario, "fig6c", "catalog entry"),
-    "nq_list": (lambda text: [int(x) for x in text.split(",")], "1,2,3,4,6,8,10,12",
-                "comma list of ramp steps"),
-    "n0": (int, "20", "steps before the quench"),
-    "post": (int, "80", "steps after the ramp"),
+    "nq_list": (_DURATIONS, "1,2,3,4,6,8,10,12", "comma list of ramp steps"),
+    "n0": (_POSITIVE, "20", "steps before the quench"),
+    "post": (_NATURAL, "80", "steps after the ramp"),
 }
-EIGEN_KEYS = {**_BULK_KEYS, "n_max": (int, "64", "lattice size")}
+EIGEN_KEYS = {**_BULK_KEYS, "n_max": (_checked(int, lambda n: n >= 32, "must be >= 32"), "64",
+                                      "lattice size (>= 32 for a clean edge spectrum)")}
 PULSE_KEYS = {
     **_BULK_KEYS,
-    "n_max": (int, "12", "phonon cutoff"),
-    "omega0": (float, "1.0", "peak Rabi frequency"),
-    "delta0": (float, "1.0", "peak detuning"),
-    "tau": (float, "100.0", "passage duration"),
-    "dt": (float, "0.004", "integrator step"),
+    "n_max": (_checked(int, lambda n: n >= 2, "must be >= 2"), "12", "phonon cutoff"),
+    "omega0": (_POSITIVE_REAL, "1.0", "peak Rabi frequency"),
+    "delta0": (_POSITIVE_REAL, "1.0", "peak detuning"),
+    "tau": (_POSITIVE_REAL, "100.0", "passage duration"),
+    "dt": (_POSITIVE_REAL, "0.004", "integrator step"),
 }
 DIAGRAM_KEYS = {
     "grid": (_POSITIVE, "32", "points per axis"),

@@ -115,9 +115,6 @@ class WalkerState:
     def copy(self) -> "WalkerState":
         return WalkerState(self.amps.copy(), self.step_count)
 
-    def norm(self) -> float:
-        return float(np.sqrt(np.sum(self.site_probabilities())))
-
     def site_probabilities(self) -> np.ndarray:
         """p_n = |a_n|^2 + |b_n|^2."""
         return _site_probabilities(self.amps)
@@ -149,11 +146,6 @@ def coin_matrix(theta: float) -> np.ndarray:
     """exp(-i*sigma_y*theta/2) in the (up, down) basis."""
     c, s = math.cos(theta / 2.0), math.sin(theta / 2.0)
     return np.array([[c, -s], [s, c]])
-
-
-def coin_rotation(state: WalkerState, theta: float) -> WalkerState:
-    """Apply the coin at every site: (a, b) -> (c a - s b, s a + c b)."""
-    return WalkerState(coin_matrix(theta) @ state.amps, state.step_count)
 
 
 def _check_guard_band(state: WalkerState) -> None:
@@ -298,18 +290,15 @@ def sigma_z_kick(state: WalkerState, site: int) -> WalkerState:
 
 
 def evolve(state: WalkerState, params: BulkParams, phi: BoundaryPhase, steps: int,
-           recorder=None, step=floquet_step) -> WalkerState:
-    """Apply ``step`` repeatedly; ``recorder(k, state)`` runs after step k."""
+           step=floquet_step) -> WalkerState:
+    """The state after ``steps`` calls of ``step``, one per step."""
     if state.n_max < steps + 2:
         raise GuardBandViolation(
             f"n_max={state.n_max} cannot hold {steps} steps plus the guard band"
         )
-    current = state
-    for k in range(1, steps + 1):
-        current = step(current, params, phi)
-        if recorder is not None:
-            recorder(k, current)
-    return current
+    for _ in range(steps):
+        state = step(state, params, phi)
+    return state
 
 
 def _cut_link_core(theta2: float, phi: BoundaryPhase, n_max: int) -> np.ndarray:

@@ -17,12 +17,7 @@ import time
 import numpy as np
 import pytest
 
-from fockwalk.analysis import (
-    edge_eigenmodes,
-    edge_population,
-    phonon_moments,
-    spin_expectation_x,
-)
+from fockwalk.analysis import _edge_populations, edge_eigenmodes, observable_record
 from fockwalk.lattice import (
     PHI_PI,
     PHI_ZERO,
@@ -65,7 +60,7 @@ def relax_edge_series(params, phi, steps):
     series = []
     for _ in range(steps):
         state = chiral_step(state, params, phi)
-        series.append(edge_population(state))
+        series.append(_edge_populations(state.site_probabilities()))
     return state, series
 
 
@@ -172,9 +167,9 @@ def test_criterion_05c_moment_growth_fits():
     means, variances = [], []
     for _ in range(100):
         state = chiral_step(state, params, PHI_ZERO)
-        m, v = phonon_moments(state)
-        means.append(m)
-        variances.append(v)
+        rec = observable_record(state.step_count, state)
+        means.append(rec.mean_n)
+        variances.append(rec.var_n)
     steps = np.arange(20, 101)
 
     def r_squared(ys, deg):
@@ -192,12 +187,12 @@ def test_criterion_05c_moment_growth_fits():
 
 def test_criterion_06_spin_readout():
     state, _ = relax_edge_series(BulkParams(PI / 2, PI / 4), PHI_ZERO, 100)
-    sx_zero = spin_expectation_x(state, 0)
+    sx_zero = observable_record(100, state).sx0
     state, _ = relax_edge_series(BulkParams(-PI / 2, PI / 4), PHI_ZERO, 100)
-    sx_pi = spin_expectation_x(state, 0)
+    sx_pi = observable_record(100, state).sx0
     state, _ = relax_edge_series(BulkParams(PI / 4, 3 * PI / 8), PHI_ZERO, 100)
-    sx_mix0 = spin_expectation_x(state, 0)
-    sx_mix1 = spin_expectation_x(state, 1)
+    mixed = observable_record(100, state)
+    sx_mix0, sx_mix1 = mixed.sx0, mixed.sx1
     ok = (abs(sx_zero - 1.0) <= 0.02 and abs(sx_pi + 1.0) <= 0.02
           and -0.98 < sx_mix0 < 0.98 and abs(sx_mix0 - sx_mix1) > 0.05)
     assert report("6 spin-readout", ok,
@@ -328,7 +323,7 @@ def test_criterion_11_reality_and_norm():
             worst_imag = max(worst_imag,
                              float(np.max(np.abs(state.up.imag))),
                              float(np.max(np.abs(state.down.imag))))
-        worst_drift = max(worst_drift, abs(state.norm() ** 2 - 1.0))
+        worst_drift = max(worst_drift, abs(observable_record(200, state).norm ** 2 - 1.0))
     ok = worst_imag < 1e-12 and worst_drift < 1e-9
     assert report("11 reality/PHS", ok,
                   f"max imag {worst_imag:.2e}, norm drift {worst_drift:.2e}")

@@ -7,15 +7,12 @@ from fockwalk.analysis import (
     EIGENPHASE_TOL,
     OCCUPATION_FLOOR,
     InsufficientSupport,
-    SiteUnoccupied,
+    _edge_populations,
     detect_stabilization,
     edge_eigenmodes,
-    edge_population,
     fit_localization,
     observable_record,
     observable_table,
-    phonon_moments,
-    spin_expectation_x,
     successive_ratios,
 )
 from fockwalk.lattice import (
@@ -41,32 +38,33 @@ def relax(params, phi, steps, n_max=None):
 
 
 def test_edge_population_basics():
-    assert edge_population(initial_state(12)) == pytest.approx(1.0)
+    assert observable_record(0, initial_state(12)).p_edge == pytest.approx(1.0)
     uniform = initial_state(99)
     uniform.up[:] = 0.0
     uniform.down[:] = 1.0 / math.sqrt(100)
-    assert edge_population(uniform) == pytest.approx(0.02)
+    assert observable_record(0, uniform).p_edge == pytest.approx(0.02)
 
 
 def test_spin_expectation_examples():
     plus = initial_state(4)
     plus.up[0] = plus.down[0] = 1 / math.sqrt(2)
-    assert spin_expectation_x(plus, 0) == pytest.approx(1.0)
+    assert observable_record(0, plus).sx0 == pytest.approx(1.0)
     minus = initial_state(4)
     minus.up[0], minus.down[0] = 1 / math.sqrt(2), -1 / math.sqrt(2)
-    assert spin_expectation_x(minus, 0) == pytest.approx(-1.0)
-    assert spin_expectation_x(initial_state(4, spin="up"), 0) == pytest.approx(0.0)
-    with pytest.raises(SiteUnoccupied):
-        spin_expectation_x(initial_state(4), 3)
+    assert observable_record(0, minus).sx0 == pytest.approx(-1.0)
+    assert observable_record(0, initial_state(4, spin="up")).sx0 == pytest.approx(0.0)
+    unoccupied = observable_record(0, initial_state(4, site=3))
+    assert math.isnan(unoccupied.sx0) and math.isnan(unoccupied.sx1)
 
 
 def test_phonon_moments_examples():
-    assert phonon_moments(initial_state(8)) == (0.0, 0.0)
+    rec = observable_record(0, initial_state(8))
+    assert (rec.mean_n, rec.var_n) == (0.0, 0.0)
     state = initial_state(8, spin="up")
     state.up[0] = state.up[2] = 1 / math.sqrt(2)
-    mean, var = phonon_moments(state)
-    assert mean == pytest.approx(1.0)
-    assert var == pytest.approx(1.0)
+    rec = observable_record(0, state)
+    assert rec.mean_n == pytest.approx(1.0)
+    assert rec.var_n == pytest.approx(1.0)
 
 
 def test_observable_record_marks_unoccupied_spin():
@@ -89,18 +87,16 @@ def test_observable_record_agrees_with_the_public_helpers():
     for state in states:
         rec = observable_record(7, state)
         assert rec.step == 7
-        assert abs(rec.p_edge - edge_population(state)) < 1e-14
-        for site, sx in ((0, rec.sx0), (1, rec.sx1)):
+        p_edge, sx0, sx1, mean, var, norm = direct_observable_table(state.amps[None])[0]
+        assert abs(rec.p_edge - p_edge) < 1e-14
+        for site, sx, want in ((0, rec.sx0, sx0), (1, rec.sx1, sx1)):
             if state.site_probabilities()[site] < OCCUPATION_FLOOR:
-                assert math.isnan(sx)
-                with pytest.raises(SiteUnoccupied):
-                    spin_expectation_x(state, site)
+                assert math.isnan(sx) and math.isnan(want)
             else:
-                assert abs(sx - spin_expectation_x(state, site)) < 1e-14
-        mean, var = phonon_moments(state)
+                assert abs(sx - want) < 1e-14
         assert abs(rec.mean_n - mean) < 1e-14 * max(1.0, mean)
         assert abs(rec.var_n - var) < 1e-14 * max(1.0, var)
-        assert abs(rec.norm - state.norm()) < 1e-14
+        assert abs(rec.norm - norm) < 1e-14
 
 
 def test_observable_table_rows_are_the_records_of_each_state():
@@ -267,7 +263,7 @@ def test_dynamics_matches_spectral_projection():
     # the edge-mode span (times their edge weight), Parseval-style
     for params in (BulkParams(math.pi / 2, 0.0), BulkParams(3 * math.pi / 4, math.pi / 4)):
         state = relax(params, PHI_ZERO, 120)
-        p_dyn = edge_population(state)
+        p_dyn = observable_record(120, state).p_edge
         modes = edge_eigenmodes(params, PHI_ZERO, n_max=96)
         init = initial_state(96).to_vector()
         # rotate |0,down> into the chiral frame used by the dynamics
@@ -285,15 +281,15 @@ def test_dynamics_matches_spectral_projection():
 def test_stable_spin_law_single_and_double_channel():
     # one zero mode -> sx0 pins to +1; one pi mode -> -1
     state = relax(BulkParams(math.pi / 2, math.pi / 4), PHI_ZERO, 100)
-    assert abs(spin_expectation_x(state, 0) - 1.0) < 0.02
+    assert abs(observable_record(100, state).sx0 - 1.0) < 0.02
     state = relax(BulkParams(-math.pi / 2, math.pi / 4), PHI_ZERO, 100)
-    assert abs(spin_expectation_x(state, 0) + 1.0) < 0.02
+    assert abs(observable_record(100, state).sx0 + 1.0) < 0.02
     # both modes -> strictly inside (-1, 1), constant across even steps
     params = BulkParams(math.pi / 4, 3 * math.pi / 8)
     state = relax(params, PHI_ZERO, 100)
-    sx_a = spin_expectation_x(state, 0)
+    sx_a = observable_record(100, state).sx0
     state = chiral_step(chiral_step(state, params, PHI_ZERO), params, PHI_ZERO)
-    sx_b = spin_expectation_x(state, 0)
+    sx_b = observable_record(102, state).sx0
     assert -0.98 < sx_a < 0.98
     assert sx_a == pytest.approx(sx_b, abs=0.01)
 
@@ -394,7 +390,7 @@ def test_detect_stabilization_on_trivial_phase_decay():
     params = BulkParams(math.pi / 2, -2 * math.pi / 3)
     for _ in range(100):
         state = chiral_step(state, params, PHI_ZERO)
-        series.append(edge_population(state))
+        series.append(_edge_populations(state.site_probabilities()))
     # population is near zero after about ten steps; the detector fires once
     # a full flat window fits behind that
     assert series[12] < 0.05

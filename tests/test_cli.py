@@ -95,6 +95,26 @@ def test_walk_distribution_schema(tmp_path):
         assert "-0" not in {cell for line in lines[1:] for cell in line.split(",")}
 
 
+@pytest.mark.parametrize("frame", ["walk", "chiral"])
+@pytest.mark.parametrize("phi", [lattice.PHI_ZERO, lattice.PHI_PI])
+def test_walk_distribution_is_the_final_state(frame, phi, tmp_path):
+    # at 10 steps from theta1 = pi/2, theta2 = 0 the square of a numpy scalar
+    # (C pow) and np.square differ in the last bits of p_2
+    out, dist = tmp_path / "w.csv", tmp_path / "d.csv"
+    assert main(["walk", "theta1=pi/2", "theta2=0", f"phi={phi.phi!r}", "steps=10",
+                 f"frame={frame}", "--out", str(out), "--dist-out", str(dist)]) == EXIT_OK
+    _, state = analysis.walk_table(lattice.BulkParams(math.pi / 2, 0.0), phi, 10, frame)
+    if frame == "walk":
+        assert np.signbit(state.amps[state.amps == 0]).any()  # a -0 to print as 0
+    p = lattice._site_probabilities(state.amps)
+    up, down = state.amps + 0.0
+    want = "".join("%d,%.17g,%.17g,%.17g,%.17g,%.17g\n"
+                   % (n, p[n], up[n].real, up[n].imag, down[n].real, down[n].imag)
+                   for n in range(state.n_max + 1))
+    assert dist.read_text() == "n,p_n,re_a,im_a,re_b,im_b\n" + want
+    assert "-0" not in {cell for line in want.splitlines() for cell in line.split(",")}
+
+
 def test_walk_rejects_unknown_keys(tmp_path):
     code = main(["walk", "theta1=pi/2", "bogus=1", "--out", str(tmp_path / "x.csv")])
     assert code == EXIT_CONFIG
@@ -164,7 +184,8 @@ def _reference_sweep_csv(path, t1s, t2s, phi, steps):
             b0, bpi = momentum.predict_bound_states(params, phi)
         except momentum.GapClosed:
             b0 = bpi = -1
-        rows.append([index, t1, t2, phi.phi, analysis.edge_population(state), b0, bpi, "ok"])
+        p_edge = analysis.observable_record(steps, state).p_edge
+        rows.append([index, t1, t2, phi.phi, p_edge, b0, bpi, "ok"])
     cli.write_csv(str(path), cli.SWEEP_HEADER, rows)
 
 
@@ -247,15 +268,8 @@ def test_quench_scenario_rejects_keys_it_defines(tmp_path):
                  "--out", out]) == EXIT_OK
 
 
-# The bad pair, last in its case below, of each case whose error line names it: a key
-# table's parser rejects it, or (kick=) a check of the resolved keys does.
-TABLE_REJECTS = {"steps=abc", "steps=-5", "theta2=", "grid=0", "n_k=0", "transition_tol=nan",
-                 "transition_tol=-1", "n0=abc", "n_max=1.5", "n_k=1.5", "nq_list=1,2,x,4,5",
-                 "steps=1e3", "theta2=abc", "kick=500", "kick=-1", "frame=lab", "theta2=inf",
-                 "theta1=nan", "frame=bogus", "theta1=0,nan", "kick=53", "lo=nan",
-                 "theta1=1e400", "theta2_f=-inf", "hi=inf", "theta2=-inf"}
-
-
+# Each case's error line names its bad pair: the last pair, or the one before a
+# trailing good theta2=0 (a later good pair does not hide it).
 @pytest.mark.parametrize("argv", [
     ["walk", "steps=abc"],
     ["walk", "theta1=nan", "theta2=0"],
@@ -298,6 +312,8 @@ TABLE_REJECTS = {"steps=abc", "steps=-5", "theta2=", "grid=0", "n_k=0", "transit
     ["quench", "theta1_i=pi/2", "theta2_i=0", "theta1_f=pi/2", "theta2_f=-inf"],
     ["phase-diagram", "grid=2", "hi=inf"],
     ["pulse-verify", "theta2=-inf"],
+    ["pulse-verify", "n_max=1"],
+    ["quench", "scenario=fig6b", "total=5"],
 ])
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_bad_values_exit_with_one_error_line(argv, tmp_path, capsys):
@@ -306,8 +322,8 @@ def test_bad_values_exit_with_one_error_line(argv, tmp_path, capsys):
     assert len(err.splitlines()) == 1 and err.startswith("error: ")
     assert "Traceback" not in err
     assert list(tmp_path.iterdir()) == []  # no CSV
-    if argv[-1] in TABLE_REJECTS:
-        assert err.startswith(f"error: {argv[-1]}: ")
+    bad = argv[-2] if argv[-1] == "theta2=0" else argv[-1]
+    assert err.startswith(f"error: {bad}: ")
 
 
 def test_memory_error_exits_with_one_error_line(tmp_path, monkeypatch, capsys):

@@ -22,7 +22,6 @@ from fockwalk.lattice import (
     build_step_matrix,
     chiral_step,
     coin_matrix,
-    coin_rotation,
     evolve,
     floquet_step,
     initial_state,
@@ -47,21 +46,21 @@ def test_bulk_params_reject_non_finite():
 
 def test_coin_identity_for_zero_angle():
     state = initial_state(6, site=2, spin="down")
-    out = coin_rotation(state, 0.0)
-    np.testing.assert_allclose(out.up, state.up)
-    np.testing.assert_allclose(out.down, state.down)
+    up, down = coin_matrix(0.0) @ state.amps
+    np.testing.assert_allclose(up, state.up)
+    np.testing.assert_allclose(down, state.down)
 
 
 def test_coin_half_angle_on_down():
     # theta = pi/2 on |0,down> -> (-|0,up> + |0,down>)/sqrt(2)
-    out = coin_rotation(initial_state(4), math.pi / 2)
-    assert out.up[0] == pytest.approx(-1 / math.sqrt(2))
-    assert out.down[0] == pytest.approx(1 / math.sqrt(2))
+    up, down = coin_matrix(math.pi / 2) @ initial_state(4).amps
+    assert up[0] == pytest.approx(-1 / math.sqrt(2))
+    assert down[0] == pytest.approx(1 / math.sqrt(2))
 
 
 def test_coin_full_period_sign():
-    out = coin_rotation(initial_state(4, spin="up"), 2 * math.pi)
-    assert out.up[0] == pytest.approx(-1.0)
+    up, _ = coin_matrix(2 * math.pi) @ initial_state(4, spin="up").amps
+    assert up[0] == pytest.approx(-1.0)
 
 
 def test_step_boundary_flip_blocked_component():
@@ -142,7 +141,7 @@ def test_norm_preserved_over_random_parameter_steps():
         params = BulkParams(*RNG.uniform(-2 * math.pi, 2 * math.pi, 2))
         phi = PHI_ZERO if RNG.integers(2) == 0 else PHI_PI
         state = floquet_step(state, params, phi)
-    assert abs(state.norm() ** 2 - 1.0) < 1e-9
+    assert abs(observable_record(1000, state).norm ** 2 - 1.0) < 1e-9
 
 
 def test_real_initial_state_stays_real():
@@ -155,7 +154,8 @@ def test_real_initial_state_stays_real():
             assert worst < 1e-12
             assert state.up.dtype == state.down.dtype == np.float64
         # every operation of the real walk keeps the amplitudes float64
-        for out in (chiral_step(state, params, phi), coin_rotation(state, 0.3),
+        for out in (chiral_step(state, params, phi),
+                    WalkerState(coin_matrix(0.3) @ state.amps, state.step_count),
                     sigma_z_kick(state, 1), evolve(initial_state(60), params, phi, 20),
                     evolve(initial_state(60), params, phi, 20, step=chiral_step)):
             assert out.up.dtype == out.down.dtype == out.to_vector().dtype == np.float64
@@ -354,9 +354,11 @@ def test_only_lattice_refers_to_the_step_kernel():
 @pytest.mark.parametrize("steps", [0, 1, 126, 200])  # 126: the last block has 128 of 129 sites
 def test_walk_table_matches_evolve_with_records(frame, step, phi, steps):
     params = BulkParams(math.pi / 2, math.pi / 8)
-    records = [observable_record(0, initial_state(steps + 2))]
-    final = evolve(initial_state(steps + 2), params, phi, steps, step=step,
-                   recorder=lambda k, st: records.append(observable_record(k, st)))
+    final = initial_state(steps + 2)
+    records = [observable_record(0, final)]
+    for k in range(1, steps + 1):
+        final = step(final, params, phi)
+        records.append(observable_record(k, final))
     table, state = walk_table(params, phi, steps, frame)
     want = np.array([[r.step, r.p_edge, r.sx0, r.sx1, r.mean_n, r.var_n, r.norm]
                      for r in records])
@@ -367,6 +369,8 @@ def test_walk_table_matches_evolve_with_records(frame, step, phi, steps):
     np.testing.assert_array_equal(table, want[:, 1:])
     np.testing.assert_array_equal(state.amps, final.amps)
     assert state.step_count == final.step_count == steps
+    evolved = evolve(initial_state(steps + 2), params, phi, steps, step=step)
+    np.testing.assert_array_equal(evolved.amps, final.amps)
 
 
 def test_walk_table_does_not_depend_on_the_block_size(monkeypatch):
@@ -445,13 +449,6 @@ def test_evolve_zero_steps_is_identity():
     state = initial_state(8)
     out = evolve(state, BulkParams(1.0, 1.0), PHI_ZERO, steps=0)
     np.testing.assert_array_equal(out.down, state.down)
-
-
-def test_evolve_recorder_sees_every_step():
-    seen = []
-    evolve(initial_state(12), BulkParams(1.0, 0.5), PHI_ZERO, steps=8,
-           recorder=lambda k, st: seen.append((k, st.step_count)))
-    assert seen == [(k, k) for k in range(1, 9)]
 
 
 def test_sigma_z_kick_flips_plus_to_minus():
