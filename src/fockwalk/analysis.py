@@ -9,8 +9,8 @@ part of the real orthogonal one-step matrix and classifies 0- and pi-energy
 edge modes by their residuals, the independent reference the dynamical
 results are checked against.
 
-The parameter sweep runs on ``lattice._trajectory`` like the time series and
-shares one P_edge reduction with the table and the ramp sweep of ``quench``.
+The time series and the sweep pass coin angles to ``lattice._trajectory`` and
+reduce its blocks, sharing one P_edge reduction with ``quench``'s ramp sweep.
 The table sums over sites in fixed chunks of ``lattice._SITE_CHUNK`` sites, so
 trailing zero sites change no bit: a state's row is the same on the full lattice
 (``observable_record``) and in the narrower blocks of ``lattice._trajectory``.
@@ -18,7 +18,6 @@ trailing zero sites change no bit: a state's row is the same on the full lattice
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -31,12 +30,9 @@ from .lattice import (
     BoundaryPhase,
     BulkParams,
     WalkerState,
-    _coin_stack,
     _site_probabilities,
     _trajectory,
     build_step_matrix,
-    coin_matrix,
-    initial_state,
 )
 
 EIGENPHASE_TOL = 1e-6
@@ -155,15 +151,11 @@ def walk_table(params: BulkParams, phi: BoundaryPhase, steps: int,
     (``frame="walk"``) or ``chiral_step`` (``frame="chiral"``) on an
     n_max = steps + 2 lattice; those per-step functions are its reference.
     """
-    if frame not in ("walk", "chiral"):
-        raise ValueError(f"frame must be walk or chiral, got {frame!r}")
-    start = initial_state(steps + 2)
-    first = coin_matrix(params.theta1 / 2.0 if frame == "chiral" else params.theta1)
-    coins = itertools.repeat((first, coin_matrix(params.theta2)))
     sums = []
-    for block in _trajectory(start.amps, coins, [phi.sign] * steps, frame):
+    for block in _trajectory(np.array([[params.theta1, params.theta2]]), [phi.sign] * steps,
+                             frame):
         sums.append(_state_sums(block))
-    final = np.zeros_like(start.amps)
+    final = np.zeros((2, steps + 3))
     final[:, :block.shape[-1]] = block[-1]  # the sites beyond the last block are empty
     return _observables(np.concatenate(sums)), WalkerState(final, steps)
 
@@ -172,27 +164,22 @@ def sweep_edge_populations(points: BulkParams, phi: BoundaryPhase, steps: int) -
     """Final P_edge of a chiral-frame walk from |0, down> at every point.
 
     One value per point of the array-valued ``points``: the batched
-    counterpart of ``observable_record(steps, evolve(initial_state(steps + 2),
-    params, phi, steps, step=chiral_step)).p_edge``, its per-point reference.
+    counterpart of ``steps`` calls of ``chiral_step`` from |0, down> on an
+    n_max = steps + 2 lattice, read by ``observable_record``, its per-point
+    reference.
     The points run through ``_trajectory`` as (R, 2, steps + 3) stacks of
-    walkers with per-row coins and one shared phi, R rows at a time with each
-    stack within ``_BLOCK_BYTES``, so memory does not grow with the number of
-    points.
+    walkers with per-row angles and one shared phi, R rows at a time with
+    each stack within ``_BLOCK_BYTES``, so memory does not grow with the
+    number of points.
     """
     if steps < 0:
         raise ValueError(f"steps must be >= 0, got {steps}")
-    angles = np.stack([points.theta1, points.theta2], -1, dtype=float).reshape(-1, 2)
-    # sized once instead of a guard scan per step: from site 0 the light cone
-    # reaches site steps + 1 at most, so the top two sites stay empty
-    n_sites = steps + 3
-    rows = max(1, _BLOCK_BYTES // (2 * n_sites * 8))
-    p_edge = np.empty(len(angles))
-    for lo in range(0, len(angles), rows):
-        chunk = angles[lo:lo + rows]
-        coins = (_coin_stack(chunk[:, 0] / 2.0), _coin_stack(chunk[:, 1]))
-        amps = np.broadcast_to(initial_state(steps + 2).amps, (len(chunk), 2, n_sites))
-        for block in _trajectory(amps, itertools.repeat(coins), [phi.sign] * steps, "chiral"):
-            pass
+    angles = np.stack([points.theta1, points.theta2], dtype=float).reshape(1, 2, -1)
+    rows = max(1, _BLOCK_BYTES // (2 * (steps + 3) * 8))
+    p_edge = np.empty(angles.shape[-1])
+    for lo in range(0, len(p_edge), rows):
+        for block in _trajectory(angles[..., lo:lo + rows], [phi.sign] * steps, "chiral"):
+            pass  # only the last state is read
         p_edge[lo:lo + rows] = _edge_populations(_site_probabilities(block[-1, ..., :2]))
     return p_edge
 

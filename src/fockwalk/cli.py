@@ -198,16 +198,12 @@ def cmd_sweep(args, cfg, given) -> int:
     if not given:
         raise ConfigError("sweep requires theta1= and theta2= (one may be a list)")
     grid = lattice.BulkParams(*np.array(list(itertools.product(cfg.theta1, cfg.theta2))).T)
-    p_edge, status = analysis.sweep_edge_populations(grid, cfg.phi, cfg.steps).tolist(), "ok"
-    try:
-        predicted = zip(*(b.tolist() for b in momentum.bound_state_channels(grid, cfg.phi)))
-    except Exception as exc:  # one prediction for all rows: every row carries its failure
-        status = f"error:{type(exc).__name__}"
-        p_edge, predicted = [math.nan] * len(p_edge), itertools.repeat((-1, -1))
-    rows = [_sweep_point(index, t1, t2, cfg.phi, p, *b, status) for index, (t1, t2, p, b)
+    p_edge = analysis.sweep_edge_populations(grid, cfg.phi, cfg.steps).tolist()
+    predicted = zip(*(b.tolist() for b in momentum.bound_state_channels(grid, cfg.phi)))
+    rows = [_sweep_point(index, t1, t2, cfg.phi, p, *b, "ok") for index, (t1, t2, p, b)
             in enumerate(zip(grid.theta1.tolist(), grid.theta2.tolist(), p_edge, predicted))]
     _emit(args, SWEEP_HEADER, rows)
-    return EXIT_OK if status == "ok" else EXIT_NUMERIC
+    return EXIT_OK
 
 
 def cmd_quench(args, cfg, given) -> int:
@@ -361,7 +357,9 @@ RAMP_KEYS = {
     "scenario": (quench.scenario, "fig6c", "catalog entry"),
     "nq_list": (_DURATIONS, "1,2,3,4,6,8,10,12", "comma list of ramp steps"),
     "n0": (_POSITIVE, "20", "steps before the quench"),
-    "post": (_NATURAL, "80", "steps after the ramp"),
+    "post": (_checked(int, lambda n: n >= quench.PLATEAU_WINDOW - 1,
+                      f"must be >= {quench.PLATEAU_WINDOW - 1}"), "80",
+             f"steps after the ramp, >= {quench.PLATEAU_WINDOW - 1} for a plateau after it"),
 }
 EIGEN_KEYS = {**_BULK_KEYS, "n_max": (_checked(int, lambda n: n >= 32, "must be >= 32"), "64",
                                       "lattice size (>= 32 for a clean edge spectrum)")}

@@ -7,13 +7,13 @@ walk is real orthogonal: a real start stays real, and a complex state steps
 through the same code.  The step kernel ``_advance`` also steps a stack of
 walkers, a (..., 2, N) array with one coin pair per walker.  ``floquet_step``,
 ``chiral_step`` and ``evolve`` step one ``WalkerState`` at a time and are the
-per-step reference path; the private ``_trajectory`` generator, the one
-stepping loop of every batched path (the time series, the parameter sweep
-and the ramp sweep), runs the kernel over a whole trajectory and hands its
-states out in blocks of consecutive steps.  Amplitude moves at most one site
-per step (the walk's light cone), so ``_trajectory`` steps only the sites the
-cone has reached, in whole chunks of ``_SITE_CHUNK`` sites, and its blocks
-are no wider than that prefix; the sites beyond it are zero.
+per-step reference path.  Every batched path (the time series, the sweep,
+the quench and the ramp) passes bare coin angles and boundary signs to the
+private ``_trajectory`` generator, which starts each walker at |0, down>,
+builds the coins, steps them and hands the states out in blocks of
+consecutive steps.  Amplitude moves at most one site per step (the walk's
+light cone), so it steps only the sites the cone has reached, in whole
+chunks of ``_SITE_CHUNK`` sites; the sites beyond them are zero.
 
 One Floquet step applies, in order: the first coin, extraction of the
 blocked spin-down amplitude at n = 0, the signed down-shift, the second
@@ -30,6 +30,7 @@ identical in both frames, only the spin readout differs.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -195,35 +196,48 @@ _BLOCK_BYTES = 1 << 16
 _SITE_CHUNK = 128
 
 
-def _trajectory(amps: np.ndarray, coins, signs, frame: str,
+def _trajectory(angles: np.ndarray, signs, frame: str,
                 kick: tuple[int, int] | None = None):
-    """Step a (..., 2, N) amplitude array once per entry of ``signs`` (e^{i*phi}
-    of each step) and yield the start state and every later state, in order,
-    as consecutive (K, ..., 2, W) blocks with W <= N.
+    """Step walkers from |0, down> on N = len(signs) + 3 sites once per entry
+    of ``signs`` (e^{i*phi} of each step) and yield the start state and every
+    later state, in order, as consecutive (K, ..., 2, W) blocks with W <= N.
+    The light cone never reaches the top two sites, so no guard scan is made.
 
-    ``coins`` yields the (first, second) coin pair of each step, shaped
-    (..., 2, 2) as ``_advance`` takes them.  ``kick=(step, site)`` flips the
-    sign of the spin-down amplitude at ``site`` right after that step; the
-    caller checks that the site exists.  The input array is left untouched.
+    ``angles`` holds the bare coin angles (theta1, theta2) as an (S, 2, ...)
+    array, S = len(signs) for per-step angles or S = 1 for fixed ones; its
+    trailing axes are the stack of walkers.  The chiral frame puts
+    R(theta1 / 2) on each side of the step.  Fixed angles make their coins
+    once, per-step angles in runs of steps within ``_BLOCK_BYTES``.
+    ``kick=(step, site)`` flips the sign of the spin-down amplitude at
+    ``site`` right after that step; the caller checks that the site exists.
 
-    Only the occupied prefix is stepped.  A step moves amplitude by at most
-    one site, so if the input is zero beyond its first ``occ`` sites, state t
-    is zero beyond its first occ + t.  A block's states are stepped on their
-    first W sites: W is min(N, occ + t + 1) for the block's last state t,
-    rounded up to whole chunks of ``_SITE_CHUNK`` sites.  Each state in a
-    block equals the full-width state on those W sites (a zero may differ in
-    sign) and the full-width state is zero beyond them.  K >= 1 keeps a block
-    within ``_BLOCK_BYTES`` if it can; a one-state block views the stepped array.
+    Only the light cone is stepped: state t is zero beyond site t.  A block's
+    states are stepped on their first W sites: W is min(N, t + 2) for the
+    block's last state t, rounded up to whole chunks of ``_SITE_CHUNK``
+    sites.  Each state in a block equals the full-width state on those W
+    sites (a zero may differ in sign) and the full-width state is zero beyond
+    them.  K >= 1 keeps a block within ``_BLOCK_BYTES`` if it can; a
+    one-state block views the stepped array.
     """
+    if frame not in ("walk", "chiral"):
+        raise ValueError(f"frame must be walk or chiral, got {frame!r}")
     steps = len(signs)
-    n_sites = amps.shape[-1]
-    occupied = np.flatnonzero(amps.reshape(-1, n_sites).any(axis=0))
-    occupied = int(occupied[-1]) + 1 if occupied.size else 0
-    site_bytes = amps.nbytes // n_sites
+    stack = angles.shape[2:]
+    n_sites = steps + 3
+    site_bytes = 16 * math.prod(stack)
+    # halving theta1 and scaling theta2 by one are exact
+    scale = np.reshape([0.5 if frame == "chiral" else 1.0, 1.0], (2,) + (1,) * len(stack))
+    if len(angles) == 1:
+        coins = itertools.repeat(tuple(_coin_stack(angles[0] * scale)))
+    else:
+        run = max(1, _BLOCK_BYTES // (4 * angles[0].nbytes))
+        coins = itertools.chain.from_iterable(
+            zip(*_coin_stack(angles[lo:lo + run] * scale).swapaxes(0, 1))
+            for lo in range(0, steps, run))
 
     def width(t):
         """Sites stepped for state t: its light cone and one more, in whole chunks."""
-        return min(n_sites, -(-(occupied + t + 1) // _SITE_CHUNK) * _SITE_CHUNK)
+        return min(n_sites, -(-(t + 2) // _SITE_CHUNK) * _SITE_CHUNK)
 
     def layout(t):
         """(K, W) of the block from state t: K states fit at its first and last widths."""
@@ -232,8 +246,9 @@ def _trajectory(amps: np.ndarray, coins, signs, frame: str,
         return rows, width(t + rows - 1)
 
     rows, sites = layout(0)
-    amps = amps[..., :sites].copy()
-    block = np.empty((rows,) + amps.shape, amps.dtype)
+    amps = np.zeros(stack + (2, sites))
+    amps[..., 1, 0] = 1.0
+    block = np.empty((rows,) + amps.shape)
     block[0] = amps
     k = 1
     for t, sign, (first, second) in zip(range(1, steps + 1), signs, coins):
@@ -242,11 +257,11 @@ def _trajectory(amps: np.ndarray, coins, signs, frame: str,
             if (rows, sites) != (1, n_sites):  # else settled: one full-width state per block
                 rows, sites = layout(t)
             if sites > amps.shape[-1]:
-                wider = np.zeros(amps.shape[:-1] + (sites,), amps.dtype)
+                wider = np.zeros(amps.shape[:-1] + (sites,))
                 wider[..., :amps.shape[-1]] = amps
                 amps = wider
             if rows > 1:
-                block = np.empty((rows,) + amps.shape, amps.dtype)
+                block = np.empty((rows,) + amps.shape)
             k = 0
         amps = _advance(amps, first, second, sign, frame)
         if kick is not None and t == kick[0] and kick[1] < sites:

@@ -6,13 +6,13 @@ boundary phase or applies a sigma_z kick at the end of step ``n0``, and then
 keeps evolving.  ``survival_catalog`` lists the named quench experiments and
 their expected outcomes, ``scenario`` looks one up by name, and
 ``landau_zener_fit`` extracts the exponential dependence of the bound-state
-loss on the ramp duration.  Both batched paths step through
-``lattice._trajectory``: ``quench_table`` runs one protocol and reduces its
-states to the observable table block by block, and ``ramp_survival_curve``
-runs all ramp durations of a sweep together as one stack of walkers and
-reads only P_edge.  ``run_quench`` steps one protocol one ``chiral_step``
-and one ``observable_record`` at a time and is the per-step reference they
-are tested against.
+loss on the ramp duration.  Both batched paths pass the angles of every
+step to ``lattice._trajectory`` and reduce its blocks: ``quench_table`` runs
+one protocol to the observable table, and ``ramp_survival_curve`` runs all
+ramp durations of a sweep as one stack of walkers and reads only P_edge.
+``run_quench`` steps one protocol one ``chiral_step`` and one
+``observable_record`` at a time and is the per-step reference they are
+tested against.
 
 All trajectories run in the chiral time frame from |0, down>, so the spin
 readout at the boundary pins to +/-1 for a single surviving channel.
@@ -41,7 +41,6 @@ from .lattice import (
     BoundaryPhase,
     BulkParams,
     SiteOutOfRange,
-    _coin_stack,
     _site_probabilities,
     _trajectory,
     chiral_step,
@@ -49,6 +48,9 @@ from .lattice import (
     sigma_z_kick,
 )
 from .momentum import quasienergy_gaps
+
+
+PLATEAU_WINDOW = 10  # states a P_edge plateau is read over
 
 
 class InsufficientLoss(RuntimeError):
@@ -92,17 +94,16 @@ def ramp_schedule(protocol: QuenchProtocol, t: int) -> tuple[BulkParams, Boundar
 
 
 def _schedule(ends, n0: int, durations, steps: int) -> tuple[np.ndarray, list[float]]:
-    """``ramp_schedule`` from ``ends.initial`` to ``ends.final`` for every step
-    t = 1..steps and each ramp duration in ``durations``: the chiral-frame
-    coin angles (theta1 / 2, theta2), shaped (steps, 2, len(durations)), and
-    e^{i*phi} of every step."""
+    """``ramp_schedule`` from ``ends.initial`` to ``ends.final`` for steps
+    t = 1..steps and each of the ``durations``: the (steps, 2, len(durations))
+    coin angles (theta1, theta2), and e^{i*phi} of every step."""
     durations = np.asarray(durations, dtype=float)
     frac = (np.minimum(np.maximum(np.arange(1, steps + 1) - n0, 0)[:, None], durations)
             / durations)
     t1 = ends.initial.theta1 + (ends.final.theta1 - ends.initial.theta1) * frac
     t2 = ends.initial.theta2 + (ends.final.theta2 - ends.initial.theta2) * frac
     signs = [ends.phi_initial.sign] * n0 + [ends.phi_final.sign] * (steps - n0)
-    return np.stack([t1 / 2.0, t2], axis=1), signs
+    return np.stack([t1, t2], axis=1), signs
 
 
 def quench_table(protocol: QuenchProtocol) -> np.ndarray:
@@ -115,8 +116,7 @@ def quench_table(protocol: QuenchProtocol) -> np.ndarray:
     steps = protocol.total_steps
     angles, signs = _schedule(protocol, protocol.n0, [protocol.nq], steps)
     kick = None if protocol.kick is None else (protocol.n0, protocol.kick)
-    coins = zip(_coin_stack(angles[:, 0, 0]), _coin_stack(angles[:, 1, 0]))
-    blocks = _trajectory(initial_state(steps + 2).amps, coins, signs, "chiral", kick)
+    blocks = _trajectory(angles[..., 0], signs, "chiral", kick)
     return _observables(np.concatenate([_state_sums(block) for block in blocks]))
 
 
@@ -135,7 +135,7 @@ def run_quench(protocol: QuenchProtocol) -> list[ObservableRecord]:
     return records
 
 
-def stabilized_edge_population(series, start: int = 0, window: int = 10,
+def stabilized_edge_population(series, start: int = 0, window: int = PLATEAU_WINDOW,
                                tol: float = 0.01) -> float | None:
     """Mean of the P_edge ``series`` over its last ``window`` steps, provided it
     has stabilized (plateau detection from ``start`` on); None otherwise."""
@@ -266,11 +266,11 @@ def ramp_survival_curve(scenario: QuenchScenario, nq_list, n0: int = 20,
     Every distinct nq is one row of a (P, 2, N) stack of walkers, all started
     at |0, down> and run together through ``lattice._trajectory`` for
     n0 + max(nq) + post steps; each row follows ``ramp_schedule`` of its own
-    protocol, with coins built step by step, and only P_edge is read.  A
-    row's P_edge at step t does not depend on later steps, so row nq is read
-    up to its own length n0 + nq + post, as ``run_quench`` would run it.
-    When a row's series finds no plateau, its mean over the last 10 steps
-    stands in.
+    protocol, and only P_edge is read.  A row's P_edge at step t does not
+    depend on later steps, so row nq is read up to its own length
+    n0 + nq + post, as ``run_quench`` would run it.  When a row's series
+    finds no plateau, the mean of its last PLATEAU_WINDOW states stands in;
+    they all follow the ramp if post >= PLATEAU_WINDOW - 1.
 
     The loss column is the fraction of the bound-channel population
     transferred out relative to the adiabatic limit, estimated by the
@@ -284,18 +284,16 @@ def ramp_survival_curve(scenario: QuenchScenario, nq_list, n0: int = 20,
     scenario.protocol(n0=n0, nq=nqs[0], post=post)  # validates n0, nq, post and kick
     steps = n0 + nqs[-1] + post
     angles, signs = _schedule(scenario, n0, nqs, steps)
-    amps = np.broadcast_to(initial_state(steps + 2).amps, (len(nqs), 2, steps + 3))
     kick = None if scenario.kick is None else (n0, scenario.kick)
-    blocks = _trajectory(amps, map(_coin_stack, angles), signs, "chiral", kick)
     p_edge = np.concatenate([_edge_populations(_site_probabilities(block[..., :2]))
-                             for block in blocks])
+                             for block in _trajectory(angles, signs, "chiral", kick)])
 
     stabilized = []
     for row, nq in enumerate(nqs):
         series = p_edge[:n0 + nq + post + 1, row]
         p_stable = stabilized_edge_population(series, start=n0 + nq)
         if p_stable is None:
-            p_stable = float(np.mean(series[-10:]))
+            p_stable = float(np.mean(series[-PLATEAU_WINDOW:]))
         stabilized.append(p_stable)
     p_adiabatic = stabilized[-1]
     if p_adiabatic <= 0:

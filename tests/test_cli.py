@@ -214,21 +214,28 @@ def test_sweep_edge_populations_do_not_depend_on_the_chunk_size(monkeypatch):
                               expected)
 
 
-def test_sweep_marks_a_failed_row_and_exits_numeric(tmp_path, monkeypatch, capsys):
-    # one batched prediction covers every row, so its failure marks them all
-    def fail(real, phi):
-        raise RuntimeError("prediction failed")
+def test_sweep_prediction_out_of_memory_exits_with_one_error_line(tmp_path, monkeypatch,
+                                                                   capsys):
+    # the prediction fails like the stepping before it: one line, no CSV
+    def exhausted(real, phi):
+        raise MemoryError()
 
-    monkeypatch.setattr(cli.momentum, "bound_state_channels", fail)
+    monkeypatch.setattr(cli.momentum, "bound_state_channels", exhausted)
     out = tmp_path / "s.csv"
     assert main(["sweep", "theta1=pi/2", "theta2=0,pi/8,pi/4", "steps=10",
-                 "--out", str(out)]) == EXIT_NUMERIC
-    rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
-    assert [row[:4] for row in rows] == [[str(i), format(math.pi / 2, ".17g"),
-                                          format(t2, ".17g"), "0"]
-                                         for i, t2 in enumerate((0.0, math.pi / 8, math.pi / 4))]
-    assert all(row[4:] == ["nan", "-1", "-1", "error:RuntimeError"] for row in rows)
-    assert capsys.readouterr() == ("", "")
+                 "--out", str(out)]) == EXIT_CONFIG
+    assert capsys.readouterr() == ("", "error: out of memory\n")
+    assert not out.exists()
+
+
+def test_ramp_accepts_the_shortest_post_that_keeps_the_readout_after_the_ramp(tmp_path,
+                                                                              capsys):
+    # post = 9: the last 10 states of each ramp are the ramp's end and 9 later steps
+    assert cli.quench.PLATEAU_WINDOW - 1 == 9
+    assert main(["ramp", "post=9", "--out", str(tmp_path / "r.csv")]) == EXIT_OK
+    fit = cli.quench.landau_zener_fit(cli.quench.scenario("fig6c"), [1, 2, 3, 4, 6, 8, 10, 12],
+                                      post=9)
+    assert json.loads(capsys.readouterr().out)["beta"] == fit.beta
 
 
 def test_sweep_has_no_workers_option(tmp_path, capsys):
@@ -314,6 +321,7 @@ def test_quench_scenario_rejects_keys_it_defines(tmp_path):
     ["pulse-verify", "theta2=-inf"],
     ["pulse-verify", "n_max=1"],
     ["quench", "scenario=fig6b", "total=5"],
+    ["ramp", "post=8"],  # the plateau readout would reach into the ramp
 ])
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_bad_values_exit_with_one_error_line(argv, tmp_path, capsys):

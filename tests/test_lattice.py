@@ -1,5 +1,4 @@
 import ast
-import itertools
 import math
 from pathlib import Path
 
@@ -222,82 +221,89 @@ def assert_blocks_hold(blocks, want):
         assert not full[..., width:].any()
 
 
-def test_trajectory_blocks_hold_every_state_in_order(monkeypatch):
-    walkers, n_sites, steps = 3, 30, 23
-    angles = RNG.uniform(-2 * math.pi, 2 * math.pi, size=(steps, 2, walkers))
-    half, second = _coin_stack(angles).swapaxes(0, 1)
-    signs = RNG.choice([-1.0, 1.0], size=steps)
-    start = RNG.normal(size=(walkers, 2, n_sites))
-    start[:, :, -steps - 2:] = 0.0  # the light cone never reaches the top two sites
-    before = start.copy()
-    want = [start]
-    for t in range(steps):
-        amps = _advance(want[-1], half[t], second[t], signs[t], "chiral")
-        if t + 1 == 9:
-            amps[:, 1, 4] = -amps[:, 1, 4]
+def edge_start(shape, n_sites, dtype=float):
+    """|0, down> for every walker of a stack ``shape`` on ``n_sites`` sites."""
+    start = np.zeros(shape + (2, n_sites), dtype)
+    start[..., 1, 0] = 1.0
+    return start
+
+
+def stepped(angles, signs, frame, kick=None, dtype=float):
+    """Every state of a walk from |0, down>, full width, one ``_advance`` and
+    one coin pair per step: the reference of ``_trajectory``.  ``angles`` is
+    (S, 2, ...) bare (theta1, theta2), S = len(signs) or 1."""
+    want = [edge_start(angles.shape[2:], len(signs) + 3, dtype)]
+    for t, sign in enumerate(signs, 1):
+        theta1, theta2 = angles[t - 1 if len(angles) > 1 else 0]
+        first = _coin_stack(theta1 / 2.0 if frame == "chiral" else theta1)
+        amps = _advance(want[-1], first, _coin_stack(theta2), sign, frame)
+        if kick is not None and t == kick[0]:
+            amps[..., 1, kick[1]] = -amps[..., 1, kick[1]]
         want.append(amps)
-    state_bytes = start.nbytes
+    return want
+
+
+def test_trajectory_blocks_hold_every_state_in_order(monkeypatch):
+    walkers, steps = 3, 23
+    angles = RNG.uniform(-2 * math.pi, 2 * math.pi, size=(steps, 2, walkers))
+    signs = RNG.choice([-1.0, 1.0], size=steps)
+    before = angles.copy()
+    want = stepped(angles, signs, "chiral", kick=(9, 4))
+    state_bytes = want[0].nbytes
     for block_bytes in (1, 5 * state_bytes, lattice._BLOCK_BYTES):
         monkeypatch.setattr(lattice, "_BLOCK_BYTES", block_bytes)
-        blocks = list(_trajectory(start, zip(half, second), signs, "chiral", kick=(9, 4)))
+        blocks = list(_trajectory(angles, signs, "chiral", kick=(9, 4)))
         rows = max(1, block_bytes // state_bytes)
         assert [len(b) for b in blocks[:-1]] == [rows] * (len(blocks) - 1)
         assert 1 <= len(blocks[-1]) <= rows
         assert_blocks_hold(blocks, want)
-        np.testing.assert_array_equal(start, before)  # input untouched
-    # one coin pair for every step is the same as that pair repeated
-    block, = _trajectory(start[0], itertools.repeat((half[0, 0], second[0, 0])), signs, "walk")
-    repeated, = _trajectory(start[0], zip(np.repeat(half[:1, 0], steps, axis=0),
-                                          np.repeat(second[:1, 0], steps, axis=0)), signs, "walk")
+        np.testing.assert_array_equal(angles, before)  # input untouched
+    # fixed angles, S = 1, are the same as those angles given for every step
+    fixed = angles[:1, :, 0]
+    block, = _trajectory(fixed, signs, "walk")
+    repeated, = _trajectory(np.repeat(fixed, steps, axis=0), signs, "walk")
     np.testing.assert_array_equal(block, repeated)
-    assert block.shape == (steps + 1, 2, n_sites)
+    assert block.shape == (steps + 1, 2, steps + 3)
+    assert_blocks_hold([block], stepped(fixed, signs, "walk"))
 
 
+# The reference steps in float or complex arithmetic; the real walk matches both.
 @pytest.mark.parametrize("frame", ["walk", "chiral"])
 @pytest.mark.parametrize("sign", [1.0, -1.0])
 @pytest.mark.parametrize("dtype", [float, complex])
 @pytest.mark.parametrize("stack", [(), (3,)])
 @pytest.mark.parametrize("kick_site", [None, 40, 100, 250])
 def test_trajectory_steps_only_the_light_cone(frame, sign, dtype, stack, kick_site):
-    occupied, n_sites, steps = 21, 300, 290
-    start = RNG.normal(size=stack + (2, n_sites)).astype(dtype)
-    if dtype is complex:
-        start += 1j * RNG.normal(size=start.shape)
-    start[..., occupied:] = 0.0  # support beyond site 0, up to site 20
-    half, second = _coin_stack(RNG.uniform(-7.0, 7.0, size=(2,) + stack))
-    # after step 30 the support is sites 0..50 and the stepped width 128
-    kick = None if kick_site is None else (30, kick_site)
-    want = [start]
-    for t in range(1, steps + 1):  # full-width stepping, the reference
-        amps = _advance(want[-1], half, second, sign, frame)
-        if kick is not None and t == kick[0]:
-            amps[..., 1, kick[1]] = -amps[..., 1, kick[1]]
-        want.append(amps)
-    before = start.copy()
-    blocks = list(_trajectory(start, itertools.repeat((half, second)), [sign] * steps, frame,
-                              kick))
-    np.testing.assert_array_equal(start, before)
+    steps = 290
+    n_sites = steps + 3
+    angles = RNG.uniform(-7.0, 7.0, size=(1, 2) + stack)
+    # after step 60 the support is sites 0..60 and the stepped width 128: site 40
+    # lies inside the support, 100 outside it and 250 outside the stepped sites
+    kick = None if kick_site is None else (60, kick_site)
+    want = stepped(angles, [sign] * steps, frame, kick, dtype)  # full-width stepping
+    blocks = list(_trajectory(angles, [sign] * steps, frame, kick))
+    assert all(block.dtype == np.float64 for block in blocks)
     assert_blocks_hold(blocks, want)
     last = -1
     for block in blocks:
         last += len(block)
         # the light cone of the block's last state plus one site, in whole chunks
-        chunks = -(-(occupied + last + 1) // lattice._SITE_CHUNK)
+        chunks = -(-(last + 2) // lattice._SITE_CHUNK)
         assert block.shape == (len(block),) + stack + (
             2, min(n_sites, chunks * lattice._SITE_CHUNK))
         assert len(block) == 1 or block.nbytes <= lattice._BLOCK_BYTES
     assert min(block.shape[-1] for block in blocks) == lattice._SITE_CHUNK < n_sites
     if kick is not None:  # the kick flips amplitude inside the support, a zero outside
         flipped = want[kick[0]][..., 1, kick_site]
-        if kick_site < occupied + kick[0]:
+        if kick_site <= kick[0]:
             assert np.all(flipped != 0)
         else:
             assert not flipped.any()
 
 
-# _BLOCK_BYTES for a (2, 2, 300) float trajectory: one state per block; four at full
-# width; and four at 128 sites, two at 256, then one at the full 300
-BLOCK_SIZES = {"one": 1, "many": 4 * 2 * 2 * 300 * 8, "settling": 2 * 2 * 2 * 300 * 8 - 1}
+# _BLOCK_BYTES for a (2, 2, 293) trajectory of 290 steps: one state per block;
+# four at full width; and four at 128 sites, two at 256, then one at the full 293
+BLOCK_SIZES = {"one": 1, "many": 4 * 2 * 2 * 293 * 8, "settling": 2 * 2 * 2 * 293 * 8 - 1}
 
 
 @pytest.mark.parametrize("blocks_of", sorted(BLOCK_SIZES))
@@ -305,21 +311,13 @@ BLOCK_SIZES = {"one": 1, "many": 4 * 2 * 2 * 300 * 8, "settling": 2 * 2 * 2 * 30
 @pytest.mark.parametrize("kick", [None, (7, 3)])
 def test_trajectory_states_match_per_step_advance_after_collection(monkeypatch, blocks_of,
                                                                    per_step, kick):
-    walkers, n_sites, steps = 2, 300, 290
-    start = np.zeros((walkers, 2, n_sites))
-    start[:, :, :5] = RNG.normal(size=(walkers, 2, 5))
-    angles = RNG.uniform(-7.0, 7.0, size=(steps, 2, walkers))
+    walkers, steps = 2, 290
+    n_sites = steps + 3
+    angles = RNG.uniform(-7.0, 7.0, size=(steps if per_step else 1, 2, walkers))
     signs = RNG.choice([-1.0, 1.0], size=steps).tolist()
-    want = [start]
-    for t in range(steps):  # full-width stepping, one _advance per step
-        first, second = _coin_stack(angles[t] if per_step else angles[0])
-        amps = _advance(want[-1], first, second, signs[t], "chiral")
-        if kick is not None and t + 1 == kick[0]:
-            amps[:, 1, kick[1]] = -amps[:, 1, kick[1]]
-        want.append(amps)
-    coins = map(_coin_stack, angles) if per_step else itertools.repeat(_coin_stack(angles[0]))
+    want = stepped(angles, signs, "chiral", kick)
     monkeypatch.setattr(lattice, "_BLOCK_BYTES", BLOCK_SIZES[blocks_of])
-    blocks = list(_trajectory(start, coins, signs, "chiral", kick))  # every block kept
+    blocks = list(_trajectory(angles, signs, "chiral", kick))  # every block kept
     states = [state for block in blocks for state in block]
     assert len(states) == steps + 1
     for state, full in zip(states, want):
@@ -337,16 +335,44 @@ def test_trajectory_states_match_per_step_advance_after_collection(monkeypatch, 
         assert all(rows == 1 for rows, width in sizes if width == n_sites)
 
 
+@pytest.mark.parametrize("frame", ["walk", "chiral"])
+@pytest.mark.parametrize("run", [1, 3, 7, 50])
+def test_trajectory_coin_runs_step_like_one_coin_pair_per_step(monkeypatch, frame, run):
+    walkers, steps = 3, 50
+    angles = RNG.uniform(-7.0, 7.0, size=(steps, 2, walkers))
+    signs = RNG.choice([-1.0, 1.0], size=steps).tolist()
+    want = stepped(angles, signs, frame, kick=(11, 2))
+    calls = []
+
+    def counted(theta):
+        calls.append(len(theta))
+        return coin_stack(theta)
+
+    coin_stack = lattice._coin_stack
+    monkeypatch.setattr(lattice, "_coin_stack", counted)
+    # one coin pair of 3 walkers is 4 * 2 * 3 doubles; ``run`` of them per block
+    monkeypatch.setattr(lattice, "_BLOCK_BYTES", run * 4 * angles[0].nbytes)
+    blocks = list(_trajectory(angles, signs, frame, kick=(11, 2)))
+    assert calls == [min(run, steps - lo) for lo in range(0, steps, run)]
+    states = [state for block in blocks for state in block]
+    assert len(states) == steps + 1
+    for state, full in zip(states, want):
+        width = state.shape[-1]
+        assert (state + 0.0).tobytes() == (full[..., :width] + 0.0).tobytes()
+
+
 def test_only_lattice_refers_to_the_step_kernel():
-    """``_advance`` is stepped only through ``_trajectory`` and the per-step
-    functions of ``lattice``: no other module grows a stepping loop."""
-    users = set()
-    for path in Path(lattice.__file__).parent.glob("*.py"):
-        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
-            names = {getattr(node, field, None) for field in ("id", "attr", "name", "asname")}
-            if "_advance" in names:
-                users.add(path.name)
-    assert users == {"lattice.py"}
+    """``_advance`` is stepped, and ``_coin_stack`` builds the coins of a
+    trajectory, only in ``lattice``: through ``_trajectory`` and the per-step
+    functions.  No other module grows a stepping loop or builds coins."""
+    for kernel in ("_advance", "_coin_stack"):
+        users = set()
+        for path in Path(lattice.__file__).parent.glob("*.py"):
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                names = {getattr(node, field, None) for field in ("id", "attr", "name", "asname")}
+                if kernel in names:
+                    users.add(path.name)
+        assert users == {"lattice.py"}, kernel
 
 
 @pytest.mark.parametrize("frame,step", [("walk", floquet_step), ("chiral", chiral_step)])
