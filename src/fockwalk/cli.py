@@ -50,9 +50,10 @@ def parse_angle(text: str) -> float:
     s = str(text).strip().lower().replace(" ", "")
     m = _PI_LITERAL.match(s)
     if m:
-        value = float(m.group("coeff") or 1.0) * math.pi
-        if m.group("div"):
-            value /= float(m.group("div"))
+        divisor = float(m.group("div") or 1.0)
+        if divisor == 0.0:
+            raise ConfigError("the divisor is zero")
+        value = float(m.group("coeff") or 1.0) * math.pi / divisor
         return -value if m.group("sign") == "-" else value
     try:
         return float(s)
@@ -79,8 +80,12 @@ def _checked(convert, ok, reason: str):
     return parse
 
 
-_NATURAL = _checked(int, lambda n: n >= 0, "must be >= 0")
+MAX_STEPS = 100_000  # walk and sweep steps
+MAX_GRID = 1000  # phase-diagram points per axis
+
 _POSITIVE = _checked(int, lambda n: n >= 1, "must be >= 1")
+_STEPS = _checked(int, lambda n: 0 <= n <= MAX_STEPS, f"must be in 0..{MAX_STEPS}")
+_GRID = _checked(int, lambda n: 1 <= n <= MAX_GRID, f"must be in 1..{MAX_GRID}")
 _TOLERANCE = _checked(float, lambda x: 0 <= x < math.inf, "must be finite and >= 0")
 _POSITIVE_REAL = _checked(float, lambda x: 0 < x < math.inf, "must be finite and > 0")
 _ANGLE = _checked(parse_angle, math.isfinite, "must be finite")
@@ -189,9 +194,9 @@ def cmd_walk(args, cfg, given) -> int:
     return EXIT_OK
 
 
-def _sweep_point(index, theta1, theta2, phi, p_edge, b0, b_pi, status):
+def _sweep_point(index, theta1, theta2, phi, p_edge, b0, b_pi):
     """One sweep row: the point, its final P_edge and bound-state prediction."""
-    return [index, theta1, theta2, phi.phi, p_edge, b0, b_pi, status]
+    return [index, theta1, theta2, phi.phi, p_edge, b0, b_pi, "ok"]
 
 
 def cmd_sweep(args, cfg, given) -> int:
@@ -200,7 +205,7 @@ def cmd_sweep(args, cfg, given) -> int:
     grid = lattice.BulkParams(*np.array(list(itertools.product(cfg.theta1, cfg.theta2))).T)
     p_edge = analysis.sweep_edge_populations(grid, cfg.phi, cfg.steps).tolist()
     predicted = zip(*(b.tolist() for b in momentum.bound_state_channels(grid, cfg.phi)))
-    rows = [_sweep_point(index, t1, t2, cfg.phi, p, *b, "ok") for index, (t1, t2, p, b)
+    rows = [_sweep_point(index, t1, t2, cfg.phi, p, *b) for index, (t1, t2, p, b)
             in enumerate(zip(grid.theta1.tolist(), grid.theta2.tolist(), p_edge, predicted))]
     _emit(args, SWEEP_HEADER, rows)
     return EXIT_OK
@@ -330,14 +335,14 @@ _BULK_KEYS = {
 }
 WALK_KEYS = {
     **_BULK_KEYS,
-    "steps": (_NATURAL, "100", "number of steps"),
+    "steps": (_STEPS, "100", f"number of steps, <= {MAX_STEPS}"),
     "frame": (_FRAME, "chiral", "walk or chiral"),
 }
 SWEEP_KEYS = {
     "theta1": (_ANGLES, "pi/2", "fixed value or comma list"),
     "theta2": (_ANGLES, "0", "fixed value or comma list"),
     "phi": _BULK_KEYS["phi"],
-    "steps": (_NATURAL, "100", "steps per point"),
+    "steps": (_STEPS, "100", f"steps per point, <= {MAX_STEPS}"),
 }
 QUENCH_KEYS = {
     "theta1_i": (_ANGLE, None, "initial theta1 (needed without scenario)"),
@@ -372,7 +377,7 @@ PULSE_KEYS = {
     "dt": (_POSITIVE_REAL, "0.004", "integrator step"),
 }
 DIAGRAM_KEYS = {
-    "grid": (_POSITIVE, "32", "points per axis"),
+    "grid": (_GRID, "32", f"points per axis, <= {MAX_GRID}"),
     "lo": (_ANGLE, "-2pi", "lower angle bound"),
     "hi": (_ANGLE, "2pi", "upper angle bound"),
     "n_k": (_POSITIVE, "1024", "momentum grid"),

@@ -10,9 +10,9 @@ loss on the ramp duration.  Both batched paths pass the angles of every
 step to ``lattice._trajectory`` and reduce its blocks: ``quench_table`` runs
 one protocol to the observable table, and ``ramp_survival_curve`` runs all
 ramp durations of a sweep as one stack of walkers and reads only P_edge.
-``run_quench`` steps one protocol one ``chiral_step`` and one
-``observable_record`` at a time and is the per-step reference they are
-tested against.
+``_schedule`` alone defines a protocol's angles, phase switch and kick;
+``run_quench`` steps through it one ``chiral_step`` and one
+``observable_record`` at a time and is the per-step reference of both.
 
 All trajectories run in the chiral time frame from |0, down>, so the spin
 readout at the boundary pins to +/-1 for a single surviving channel.
@@ -78,44 +78,33 @@ class QuenchProtocol:
             raise SiteOutOfRange(f"site {self.kick} outside 0..{n_max}")
 
 
-def ramp_schedule(protocol: QuenchProtocol, t: int) -> tuple[BulkParams, BoundaryPhase]:
-    """Coin angles and boundary phase used for step t (1-based).
+def _schedule(ends, n0: int, durations, steps: int):
+    """The quench from ``ends.initial`` to ``ends.final`` for steps t = 1..steps
+    and each ramp duration nq of ``durations``: the (steps, 2, len(durations))
+    coin angles (theta1, theta2), e^{i*phi} of every step, and the kick.
 
     Both angles interpolate linearly and simultaneously across steps
-    n0..n0+nq; the boundary phase switches right after step n0.
+    n0..n0+nq, theta_i + (theta_f - theta_i) * min(max(t - n0, 0), nq) / nq;
+    the boundary phase switches right after step n0, and the sigma_z kick at
+    site ``ends.kick``, if any, acts at the end of step n0: (n0, site) or None.
     """
-    if t < 0:
-        raise ValueError("step index must be non-negative")
-    frac = min(max(t - protocol.n0, 0), protocol.nq) / protocol.nq
-    t1 = protocol.initial.theta1 + (protocol.final.theta1 - protocol.initial.theta1) * frac
-    t2 = protocol.initial.theta2 + (protocol.final.theta2 - protocol.initial.theta2) * frac
-    phi = protocol.phi_initial if t <= protocol.n0 else protocol.phi_final
-    return BulkParams(t1, t2), phi
-
-
-def _schedule(ends, n0: int, durations, steps: int) -> tuple[np.ndarray, list[float]]:
-    """``ramp_schedule`` from ``ends.initial`` to ``ends.final`` for steps
-    t = 1..steps and each of the ``durations``: the (steps, 2, len(durations))
-    coin angles (theta1, theta2), and e^{i*phi} of every step."""
     durations = np.asarray(durations, dtype=float)
     frac = (np.minimum(np.maximum(np.arange(1, steps + 1) - n0, 0)[:, None], durations)
             / durations)
     t1 = ends.initial.theta1 + (ends.final.theta1 - ends.initial.theta1) * frac
     t2 = ends.initial.theta2 + (ends.final.theta2 - ends.initial.theta2) * frac
     signs = [ends.phi_initial.sign] * n0 + [ends.phi_final.sign] * (steps - n0)
-    return np.stack([t1, t2], axis=1), signs
+    kick = None if ends.kick is None else (n0, ends.kick)
+    return np.stack([t1, t2], axis=1), signs, kick
 
 
 def quench_table(protocol: QuenchProtocol) -> np.ndarray:
     """``run_quench``'s time series as one (total_steps + 1, 6) array.
 
     Row t holds the observables of ``analysis.observable_table`` after step
-    t.  The coins of every step come from one vectorised ``ramp_schedule``,
-    and the trajectory is reduced block by block and finished at once.
+    t.  The trajectory is reduced block by block and finished at once.
     """
-    steps = protocol.total_steps
-    angles, signs = _schedule(protocol, protocol.n0, [protocol.nq], steps)
-    kick = None if protocol.kick is None else (protocol.n0, protocol.kick)
+    angles, signs, kick = _schedule(protocol, protocol.n0, [protocol.nq], protocol.total_steps)
     blocks = _trajectory(angles[..., 0], signs, "chiral", kick)
     return _observables(np.concatenate([_state_sums(block) for block in blocks]))
 
@@ -123,14 +112,14 @@ def quench_table(protocol: QuenchProtocol) -> np.ndarray:
 def run_quench(protocol: QuenchProtocol) -> list[ObservableRecord]:
     """Evolve |0, down> through the protocol, recording observables per step.
 
-    The per-step reference path of ``quench_table``."""
+    The per-step reference path of ``quench_table``, on the same ``_schedule``."""
+    angles, signs, kick = _schedule(protocol, protocol.n0, [protocol.nq], protocol.total_steps)
     state = initial_state(protocol.total_steps + 2)
     records = [observable_record(0, state)]
-    for t in range(1, protocol.total_steps + 1):
-        params, phi = ramp_schedule(protocol, t)
-        state = chiral_step(state, params, phi)
-        if protocol.kick is not None and t == protocol.n0:
-            state = sigma_z_kick(state, protocol.kick)
+    for t, ((theta1, theta2), sign) in enumerate(zip(angles[..., 0].tolist(), signs), 1):
+        state = chiral_step(state, BulkParams(theta1, theta2), PHI_ZERO if sign > 0 else PHI_PI)
+        if kick is not None and t == kick[0]:
+            state = sigma_z_kick(state, kick[1])
         records.append(observable_record(t, state))
     return records
 
@@ -265,12 +254,13 @@ def ramp_survival_curve(scenario: QuenchScenario, nq_list, n0: int = 20,
 
     Every distinct nq is one row of a (P, 2, N) stack of walkers, all started
     at |0, down> and run together through ``lattice._trajectory`` for
-    n0 + max(nq) + post steps; each row follows ``ramp_schedule`` of its own
-    protocol, and only P_edge is read.  A row's P_edge at step t does not
+    n0 + max(nq) + post steps; each row follows the ``_schedule`` of its own
+    duration, and only P_edge is read.  A row's P_edge at step t does not
     depend on later steps, so row nq is read up to its own length
-    n0 + nq + post, as ``run_quench`` would run it.  When a row's series
-    finds no plateau, the mean of its last PLATEAU_WINDOW states stands in;
-    they all follow the ramp if post >= PLATEAU_WINDOW - 1.
+    n0 + nq + post, as ``run_quench`` would run it.  The readout is always
+    the mean of a row's last PLATEAU_WINDOW states, which all follow the ramp
+    if post >= PLATEAU_WINDOW - 1; plateau detection only tells whether the
+    row settled.
 
     The loss column is the fraction of the bound-channel population
     transferred out relative to the adiabatic limit, estimated by the
@@ -282,9 +272,7 @@ def ramp_survival_curve(scenario: QuenchScenario, nq_list, n0: int = 20,
     if not nqs:
         raise ValueError("nq_list needs at least one ramp duration")
     scenario.protocol(n0=n0, nq=nqs[0], post=post)  # validates n0, nq, post and kick
-    steps = n0 + nqs[-1] + post
-    angles, signs = _schedule(scenario, n0, nqs, steps)
-    kick = None if scenario.kick is None else (n0, scenario.kick)
+    angles, signs, kick = _schedule(scenario, n0, nqs, n0 + nqs[-1] + post)
     p_edge = np.concatenate([_edge_populations(_site_probabilities(block[..., :2]))
                              for block in _trajectory(angles, signs, "chiral", kick)])
 

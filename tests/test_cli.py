@@ -322,6 +322,9 @@ def test_quench_scenario_rejects_keys_it_defines(tmp_path):
     ["pulse-verify", "n_max=1"],
     ["quench", "scenario=fig6b", "total=5"],
     ["ramp", "post=8"],  # the plateau readout would reach into the ramp
+    ["walk", "theta1=pi/0"],
+    ["walk", "phi=pi/0"],
+    ["sweep", "theta1=pi/2", "theta2=2pi/0.0"],
 ])
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_bad_values_exit_with_one_error_line(argv, tmp_path, capsys):
@@ -332,6 +335,44 @@ def test_bad_values_exit_with_one_error_line(argv, tmp_path, capsys):
     assert list(tmp_path.iterdir()) == []  # no CSV
     bad = argv[-2] if argv[-1] == "theta2=0" else argv[-1]
     assert err.startswith(f"error: {bad}: ")
+
+
+def test_zero_divisor_from_a_config_file_exits_with_one_error_line(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("theta1=pi/0\ntheta2=0\n")
+    out = tmp_path / "x.csv"
+    assert main(["walk", "--config", str(cfg), "--out", str(out)]) == EXIT_CONFIG
+    assert capsys.readouterr().err == "error: theta1=pi/0: the divisor is zero\n"
+    assert not out.exists()
+
+
+def test_step_and_grid_bounds_sit_at_their_limits():
+    for keys, key, limit in ((cli.WALK_KEYS, "steps", cli.MAX_STEPS),
+                             (cli.SWEEP_KEYS, "steps", cli.MAX_STEPS),
+                             (cli.DIAGRAM_KEYS, "grid", cli.MAX_GRID)):
+        parse = keys[key][0]
+        assert parse(str(limit)) == limit
+        with pytest.raises(ValueError, match=f"must be in [01]..{limit}"):
+            parse(str(limit + 1))
+
+
+@pytest.mark.parametrize("argv", [
+    ["walk", "steps=100000000000000000000"],
+    ["sweep", "steps=100000000000000000000"],
+    ["phase-diagram", "grid=100000000000000000000"],
+])
+def test_step_and_grid_bounds_are_checked_before_any_work(argv, tmp_path, monkeypatch, capsys):
+    def fail(*args, **kwargs):
+        raise AssertionError("the experiment ran")
+
+    for name, (_, keys, summary) in cli.COMMANDS.items():  # every handler fails if called
+        monkeypatch.setitem(cli.COMMANDS, name, (fail, keys, summary))
+    monkeypatch.setattr(cli, "_parser", cli.build_parser)
+    out = tmp_path / "x.csv"
+    assert main(argv + ["--out", str(out)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and err.startswith(f"error: {argv[-1]}: must be in ")
+    assert not out.exists()
 
 
 def test_memory_error_exits_with_one_error_line(tmp_path, monkeypatch, capsys):

@@ -13,7 +13,6 @@ from fockwalk.quench import (
     QuenchScenario,
     landau_zener_fit,
     quench_table,
-    ramp_schedule,
     ramp_survival_curve,
     run_quench,
     scenario,
@@ -30,27 +29,32 @@ def protocol(nq=4):
                           n0=20, nq=nq, total_steps=120)
 
 
+def schedule_of(p):
+    """``_schedule`` of one protocol: its (total_steps, 2) angles, signs and kick."""
+    angles, signs, kick = quench._schedule(p, p.n0, [p.nq], p.total_steps)
+    return angles[..., 0], signs, kick
+
+
 def test_schedule_holds_initial_parameters_before_the_quench():
     p = protocol()
-    for t in (0, 1, 10, 20):
-        params, phi = ramp_schedule(p, t)
-        assert params == p.initial
-        assert phi == p.phi_initial
+    angles, signs, _ = schedule_of(p)
+    for t in (1, 10, 20):  # row t - 1 holds step t
+        assert BulkParams(*angles[t - 1]) == p.initial
+        assert signs[t - 1] == p.phi_initial.sign
 
 
 def test_schedule_sudden_jump_for_single_step_ramp():
     p = protocol(nq=1)
-    params, _ = ramp_schedule(p, 21)
-    assert params == p.final
+    angles, _, _ = schedule_of(p)
+    assert BulkParams(*angles[21 - 1]) == p.final
 
 
 def test_schedule_midpoint_is_arithmetic_mean():
     p = protocol(nq=4)
-    params, _ = ramp_schedule(p, 22)
-    assert params.theta1 == pytest.approx((p.initial.theta1 + p.final.theta1) / 2)
-    assert params.theta2 == pytest.approx((p.initial.theta2 + p.final.theta2) / 2)
-    final, _ = ramp_schedule(p, 24)
-    assert final == p.final
+    angles, _, _ = schedule_of(p)
+    assert angles[22 - 1, 0] == pytest.approx((p.initial.theta1 + p.final.theta1) / 2)
+    assert angles[22 - 1, 1] == pytest.approx((p.initial.theta2 + p.final.theta2) / 2)
+    assert BulkParams(*angles[24 - 1]) == p.final
 
 
 def test_schedule_switches_phi_right_after_n0():
@@ -58,8 +62,40 @@ def test_schedule_switches_phi_right_after_n0():
                        final=BulkParams(3 * PI / 4, PI / 4),
                        phi_initial=PHI_ZERO, phi_final=PHI_PI,
                        n0=20, nq=1, total_steps=40)
-    assert ramp_schedule(p, 20)[1] == PHI_ZERO
-    assert ramp_schedule(p, 21)[1] == PHI_PI
+    _, signs, _ = schedule_of(p)
+    assert signs[20 - 1] == PHI_ZERO.sign
+    assert signs[21 - 1] == PHI_PI.sign
+
+
+def closed_form_schedule(ends, n0, nq, steps):
+    """Step t's angles theta_i + (theta_f - theta_i) * min(max(t - n0, 0), nq) / nq,
+    one float at a time, kept as the oracle of ``_schedule``."""
+    rows = []
+    for t in range(1, steps + 1):
+        frac = min(max(t - n0, 0), nq) / nq
+        rows.append([ends.initial.theta1 + (ends.final.theta1 - ends.initial.theta1) * frac,
+                     ends.initial.theta2 + (ends.final.theta2 - ends.initial.theta2) * frac])
+    return np.array(rows)
+
+
+KICKED = QuenchProtocol(initial=BulkParams(0.3, -1.1), final=BulkParams(-2.9, 0.7),
+                        phi_initial=PHI_PI, phi_final=PHI_ZERO,
+                        n0=7, nq=13, total_steps=45, kick=5)
+
+
+def test_schedule_matches_the_closed_form_at_every_step():
+    cases = [(sc, 20, [nq], 20 + nq + 80) for sc in survival_catalog() for nq in (1, 10)]
+    cases.append((KICKED, KICKED.n0, [KICKED.nq], KICKED.total_steps))
+    cases.append((scenario("fig6d-kick"), 9, [1, 2, 3, 5, 8, 13, 21, 34], 55))  # a ramp sweep
+    for ends, n0, durations, steps in cases:
+        angles, signs, kick = quench._schedule(ends, n0, durations, steps)
+        assert angles.shape == (steps, 2, len(durations))
+        for column, nq in enumerate(durations):  # the same bits as the closed form
+            want = closed_form_schedule(ends, n0, nq, steps)
+            assert angles[..., column].tobytes() == want.tobytes()
+        assert signs == [(ends.phi_initial if t <= n0 else ends.phi_final).sign
+                         for t in range(1, steps + 1)]
+        assert kick == (None if ends.kick is None else (n0, ends.kick))
 
 
 def test_protocol_validation():
