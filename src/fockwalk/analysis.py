@@ -11,9 +11,9 @@ results are checked against.
 
 The time series and the sweep pass coin angles to ``lattice._trajectory`` and
 reduce its blocks, sharing one P_edge reduction with ``quench``'s ramp sweep.
-The table sums over sites in fixed chunks of ``lattice._SITE_CHUNK`` sites, so
-trailing zero sites change no bit: a state's row is the same on the full lattice
-(``observable_record``) and in the narrower blocks of ``lattice._trajectory``.
+The table's moments are one fixed-order product over sites zero-padded to whole
+``lattice._SITE_CHUNK``-site chunks, so trailing zero sites change no bit: a
+state's row is the same on the full lattice and in any block of ``_trajectory``.
 """
 
 from __future__ import annotations
@@ -77,30 +77,32 @@ def _edge_populations(p: np.ndarray) -> np.ndarray:
     return p[..., 0] + p[..., 1]
 
 
-def _state_sums(states: np.ndarray) -> np.ndarray:
+def _moment_weights(width: int) -> np.ndarray:
+    """Rows 1, n and n^2 of sites 0..W-1, padded to whole ``_SITE_CHUNK``-site chunks."""
+    sites = np.arange(-(-width // _SITE_CHUNK) * _SITE_CHUNK, dtype=float)
+    return np.stack([np.ones_like(sites), sites, sites * sites])
+
+
+def _state_sums(states: np.ndarray, turns: np.ndarray | None, weights: np.ndarray) -> np.ndarray:
     """The reductions behind ``observable_table`` of a (K, 2, W) block of
     states, one (K, 7) row each: p_0, p_1, 2 Re(a_n conj(b_n)) at n = 0, 1,
-    and sum_n p_n, sum_n n p_n and sum_n n^2 p_n.
+    and sum_n p_n, sum_n n p_n and sum_n n^2 p_n; ``lattice._trajectory``'s
+    readout rotations ``turns``, if any, turn the spins at n = 0, 1.
 
-    The sums run over chunks of ``_SITE_CHUNK`` sites, zero-padded: numpy's
-    pairwise sum within a chunk, then the chunk sums added in order.  Trailing
-    zero sites therefore change no bit, so a state gives the same row at
-    every lattice width and in every block.
+    The moments are one fixed-order product (``np.einsum``; BLAS sums a K-row
+    block in another order than a row alone) of the site probabilities, padded
+    to whole ``_SITE_CHUNK``-site chunks, with ``_moment_weights`` of W or more
+    sites: trailing zero sites change no bit, in any block or at any width.
     """
     rows, _, width = states.shape
-    chunks = -(-width // _SITE_CHUNK)
-    terms = np.empty((3, rows, chunks * _SITE_CHUNK))
-    terms[:, :, width:] = 0.0
-    p, first, second = terms[:, :, :width]
-    _site_probabilities(states, out=p)
-    sites = np.arange(width, dtype=float)
-    np.multiply(p, sites, out=first)
-    np.multiply(first, sites, out=second)
-    chunk_sums = terms.reshape(3, rows, chunks, _SITE_CHUNK).sum(axis=-1)
+    padded = -(-width // _SITE_CHUNK) * _SITE_CHUNK
+    p = np.zeros((rows, padded))
+    _site_probabilities(states, out=p[:, :width])
+    edge = states[..., :2] if turns is None else turns @ states[..., :2]
     out = np.empty((rows, 7))
     out[:, :2] = p[:, :2]
-    out[:, 2:4] = 2.0 * np.real(states[:, 0, :2] * np.conj(states[:, 1, :2]))
-    out[:, 4:] = np.add.accumulate(chunk_sums, axis=-1)[..., -1].T
+    out[:, 2:4] = 2.0 * np.real(edge[:, 0] * np.conj(edge[:, 1]))
+    out[:, 4:] = np.einsum("kw,jw->kj", p, weights[:, :padded])
     return out
 
 
@@ -130,7 +132,7 @@ def observable_table(states: np.ndarray) -> np.ndarray:
     ``quench`` time series reduce block by block with ``_state_sums`` and
     finish all rows at once with ``_observables``.
     """
-    return _observables(_state_sums(states))
+    return _observables(_state_sums(states, None, _moment_weights(states.shape[-1])))
 
 
 def observable_record(step: int, state: WalkerState) -> ObservableRecord:
@@ -151,12 +153,12 @@ def walk_table(params: BulkParams, phi: BoundaryPhase, steps: int,
     (``frame="walk"``) or ``chiral_step`` (``frame="chiral"``) on an
     n_max = steps + 2 lattice; those per-step functions are its reference.
     """
-    sums = []
-    for block in _trajectory(np.array([[params.theta1, params.theta2]]), [phi.sign] * steps,
-                             frame):
-        sums.append(_state_sums(block))
-    final = np.zeros((2, steps + 3))
-    final[:, :block.shape[-1]] = block[-1]  # the sites beyond the last block are empty
+    sums, weights = [], _moment_weights(steps + 3)
+    for states, turns in _trajectory(np.array([[params.theta1, params.theta2]]),
+                                     [phi.sign] * steps, frame):
+        sums.append(_state_sums(states, turns, weights))
+    final = np.zeros((2, steps + 3))  # the sites beyond the last block are empty
+    final[:, :states.shape[-1]] = states[-1] if turns is None else turns[-1] @ states[-1]
     return _observables(np.concatenate(sums)), WalkerState(final, steps)
 
 
@@ -178,9 +180,9 @@ def sweep_edge_populations(points: BulkParams, phi: BoundaryPhase, steps: int) -
     rows = max(1, _BLOCK_BYTES // (2 * (steps + 3) * 8))
     p_edge = np.empty(angles.shape[-1])
     for lo in range(0, len(p_edge), rows):
-        for block in _trajectory(angles[..., lo:lo + rows], [phi.sign] * steps, "chiral"):
+        for states, _ in _trajectory(angles[..., lo:lo + rows], [phi.sign] * steps, "chiral"):
             pass  # only the last state is read
-        p_edge[lo:lo + rows] = _edge_populations(_site_probabilities(block[-1, ..., :2]))
+        p_edge[lo:lo + rows] = _edge_populations(_site_probabilities(states[-1, ..., :2]))
     return p_edge
 
 

@@ -80,8 +80,12 @@ def _checked(convert, ok, reason: str):
     return parse
 
 
-MAX_STEPS = 100_000  # walk and sweep steps
+# Work bounds far above every example and benchmark workload, checked before any
+# work; a ramp of P durations of T steps may step P T^2 <= MAX_STEPS^2 sites.
+MAX_STEPS = 100_000  # walk, sweep-point and quench steps
 MAX_GRID = 1000  # phase-diagram points per axis
+MAX_DENSE_DIM = 2048  # rows of the dense eigen (2 n_max + 2), pulse-verify (3 n_max + 3)
+MAX_EIGEN_N, MAX_PULSE_N = MAX_DENSE_DIM // 2 - 1, MAX_DENSE_DIM // 3 - 1
 
 _POSITIVE = _checked(int, lambda n: n >= 1, "must be >= 1")
 _STEPS = _checked(int, lambda n: 0 <= n <= MAX_STEPS, f"must be in 0..{MAX_STEPS}")
@@ -213,8 +217,8 @@ def cmd_sweep(args, cfg, given) -> int:
 
 def cmd_quench(args, cfg, given) -> int:
     total = cfg.n0 + cfg.nq + 80 if cfg.total is None else cfg.total
-    if total < cfg.n0 + cfg.nq:
-        raise ConfigError(f"total={total}: must be >= n0 + nq = {cfg.n0 + cfg.nq}")
+    if not cfg.n0 + cfg.nq <= total <= MAX_STEPS:
+        raise ConfigError(f"total={total}: must be in n0 + nq = {cfg.n0 + cfg.nq}..{MAX_STEPS}")
     if cfg.scenario is not None:
         defined = sorted(given - {"scenario", "n0", "nq", "total"})  # a scenario fixes the rest
         if defined:
@@ -236,6 +240,10 @@ def cmd_quench(args, cfg, given) -> int:
 
 
 def cmd_ramp(args, cfg, given) -> int:
+    ramps, steps = len(set(cfg.nq_list)), cfg.n0 + max(cfg.nq_list) + cfg.post
+    if ramps * steps**2 > MAX_STEPS**2:
+        raise ConfigError(f"nq_list={','.join(map(str, cfg.nq_list))}: {ramps} ramps of "
+                          f"n0 + max + post = {steps} steps: must be <= one {MAX_STEPS}-step walk")
     fit = quench.landau_zener_fit(cfg.scenario, cfg.nq_list, n0=cfg.n0, post=cfg.post)
     _emit(args, RAMP_HEADER, fit.curve)
     summary = {"beta": fit.beta, "amplitude": fit.amplitude,
@@ -353,7 +361,7 @@ QUENCH_KEYS = {
     "phi_f": (parse_phi, "0", "final boundary phase"),
     "n0": (_POSITIVE, "20", "steps before the quench"),
     "nq": (_POSITIVE, "1", "ramp steps (1 = sudden)"),
-    "total": (int, None, "total steps (default n0 + nq + 80)"),
+    "total": (int, None, f"total steps, <= {MAX_STEPS} (default n0 + nq + 80)"),
     "kick": (_KICK, "none", "sigma_z kick site, or none"),
     "scenario": (quench.scenario, None,
                  "named catalog entry; it fixes the angle, phi and kick keys"),
@@ -366,11 +374,13 @@ RAMP_KEYS = {
                       f"must be >= {quench.PLATEAU_WINDOW - 1}"), "80",
              f"steps after the ramp, >= {quench.PLATEAU_WINDOW - 1} for a plateau after it"),
 }
-EIGEN_KEYS = {**_BULK_KEYS, "n_max": (_checked(int, lambda n: n >= 32, "must be >= 32"), "64",
-                                      "lattice size (>= 32 for a clean edge spectrum)")}
+EIGEN_KEYS = {**_BULK_KEYS, "n_max": (
+    _checked(int, lambda n: 32 <= n <= MAX_EIGEN_N, f"must be in 32..{MAX_EIGEN_N}"), "64",
+    f"lattice size (>= 32 for a clean edge spectrum, <= {MAX_EIGEN_N})")}
 PULSE_KEYS = {
     **_BULK_KEYS,
-    "n_max": (_checked(int, lambda n: n >= 2, "must be >= 2"), "12", "phonon cutoff"),
+    "n_max": (_checked(int, lambda n: 2 <= n <= MAX_PULSE_N, f"must be in 2..{MAX_PULSE_N}"),
+              "12", f"phonon cutoff, <= {MAX_PULSE_N}"),
     "omega0": (_POSITIVE_REAL, "1.0", "peak Rabi frequency"),
     "delta0": (_POSITIVE_REAL, "1.0", "peak detuning"),
     "tau": (_POSITIVE_REAL, "100.0", "passage duration"),

@@ -4,8 +4,8 @@ The walk space is the half line n = 0..n_max (phonon number states); a walker
 state keeps its amplitudes in one (2, n_max+1) array, row 0 = spin up a_n and
 row 1 = spin down b_n.  The coins are real rotations and phi is 0 or pi, so the
 walk is real orthogonal: a real start stays real, and a complex state steps
-through the same code.  The step kernel ``_advance`` also steps a stack of
-walkers, a (..., 2, N) array with one coin pair per walker.  ``floquet_step``,
+through the same code.  The one step kernel ``_advance`` makes the bare step
+of a walker or of a stack of walkers, a (..., 2, N) array.  ``floquet_step``,
 ``chiral_step`` and ``evolve`` step one ``WalkerState`` at a time and are the
 per-step reference path.  Every batched path (the time series, the sweep,
 the quench and the ramp) passes bare coin angles and boundary signs to the
@@ -22,10 +22,9 @@ coin, the signed up-shift, and re-injection of the blocked amplitude into
 ``build_step_matrix`` assembles the same step as a dense unitary from two-site
 cut/uncut link operators and is used as the oracle throughout the test suite.
 
-Dynamics observed in the chiral time frame (the symmetrized ordering with
-half of the first coin on each side of the step; Asboth and Obuse, PRB 88,
-121406(R) (2013)) is provided by ``chiral_step``; site populations are
-identical in both frames, only the spin readout differs.
+The chiral time frame (Asboth and Obuse, PRB 88, 121406(R) (2013)) is a
+readout: ``_trajectory`` steps y_t = R(theta1_t / 2)^-1 c_t for the chiral
+state c_t with merged coins; only spin readouts and final states turn back.
 """
 
 from __future__ import annotations
@@ -164,11 +163,10 @@ def _coin_stack(theta: np.ndarray) -> np.ndarray:
     return np.stack([c, -s, s, c], -1).reshape(theta.shape + (2, 2))
 
 
-def _advance(amps: np.ndarray, first: np.ndarray, second: np.ndarray, sign: float,
-             frame: str) -> np.ndarray:
-    """One walk step of a (..., 2, N) amplitude array with (..., 2, 2) coins,
-    returned as a new array; ``sign`` is e^{i*phi}.  In the chiral frame
-    ``first`` is the half coin, applied before and after the rest."""
+def _advance(amps: np.ndarray, first: np.ndarray, second: np.ndarray,
+             sign: float) -> np.ndarray:
+    """One bare-frame walk step of a (..., 2, N) amplitude array with (..., 2, 2)
+    coins, returned as a new array; ``sign`` is e^{i*phi}."""
     amps = first @ amps
     # the transposed view indexes site and spin from the front for any stack
     # shape, as fast as plain (2, N) indexing (an Ellipsis index is slower)
@@ -182,7 +180,7 @@ def _advance(amps: np.ndarray, first: np.ndarray, second: np.ndarray, sign: floa
     # spin-up moves one site away from the boundary, with a sign
     sites[1:, 0] = -sites[:-1, 0]
     sites[0, 0] = blocked
-    return first @ amps if frame == "chiral" else amps
+    return amps
 
 
 # Consecutive states are handed out in blocks of at most this many bytes (one
@@ -190,9 +188,9 @@ def _advance(amps: np.ndarray, first: np.ndarray, second: np.ndarray, sign: floa
 # stay below glibc's 128 KB mmap threshold, so they come from the heap instead
 # of being mapped and page-faulted in afresh for every block.
 _BLOCK_BYTES = 1 << 16
-# Trajectory blocks are stepped in whole chunks of this many sites, and
-# ``analysis`` sums over sites chunk by chunk, so trailing empty sites change
-# neither the stepping nor any sum.
+# Trajectory blocks are stepped in whole chunks of this many sites, and ``analysis``
+# zero-pads states to whole chunks for its fixed-order moment product, so trailing
+# empty sites change no step or sum (and widths avoid OpenBLAS's 1-mod-8 rounding).
 _SITE_CHUNK = 128
 
 
@@ -200,16 +198,18 @@ def _trajectory(angles: np.ndarray, signs, frame: str,
                 kick: tuple[int, int] | None = None):
     """Step walkers from |0, down> on N = len(signs) + 3 sites once per entry
     of ``signs`` (e^{i*phi} of each step) and yield the start state and every
-    later state, in order, as consecutive (K, ..., 2, W) blocks with W <= N.
-    The light cone never reaches the top two sites, so no guard scan is made.
+    later state, in order, as consecutive blocks (states, turns) of (K, ..., 2,
+    W) states, W <= N, and (K, ..., 2, 2) readout rotations.  The light cone
+    never reaches the top two sites, so no guard scan is made.
 
     ``angles`` holds the bare coin angles (theta1, theta2) as an (S, 2, ...)
     array, S = len(signs) for per-step angles or S = 1 for fixed ones; its
-    trailing axes are the stack of walkers.  The chiral frame puts
-    R(theta1 / 2) on each side of the step.  Fixed angles make their coins
-    once, per-step angles in runs of steps within ``_BLOCK_BYTES``.
-    ``kick=(step, site)`` flips the sign of the spin-down amplitude at
-    ``site`` right after that step; the caller checks that the site exists.
+    trailing axes are the stack of walkers.  ``kick=(step, site)`` flips the
+    sign of the spin-down amplitude of the frame's state at ``site`` right
+    after that step; the caller checks that the site exists.  In the bare
+    frame ``turns`` is None.  In the chiral frame the states are y_t =
+    H_t^-1 c_t of the chiral states c_t, H_t = R(theta1_t / 2), H_0 = 1: a
+    bare walk whose first coin is H_t H_{t-1}, and ``turns`` holds H_t.
 
     Only the light cone is stepped: state t is zero beyond site t.  A block's
     states are stepped on their first W sites: W is min(N, t + 2) for the
@@ -225,15 +225,20 @@ def _trajectory(angles: np.ndarray, signs, frame: str,
     stack = angles.shape[2:]
     n_sites = steps + 3
     site_bytes = 16 * math.prod(stack)
-    # halving theta1 and scaling theta2 by one are exact
-    scale = np.reshape([0.5 if frame == "chiral" else 1.0, 1.0], (2,) + (1,) * len(stack))
+    # per run of steps: merged first angles theta1_t - h_t + h_{t-1}, theta2, h_t
+    per_step = angles if len(angles) != 1 else angles[[0, 0]]
+    readout = np.zeros((len(per_step) + 1,) + stack)  # h_t of state t, h_0 = 0
+    np.multiply(per_step[:, 0], 0.5 if frame == "chiral" else 0.0, out=readout[1:])
+    run = max(1, _BLOCK_BYTES // (6 * angles[0].nbytes))
+
+    def coin_run(lo):
+        step, h = per_step[lo:lo + run], readout[lo:lo + run + 1]
+        return zip(*_coin_stack(np.stack([step[:, 0] - h[1:] + h[:-1], step[:, 1], h[1:]],
+                                         axis=1)).swapaxes(0, 1))
+
+    coins = itertools.chain.from_iterable(map(coin_run, range(0, len(per_step), run)))
     if len(angles) == 1:
-        coins = itertools.repeat(tuple(_coin_stack(angles[0] * scale)))
-    else:
-        run = max(1, _BLOCK_BYTES // (4 * angles[0].nbytes))
-        coins = itertools.chain.from_iterable(
-            zip(*_coin_stack(angles[lo:lo + run] * scale).swapaxes(0, 1))
-            for lo in range(0, steps, run))
+        coins = itertools.chain([next(coins)], itertools.repeat(next(coins)))
 
     def width(t):
         """Sites stepped for state t: its light cone and one more, in whole chunks."""
@@ -249,11 +254,12 @@ def _trajectory(angles: np.ndarray, signs, frame: str,
     amps = np.zeros(stack + (2, sites))
     amps[..., 1, 0] = 1.0
     block = np.empty((rows,) + amps.shape)
-    block[0] = amps
+    turns = np.empty((rows,) + stack + (2, 2))
+    block[0], turns[0] = amps, np.eye(2)
     k = 1
-    for t, sign, (first, second) in zip(range(1, steps + 1), signs, coins):
+    for t, sign, (first, second, turn) in zip(range(1, steps + 1), signs, coins):
         if k == rows:
-            yield block
+            yield block, turns if frame == "chiral" else None
             if (rows, sites) != (1, n_sites):  # else settled: one full-width state per block
                 rows, sites = layout(t)
             if sites > amps.shape[-1]:
@@ -262,23 +268,26 @@ def _trajectory(angles: np.ndarray, signs, frame: str,
                 amps = wider
             if rows > 1:
                 block = np.empty((rows,) + amps.shape)
+                turns = np.empty((rows,) + stack + (2, 2))
             k = 0
-        amps = _advance(amps, first, second, sign, frame)
+        amps = _advance(amps, first, second, sign)
         if kick is not None and t == kick[0] and kick[1] < sites:
-            amps[..., 1, kick[1]] = -amps[..., 1, kick[1]]
+            flip = turn.swapaxes(-1, -2) @ (turn * [[1.0], [-1.0]])  # H^T sigma_z H
+            spin = amps[..., kick[1]:kick[1] + 1]
+            spin[...] = np.einsum("...ij,...jk->...ik", flip, spin)
         if rows == 1:
-            block = amps[None]  # no later step writes to the stepped array
+            block, turns = amps[None], turn[None]  # no later step writes to either
         else:
-            block[k] = amps
+            block[k], turns[k] = amps, turn
         k += 1
-    yield block
+    yield block, turns if frame == "chiral" else None
 
 
 def floquet_step(state: WalkerState, params: BulkParams, phi: BoundaryPhase) -> WalkerState:
     """One boundary walk step in the bare (laboratory) frame."""
     _check_guard_band(state)
     amps = _advance(state.amps, coin_matrix(params.theta1), coin_matrix(params.theta2),
-                    phi.sign, "walk")
+                    phi.sign)
     return WalkerState(amps, state.step_count + 1)
 
 
@@ -290,8 +299,8 @@ def chiral_step(state: WalkerState, params: BulkParams, phi: BoundaryPhase) -> W
     the spin readout is the one for which bound states pin <sigma_x> to +/-1.
     """
     _check_guard_band(state)
-    amps = _advance(state.amps, coin_matrix(params.theta1 / 2.0), coin_matrix(params.theta2),
-                    phi.sign, "chiral")
+    half = coin_matrix(params.theta1 / 2.0)
+    amps = half @ _advance(state.amps, half, coin_matrix(params.theta2), phi.sign)
     return WalkerState(amps, state.step_count + 1)
 
 

@@ -19,7 +19,7 @@ from enum import Enum
 
 import numpy as np
 
-from .lattice import BoundaryPhase, BulkParams, coin_matrix
+from .lattice import BoundaryPhase, BulkParams
 
 
 class GapClosed(RuntimeError):
@@ -47,29 +47,6 @@ class GapReport:
 
     delta0: float
     delta_pi: float
-
-
-def _shift_up(k):
-    return np.array([[np.exp(-1j * k), 0.0], [0.0, 1.0]])
-
-
-def _shift_down(k):
-    return np.array([[1.0, 0.0], [0.0, np.exp(1j * k)]])
-
-
-def bulk_unitary_k(params: BulkParams, k: float) -> np.ndarray:
-    """One-step unitary at momentum k: S_up(k) R(theta2) S_dn(k) R(theta1)."""
-    return (_shift_up(k) @ coin_matrix(params.theta2)
-            @ _shift_down(k) @ coin_matrix(params.theta1))
-
-
-def time_frame_unitary_k(params: BulkParams, frame: TimeFrame, k: float) -> np.ndarray:
-    """Chiral-frame unitary at momentum k (same eigenphases as the bare step)."""
-    if frame is TimeFrame.F1:
-        half = coin_matrix(params.theta1 / 2.0)
-        return half @ _shift_up(k) @ coin_matrix(params.theta2) @ _shift_down(k) @ half
-    half = coin_matrix(params.theta2 / 2.0)
-    return half @ _shift_down(k) @ coin_matrix(params.theta1) @ _shift_up(k) @ half
 
 
 def _half_angles(params: BulkParams):

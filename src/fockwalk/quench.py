@@ -29,6 +29,7 @@ import numpy as np
 from .analysis import (
     ObservableRecord,
     _edge_populations,
+    _moment_weights,
     _observables,
     _state_sums,
     detect_stabilization,
@@ -106,7 +107,8 @@ def quench_table(protocol: QuenchProtocol) -> np.ndarray:
     """
     angles, signs, kick = _schedule(protocol, protocol.n0, [protocol.nq], protocol.total_steps)
     blocks = _trajectory(angles[..., 0], signs, "chiral", kick)
-    return _observables(np.concatenate([_state_sums(block) for block in blocks]))
+    weights = _moment_weights(protocol.total_steps + 3)
+    return _observables(np.concatenate([_state_sums(*block, weights) for block in blocks]))
 
 
 def run_quench(protocol: QuenchProtocol) -> list[ObservableRecord]:
@@ -273,8 +275,8 @@ def ramp_survival_curve(scenario: QuenchScenario, nq_list, n0: int = 20,
         raise ValueError("nq_list needs at least one ramp duration")
     scenario.protocol(n0=n0, nq=nqs[0], post=post)  # validates n0, nq, post and kick
     angles, signs, kick = _schedule(scenario, n0, nqs, n0 + nqs[-1] + post)
-    p_edge = np.concatenate([_edge_populations(_site_probabilities(block[..., :2]))
-                             for block in _trajectory(angles, signs, "chiral", kick)])
+    p_edge = np.concatenate([_edge_populations(_site_probabilities(states[..., :2]))
+                             for states, _ in _trajectory(angles, signs, "chiral", kick)])
 
     stabilized = []
     for row, nq in enumerate(nqs):

@@ -31,7 +31,6 @@ from fockwalk.lattice import (
 )
 from fockwalk.momentum import (
     TimeFrame,
-    bulk_unitary_k,
     dispersion_cos_e,
     predict_bound_states,
     winding_number,
@@ -45,6 +44,8 @@ from fockwalk.pulse import (
     spin_block,
 )
 from fockwalk.quench import landau_zener_fit, run_quench, survival_catalog
+
+from oracle import bulk_unitary_k
 
 PI = math.pi
 RNG = np.random.default_rng(0xACCE)

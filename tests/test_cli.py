@@ -22,6 +22,8 @@ from fockwalk.cli import (
     read_config_file,
 )
 
+from oracle import MERGED_TOL
+
 
 @pytest.mark.parametrize("text,expected", [
     ("pi/2", math.pi / 2),
@@ -201,7 +203,13 @@ def test_sweep_matches_per_point_evolve(tmp_path):
                 "theta2=" + ",".join(map(repr, t2s)), f"phi={phi.phi!r}", f"steps={steps}"]
         assert main(argv + ["--out", str(out)]) == EXIT_OK
         _reference_sweep_csv(ref, t1s, t2s, phi, steps)
-        assert out.read_bytes() == ref.read_bytes()
+        got, want = out.read_text().splitlines(), ref.read_text().splitlines()
+        assert len(got) == len(want) and got[0] == want[0]
+        p_edge = cli.SWEEP_HEADER.index("p_edge")
+        for line, ref_line in zip(got[1:], want[1:]):  # merged coins move p_edge only
+            cells, ref_cells = line.split(","), ref_line.split(",")
+            assert cells[:p_edge] + cells[p_edge + 1:] == ref_cells[:p_edge] + ref_cells[p_edge + 1:]
+            assert abs(float(cells[p_edge]) - float(ref_cells[p_edge])) <= MERGED_TOL["p_edge"]
         assert ",-1,-1,ok" in out.read_text().splitlines()[1]  # theta1 = theta2: gap closed
 
 
@@ -349,17 +357,24 @@ def test_zero_divisor_from_a_config_file_exits_with_one_error_line(tmp_path, cap
 def test_step_and_grid_bounds_sit_at_their_limits():
     for keys, key, limit in ((cli.WALK_KEYS, "steps", cli.MAX_STEPS),
                              (cli.SWEEP_KEYS, "steps", cli.MAX_STEPS),
-                             (cli.DIAGRAM_KEYS, "grid", cli.MAX_GRID)):
+                             (cli.DIAGRAM_KEYS, "grid", cli.MAX_GRID),
+                             (cli.EIGEN_KEYS, "n_max", cli.MAX_EIGEN_N),
+                             (cli.PULSE_KEYS, "n_max", cli.MAX_PULSE_N)):
         parse = keys[key][0]
         assert parse(str(limit)) == limit
-        with pytest.raises(ValueError, match=f"must be in [01]..{limit}"):
+        with pytest.raises(ValueError, match=f"must be in (0|1|2|32)..{limit}"):
             parse(str(limit + 1))
+    # the dense matrices stay within MAX_DENSE_DIM rows
+    assert 2 * (cli.MAX_EIGEN_N + 1) <= cli.MAX_DENSE_DIM < 2 * (cli.MAX_EIGEN_N + 2)
+    assert 3 * (cli.MAX_PULSE_N + 1) <= cli.MAX_DENSE_DIM < 3 * (cli.MAX_PULSE_N + 2)
 
 
 @pytest.mark.parametrize("argv", [
     ["walk", "steps=100000000000000000000"],
     ["sweep", "steps=100000000000000000000"],
     ["phase-diagram", "grid=100000000000000000000"],
+    ["eigen", "theta1=pi/2", "n_max=100000000000000000000"],
+    ["pulse-verify", "n_max=100000000000000000000"],
 ])
 def test_step_and_grid_bounds_are_checked_before_any_work(argv, tmp_path, monkeypatch, capsys):
     def fail(*args, **kwargs):
@@ -373,6 +388,48 @@ def test_step_and_grid_bounds_are_checked_before_any_work(argv, tmp_path, monkey
     err = capsys.readouterr().err
     assert len(err.splitlines()) == 1 and err.startswith(f"error: {argv[-1]}: must be in ")
     assert not out.exists()
+
+
+@pytest.mark.parametrize("argv,bad", [
+    (["quench", "scenario=fig6b", "total=100000000000000000000"],
+     "total=100000000000000000000: must be in n0 + nq = 21..100000"),
+    (["quench", "scenario=fig6b", "n0=100000000000000000000"],  # the default total
+     "total=100000000000000000081: must be in n0 + nq = 100000000000000000001..100000"),
+    (["quench", "theta1_i=pi/2", "theta2_i=0", "theta1_f=pi/2", "theta2_f=0", "total=100001"],
+     "total=100001: must be in n0 + nq = 21..100000"),
+    (["ramp", "nq_list=1,2,3,4,99901"], "nq_list=1,2,3,4,99901: 5 ramps of "),
+    (["ramp", "nq_list=1,2,3,4,5", "n0=100000000000000000000"], "nq_list=1,2,3,4,5: 5 ramps "),
+    (["ramp", "post=100000000000000000000"], "nq_list=1,2,3,4,6,8,10,12: 8 ramps "),
+])
+def test_quench_and_ramp_work_is_bounded_before_any_work(argv, bad, tmp_path, monkeypatch,
+                                                          capsys):
+    def fail(*args, **kwargs):
+        raise AssertionError("the experiment ran")
+
+    for name in ("quench_table", "ramp_survival_curve", "landau_zener_fit", "_trajectory",
+                 "_schedule"):
+        monkeypatch.setattr(cli.quench, name, fail)
+    out = tmp_path / "x.csv"
+    assert main(argv + ["--out", str(out)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and err.startswith(f"error: {bad}")
+    assert not out.exists()
+
+
+def test_quench_and_ramp_work_bounds_sit_at_their_limits(tmp_path, monkeypatch):
+    """At the limits the experiment runs; it is replaced here by a stub."""
+    ran = []
+    monkeypatch.setattr(cli.quench, "quench_table",
+                        lambda protocol: ran.append(protocol.total_steps) or np.zeros((1, 6)))
+    monkeypatch.setattr(cli.quench, "landau_zener_fit", lambda sc, nqs, n0, post: ran.append(
+        (len(set(nqs)), n0 + max(nqs) + post)) or cli.quench.LZFit(1.0, 1.0, 1.0, 0.1))
+    out = str(tmp_path / "x.csv")
+    assert main(["quench", "scenario=fig6b", f"total={cli.MAX_STEPS}", "--out", out]) == EXIT_OK
+    # 25 ramps of 20000 steps step as many sites as one walk of 100000 steps
+    nq_list = "nq_list=" + ",".join(map(str, [*range(1, 25), 19900]))
+    assert main(["ramp", nq_list, "n0=20", "post=80", "--out", out]) == EXIT_OK
+    assert main(["ramp", nq_list, "n0=20", "post=81", "--out", out]) == EXIT_CONFIG
+    assert ran == [cli.MAX_STEPS, (25, 20000)]
 
 
 def test_memory_error_exits_with_one_error_line(tmp_path, monkeypatch, capsys):

@@ -1,4 +1,5 @@
 import ast
+import inspect
 import math
 from pathlib import Path
 
@@ -6,7 +7,13 @@ import numpy as np
 import pytest
 
 from fockwalk import lattice
-from fockwalk.analysis import observable_record, walk_table
+from fockwalk.analysis import (
+    _moment_weights,
+    _observables,
+    _state_sums,
+    observable_record,
+    walk_table,
+)
 from fockwalk.lattice import (
     PHI_PI,
     PHI_ZERO,
@@ -26,6 +33,8 @@ from fockwalk.lattice import (
     initial_state,
     sigma_z_kick,
 )
+
+from oracle import MERGED_TOL, assert_close_to_chiral_steps
 
 RNG = np.random.default_rng(20240811)
 
@@ -197,7 +206,9 @@ def test_stacked_step_matches_per_row_steps_and_the_oracle():
                 amps[:, :, -2:] = 0.0  # keep the guard band empty
                 first = _coin_stack(thetas[:, 0] / 2.0 if frame == "chiral" else thetas[:, 0])
                 before = amps.copy()
-                out = _advance(amps, first, _coin_stack(thetas[:, 1]), phi.sign, frame)
+                out = _advance(amps, first, _coin_stack(thetas[:, 1]), phi.sign)
+                if frame == "chiral":  # the half coin on the other side too
+                    out = first @ out
                 np.testing.assert_array_equal(amps, before)  # input untouched
                 assert out.shape == amps.shape and out.dtype == amps.dtype
                 for row in range(rows):
@@ -210,15 +221,20 @@ def test_stacked_step_matches_per_row_steps_and_the_oracle():
                     assert np.max(np.abs(got - u @ state.to_vector())) < 1e-12
 
 
-def assert_blocks_hold(blocks, want):
-    """The (K, ..., 2, W) blocks hold the states of ``want`` in order: equal on
-    each block's first W sites (a zero may differ in sign) and zero beyond."""
-    states = [state for block in blocks for state in block]
+def assert_blocks_hold(blocks, want, turns):
+    """The (states, turns) blocks hold the states of ``want`` in order, equal
+    on each block's first W sites (a zero may differ in sign) and zero beyond,
+    and the readout rotations of ``turns`` (None in the bare frame)."""
+    states = [state for block, _ in blocks for state in block]
     assert len(states) == len(want)
     for state, full in zip(states, want):
         width = state.shape[-1]
         np.testing.assert_array_equal(state, full[..., :width])
         assert not full[..., width:].any()
+    if turns is None:
+        assert all(turn is None for _, turn in blocks)
+    else:
+        np.testing.assert_array_equal(np.concatenate([turn for _, turn in blocks]), turns)
 
 
 def edge_start(shape, n_sites, dtype=float):
@@ -230,17 +246,26 @@ def edge_start(shape, n_sites, dtype=float):
 
 def stepped(angles, signs, frame, kick=None, dtype=float):
     """Every state of a walk from |0, down>, full width, one ``_advance`` and
-    one coin pair per step: the reference of ``_trajectory``.  ``angles`` is
-    (S, 2, ...) bare (theta1, theta2), S = len(signs) or 1."""
+    one merged coin per step, and the readout rotations H_t (None in the bare
+    frame): the reference of ``_trajectory``, in its arithmetic.  ``angles``
+    is (S, 2, ...) bare (theta1, theta2), S = len(signs) or 1."""
+    half = 0.5 if frame == "chiral" else 0.0
     want = [edge_start(angles.shape[2:], len(signs) + 3, dtype)]
+    turns = [np.broadcast_to(np.eye(2), angles.shape[2:] + (2, 2))]
+    before = 0.0  # h_0: H_0 = 1
     for t, sign in enumerate(signs, 1):
         theta1, theta2 = angles[t - 1 if len(angles) > 1 else 0]
-        first = _coin_stack(theta1 / 2.0 if frame == "chiral" else theta1)
-        amps = _advance(want[-1], first, _coin_stack(theta2), sign, frame)
+        turn = _coin_stack(theta1 * half)
+        merged = _coin_stack(theta1 - theta1 * half + before)  # H_t H_{t-1}
+        amps = _advance(want[-1], merged, _coin_stack(theta2), sign)
         if kick is not None and t == kick[0]:
-            amps[..., 1, kick[1]] = -amps[..., 1, kick[1]]
+            flip = turn.swapaxes(-1, -2) @ (turn * [[1.0], [-1.0]])
+            spin = amps[..., kick[1]:kick[1] + 1]
+            spin[...] = np.einsum("...ij,...jk->...ik", flip, spin)
         want.append(amps)
-    return want
+        turns.append(turn)
+        before = theta1 * half
+    return want, (np.array(turns) if frame == "chiral" else None)
 
 
 def test_trajectory_blocks_hold_every_state_in_order(monkeypatch):
@@ -248,23 +273,25 @@ def test_trajectory_blocks_hold_every_state_in_order(monkeypatch):
     angles = RNG.uniform(-2 * math.pi, 2 * math.pi, size=(steps, 2, walkers))
     signs = RNG.choice([-1.0, 1.0], size=steps)
     before = angles.copy()
-    want = stepped(angles, signs, "chiral", kick=(9, 4))
+    want, turns = stepped(angles, signs, "chiral", kick=(9, 4))
     state_bytes = want[0].nbytes
     for block_bytes in (1, 5 * state_bytes, lattice._BLOCK_BYTES):
         monkeypatch.setattr(lattice, "_BLOCK_BYTES", block_bytes)
         blocks = list(_trajectory(angles, signs, "chiral", kick=(9, 4)))
         rows = max(1, block_bytes // state_bytes)
-        assert [len(b) for b in blocks[:-1]] == [rows] * (len(blocks) - 1)
-        assert 1 <= len(blocks[-1]) <= rows
-        assert_blocks_hold(blocks, want)
+        assert [len(b) for b, _ in blocks[:-1]] == [rows] * (len(blocks) - 1)
+        assert 1 <= len(blocks[-1][0]) <= rows
+        assert_blocks_hold(blocks, want, turns)
         np.testing.assert_array_equal(angles, before)  # input untouched
     # fixed angles, S = 1, are the same as those angles given for every step
     fixed = angles[:1, :, 0]
-    block, = _trajectory(fixed, signs, "walk")
-    repeated, = _trajectory(np.repeat(fixed, steps, axis=0), signs, "walk")
-    np.testing.assert_array_equal(block, repeated)
-    assert block.shape == (steps + 1, 2, steps + 3)
-    assert_blocks_hold([block], stepped(fixed, signs, "walk"))
+    for frame in ("walk", "chiral"):
+        (block, turn), = _trajectory(fixed, signs, frame)
+        (repeated, turn_again), = _trajectory(np.repeat(fixed, steps, axis=0), signs, frame)
+        np.testing.assert_array_equal(block, repeated)
+        np.testing.assert_array_equal(turn, turn_again)
+        assert block.shape == (steps + 1, 2, steps + 3)
+        assert_blocks_hold([(block, turn)], *stepped(fixed, signs, frame))
 
 
 # The reference steps in float or complex arithmetic; the real walk matches both.
@@ -280,19 +307,19 @@ def test_trajectory_steps_only_the_light_cone(frame, sign, dtype, stack, kick_si
     # after step 60 the support is sites 0..60 and the stepped width 128: site 40
     # lies inside the support, 100 outside it and 250 outside the stepped sites
     kick = None if kick_site is None else (60, kick_site)
-    want = stepped(angles, [sign] * steps, frame, kick, dtype)  # full-width stepping
+    want, turns = stepped(angles, [sign] * steps, frame, kick, dtype)  # full-width stepping
     blocks = list(_trajectory(angles, [sign] * steps, frame, kick))
-    assert all(block.dtype == np.float64 for block in blocks)
-    assert_blocks_hold(blocks, want)
+    assert all(block.dtype == np.float64 for block, _ in blocks)
+    assert_blocks_hold(blocks, want, turns)
     last = -1
-    for block in blocks:
+    for block, _ in blocks:
         last += len(block)
         # the light cone of the block's last state plus one site, in whole chunks
         chunks = -(-(last + 2) // lattice._SITE_CHUNK)
         assert block.shape == (len(block),) + stack + (
             2, min(n_sites, chunks * lattice._SITE_CHUNK))
         assert len(block) == 1 or block.nbytes <= lattice._BLOCK_BYTES
-    assert min(block.shape[-1] for block in blocks) == lattice._SITE_CHUNK < n_sites
+    assert min(block.shape[-1] for block, _ in blocks) == lattice._SITE_CHUNK < n_sites
     if kick is not None:  # the kick flips amplitude inside the support, a zero outside
         flipped = want[kick[0]][..., 1, kick_site]
         if kick_site <= kick[0]:
@@ -315,17 +342,18 @@ def test_trajectory_states_match_per_step_advance_after_collection(monkeypatch, 
     n_sites = steps + 3
     angles = RNG.uniform(-7.0, 7.0, size=(steps if per_step else 1, 2, walkers))
     signs = RNG.choice([-1.0, 1.0], size=steps).tolist()
-    want = stepped(angles, signs, "chiral", kick)
+    want, turns = stepped(angles, signs, "chiral", kick)
     monkeypatch.setattr(lattice, "_BLOCK_BYTES", BLOCK_SIZES[blocks_of])
     blocks = list(_trajectory(angles, signs, "chiral", kick))  # every block kept
-    states = [state for block in blocks for state in block]
+    states = [state for block, _ in blocks for state in block]
     assert len(states) == steps + 1
     for state, full in zip(states, want):
         width = state.shape[-1]
         # bit for bit, up to the sign of a zero
         assert (state + 0.0).tobytes() == (full[..., :width] + 0.0).tobytes()
         assert not full[..., width:].any()
-    sizes = {(len(block), block.shape[-1]) for block in blocks[:-1]}
+    assert np.concatenate([turn for _, turn in blocks]).tobytes() == turns.tobytes()
+    sizes = {(len(block), block.shape[-1]) for block, _ in blocks[:-1]}
     if blocks_of == "one":
         assert {rows for rows, _ in sizes} == {1}
     elif blocks_of == "many":
@@ -338,10 +366,13 @@ def test_trajectory_states_match_per_step_advance_after_collection(monkeypatch, 
 @pytest.mark.parametrize("frame", ["walk", "chiral"])
 @pytest.mark.parametrize("run", [1, 3, 7, 50])
 def test_trajectory_coin_runs_step_like_one_coin_pair_per_step(monkeypatch, frame, run):
+    """Per-step coins, built in runs of steps, step as the per-step reference
+    does; each step takes its merged first coin, its second coin and its
+    readout rotation from the run."""
     walkers, steps = 3, 50
     angles = RNG.uniform(-7.0, 7.0, size=(steps, 2, walkers))
     signs = RNG.choice([-1.0, 1.0], size=steps).tolist()
-    want = stepped(angles, signs, frame, kick=(11, 2))
+    want, turns = stepped(angles, signs, frame, kick=(11, 2))
     calls = []
 
     def counted(theta):
@@ -350,15 +381,17 @@ def test_trajectory_coin_runs_step_like_one_coin_pair_per_step(monkeypatch, fram
 
     coin_stack = lattice._coin_stack
     monkeypatch.setattr(lattice, "_coin_stack", counted)
-    # one coin pair of 3 walkers is 4 * 2 * 3 doubles; ``run`` of them per block
-    monkeypatch.setattr(lattice, "_BLOCK_BYTES", run * 4 * angles[0].nbytes)
+    # the three coins of a step for 3 walkers are 4 * 3 * 3 doubles; ``run`` steps per block
+    monkeypatch.setattr(lattice, "_BLOCK_BYTES", run * 6 * angles[0].nbytes)
     blocks = list(_trajectory(angles, signs, frame, kick=(11, 2)))
     assert calls == [min(run, steps - lo) for lo in range(0, steps, run)]
-    states = [state for block in blocks for state in block]
+    states = [state for block, _ in blocks for state in block]
     assert len(states) == steps + 1
     for state, full in zip(states, want):
         width = state.shape[-1]
         assert (state + 0.0).tobytes() == (full[..., :width] + 0.0).tobytes()
+    if frame == "chiral":
+        np.testing.assert_array_equal(np.concatenate([turn for _, turn in blocks]), turns)
 
 
 def test_only_lattice_refers_to_the_step_kernel():
@@ -373,6 +406,63 @@ def test_only_lattice_refers_to_the_step_kernel():
                 if kernel in names:
                     users.add(path.name)
         assert users == {"lattice.py"}, kernel
+
+
+@pytest.mark.parametrize("per_step", [False, True])
+@pytest.mark.parametrize("phi", [PHI_ZERO, PHI_PI])
+@pytest.mark.parametrize("kick_site", [None, 5, 60])
+def test_merged_coin_trajectory_matches_chiral_steps_and_kicks(per_step, phi, kick_site):
+    """A stack of chiral-frame walkers stepped with merged coins, read through
+    its readout rotations, against one ``chiral_step`` (and the
+    ``sigma_z_kick``) per step for each walker: the same populations, spin
+    readout and states within ``MERGED_TOL``."""
+    walkers, steps = 3, 150
+    angles = RNG.uniform(-7.0, 7.0, size=(steps if per_step else 1, 2, walkers))
+    # after step 30 the support is sites 0..30: site 5 lies inside it, 60 outside
+    kick = None if kick_site is None else (30, kick_site)
+    blocks = list(_trajectory(angles, [phi.sign] * steps, "chiral", kick))
+    states = np.concatenate([np.pad(block, [(0, 0)] * 3 + [(0, steps + 3 - block.shape[-1])])
+                             for block, _ in blocks])
+    turns = np.concatenate([turn for _, turn in blocks])
+    for walker in range(walkers):
+        state = initial_state(steps + 2)
+        chiral, records = [state.amps], [observable_record(0, state)]
+        for t in range(1, steps + 1):
+            state = chiral_step(state, BulkParams(*angles[t - 1 if per_step else 0, :, walker]),
+                                phi)
+            if kick is not None and t == kick[0]:
+                state = sigma_z_kick(state, kick[1])
+            chiral.append(state.amps)
+            records.append(observable_record(t, state))
+        ys, rotations = states[:, walker], turns[:, walker]
+        table = _observables(_state_sums(ys, rotations, _moment_weights(steps + 3)))
+        assert_close_to_chiral_steps(table, [[r.p_edge, r.sx0, r.sx1, r.mean_n, r.var_n, r.norm]
+                                             for r in records])
+        # populations read y directly; H_t turns y_t into the chiral state site by site
+        assert np.abs(lattice._site_probabilities(ys) - lattice._site_probabilities(
+            np.array(chiral))).max() <= MERGED_TOL["p_edge"]
+        assert np.abs(rotations @ ys - np.array(chiral)).max() <= MERGED_TOL["amps"]
+
+
+def test_the_step_kernel_has_one_frame_and_only_lattice_branches_on_frames():
+    """``_advance`` makes the bare step along one code path and takes no frame;
+    the chiral frame is a readout, built only in ``lattice``: no other module
+    compares a value with "chiral", so no other module can fork on the frame.
+    (Validating a frame name against the tuple of both is not a fork.)"""
+    assert list(inspect.signature(_advance).parameters) == ["amps", "first", "second", "sign"]
+    source = ast.parse(Path(lattice.__file__).read_text(encoding="utf-8"))
+    kernel, = (node for node in ast.walk(source)
+               if isinstance(node, ast.FunctionDef) and node.name == "_advance")
+    assert not any(isinstance(node, (ast.If, ast.IfExp, ast.For, ast.While, ast.Match))
+                   for node in ast.walk(kernel))
+    users = set()
+    for path in Path(lattice.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Compare):
+                for operand in (node.left, *node.comparators):
+                    if isinstance(operand, ast.Constant) and operand.value == "chiral":
+                        users.add(path.name)
+    assert users == {"lattice.py"}
 
 
 @pytest.mark.parametrize("frame,step", [("walk", floquet_step), ("chiral", chiral_step)])
@@ -390,10 +480,13 @@ def test_walk_table_matches_evolve_with_records(frame, step, phi, steps):
                      for r in records])
     assert table.shape == (steps + 1, 6)
     np.testing.assert_array_equal(want[:, 0], np.arange(steps + 1))
-    # equal numbers, nan in the same places
-    np.testing.assert_array_equal(np.isnan(table), np.isnan(want[:, 1:]))
-    np.testing.assert_array_equal(table, want[:, 1:])
-    np.testing.assert_array_equal(state.amps, final.amps)
+    if frame == "walk":  # equal numbers, nan in the same places
+        np.testing.assert_array_equal(np.isnan(table), np.isnan(want[:, 1:]))
+        np.testing.assert_array_equal(table, want[:, 1:])
+        np.testing.assert_array_equal(state.amps, final.amps)
+    else:  # merged coins round differently from one chiral_step per step
+        assert_close_to_chiral_steps(table, want[:, 1:])
+        assert np.abs(state.amps - final.amps).max() <= MERGED_TOL["amps"]
     assert state.step_count == final.step_count == steps
     evolved = evolve(initial_state(steps + 2), params, phi, steps, step=step)
     np.testing.assert_array_equal(evolved.amps, final.amps)

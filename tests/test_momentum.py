@@ -10,17 +10,17 @@ from fockwalk.momentum import (
     GapClosed,
     TimeFrame,
     bound_state_channels,
-    bulk_unitary_k,
     dispersion_cos_e,
     dispersion_energy,
     phase_diagram,
     predict_bound_states,
     quasienergy_gaps,
-    time_frame_unitary_k,
     virtual_bulk_params,
     winding_number,
     z2_invariants,
 )
+
+from oracle import bulk_unitary_k, time_frame_unitary_k
 
 RNG = np.random.default_rng(11)
 
