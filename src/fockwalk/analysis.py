@@ -4,10 +4,9 @@ One table holds every per-step observable of a state: P_edge, <sigma_x> at
 sites 0 and 1, the phonon moments and the norm (``observable_table`` for a
 block of states, ``observable_record`` for one).  Also: the final P_edge of
 every point of a parameter sweep, localization fits of stable edge profiles,
-plateau detection, and a dense eigen-oracle that diagonalizes the symmetric
-part of the real orthogonal one-step matrix and classifies 0- and pi-energy
-edge modes by their residuals, the independent reference the dynamical
-results are checked against.
+plateau detection, and the 0- and pi-energy edge modes in closed form: one
+geometric profile per channel, kept if its residual under the dense cut-link
+step is small, with no diagonalization (the dense oracle is test-side).
 
 The time series and the sweep pass coin angles to ``lattice._trajectory`` and
 reduce its blocks, sharing one P_edge reduction with ``quench``'s ramp sweep.
@@ -30,9 +29,10 @@ from .lattice import (
     BoundaryPhase,
     BulkParams,
     WalkerState,
+    _cut_link_step,
     _site_probabilities,
     _trajectory,
-    build_step_matrix,
+    coin_matrix,
 )
 
 EIGENPHASE_TOL = 1e-6
@@ -186,54 +186,45 @@ def sweep_edge_populations(points: BulkParams, phi: BoundaryPhase, steps: int) -
     return p_edge
 
 
-def _localized_group_vectors(vectors: np.ndarray) -> np.ndarray:
-    """Site-localized basis of an orthonormal (near-)degenerate eigenspace.
-
-    Diagonalizes the mean-site operator inside it, so left- and right-edge
-    partners separate cleanly.
-    """
-    sites = np.repeat(np.arange(vectors.shape[0] // 2), 2)
-    _, w = np.linalg.eigh(vectors.T @ (sites[:, None] * vectors))
-    return vectors @ w
-
-
 def edge_eigenmodes(params: BulkParams, phi: BoundaryPhase, n_max: int = 64,
                     tol: float = EIGENPHASE_TOL) -> list[EigenMode]:
-    """Diagonalize the dense step and return the left-edge 0/pi modes.
+    """The left-edge 0/pi modes on sites 0..n_max, in closed form.
 
-    U is real orthogonal, so (U + U^T)/2 has eigenvalues cos E and U's +-1
-    eigenspaces, with real orthonormal eigenvectors v.  Those with
-    ||Uv - v|| < tol (||Uv + v|| < tol) classify as "zero" ("pi") provided the
-    mode carries more than half of its weight on sites 0..1; modes at the
-    mirrored right edge are dropped by a left-half-weight filter.  U turns a
-    mode by its eigenphase E in an invariant plane, so a mode's own residual r
-    gives E = 2 asin(r/2) (zero) or pi - 2 asin(r/2) (pi), both in [0, pi].
+    In the chiral frame, channel sigma = +1 ("zero") or -1 ("pi") has the mode
+    rho^n (1, sigma e^{i*phi}): rho = -sigma x / (a + sqrt(a^2 - x^2)), a = 1 +
+    sigma s1 s2, x = c1 c2 (s_i, c_i = sin, cos(theta_i/2)), is the root of the
+    dispersion at cos E = sigma inside the unit circle; none exists if a^2 <= x^2.
+    Its bare vector v, with the top site least-squares fitted to the mirrored cut
+    link, is listed if r = ||Uv - sigma v|| < tol under ``build_step_matrix``'s U
+    and p0 + p1 > 0.5, the dense oracle's two tests; E = 2 asin(r/2) (zero) or
+    pi - 2 asin(r/2) (pi).
     """
     if n_max < 32:
         raise ValueError("n_max must be at least 32 for a clean edge spectrum")
     if not 0 < tol < 1:
         # below 1, no vector passes both tests: ||Uv - v|| + ||Uv + v|| >= 2
         raise ValueError(f"tol must lie strictly between 0 and 1, got {tol}")
-    u = build_step_matrix(params, phi, n_max)
-    _, vectors = np.linalg.eigh((u + u.T) / 2.0)
-    turned = u @ vectors
-
+    h1, h2 = params.theta1 / 2.0, params.theta2 / 2.0
+    s, x = math.sin(h1) * math.sin(h2), math.cos(h1) * math.cos(h2)
     modes: list[EigenMode] = []
-    half = (n_max + 1) // 2
     for target, sign in (("zero", 1.0), ("pi", -1.0)):
-        group = np.linalg.norm(turned - sign * vectors, axis=0) < tol
-        for v in _localized_group_vectors(vectors[:, group]).T:
-            p = _site_probabilities(v.reshape(-1, 2).T)
-            if float(np.sum(p[:half])) <= 0.5:
-                continue  # lives at the mirrored right edge
-            edge_weight = float(_edge_populations(p))
-            if edge_weight <= 0.5:
-                continue
-            turn = 2.0 * math.asin(float(np.linalg.norm(u @ v - sign * v)) / 2.0)
-            phase = turn if target == "zero" else math.pi - turn
-            modes.append(EigenMode(eigenphase=phase, amplitudes=v,
-                                   edge_weight=edge_weight, mode_class=target))
-    modes.sort(key=lambda m: m.eigenphase)
+        a = 1.0 + sign * s
+        if a * a <= x * x:
+            continue
+        alpha = (-sign * x / (a + math.sqrt(a * a - x * x))) ** np.arange(n_max + 1)
+        trial = np.zeros((3, 2, n_max + 1))  # the mode, then unit spins on the top site
+        trial[0] = coin_matrix(-h1) @ np.stack([alpha, sign * phi.sign * alpha])
+        trial[1, 0, -1] = trial[2, 1, -1] = 1.0
+        miss = (_cut_link_step(trial, params, phi) - sign * trial).reshape(3, -1)
+        trial[0, :, -1] += np.linalg.lstsq(miss[1:].T, -miss[0], rcond=None)[0]
+        v = trial[0] / np.linalg.norm(trial[0])
+        edge_weight = float(_edge_populations(_site_probabilities(v)))
+        residual = float(np.linalg.norm(_cut_link_step(v, params, phi) - sign * v))
+        if residual >= tol or edge_weight <= 0.5:
+            continue
+        turn = 2.0 * math.asin(residual / 2.0)
+        modes.append(EigenMode(turn if sign > 0 else math.pi - turn, v.T.flatten(),
+                               edge_weight, target))
     return modes
 
 

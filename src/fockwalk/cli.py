@@ -84,7 +84,7 @@ def _checked(convert, ok, reason: str):
 # work; a ramp of P durations of T steps may step P T^2 <= MAX_STEPS^2 sites.
 MAX_STEPS = 100_000  # walk, sweep-point and quench steps
 MAX_GRID = 1000  # phase-diagram points per axis
-MAX_DENSE_DIM = 2048  # rows of the dense eigen (2 n_max + 2), pulse-verify (3 n_max + 3)
+MAX_DENSE_DIM = 2048  # rows of pulse-verify's cycle (3 n_max + 3) and eigen's oracle (2 n_max + 2)
 MAX_EIGEN_N, MAX_PULSE_N = MAX_DENSE_DIM // 2 - 1, MAX_DENSE_DIM // 3 - 1
 
 _POSITIVE = _checked(int, lambda n: n >= 1, "must be >= 1")
@@ -376,7 +376,7 @@ RAMP_KEYS = {
 }
 EIGEN_KEYS = {**_BULK_KEYS, "n_max": (
     _checked(int, lambda n: 32 <= n <= MAX_EIGEN_N, f"must be in 32..{MAX_EIGEN_N}"), "64",
-    f"lattice size (>= 32 for a clean edge spectrum, <= {MAX_EIGEN_N})")}
+    f"lattice size (>= 32 for a clean edge spectrum, <= {MAX_EIGEN_N}: the dense oracle's limit)")}
 PULSE_KEYS = {
     **_BULK_KEYS,
     "n_max": (_checked(int, lambda n: 2 <= n <= MAX_PULSE_N, f"must be in 2..{MAX_PULSE_N}"),

@@ -325,6 +325,14 @@ def evolve(state: WalkerState, params: BulkParams, phi: BoundaryPhase, steps: in
     return state
 
 
+def _cut_link_step(amps: np.ndarray, params: BulkParams, phi: BoundaryPhase) -> np.ndarray:
+    """``build_step_matrix``'s step of (..., 2, n_max + 1) states, in O(n_max)."""
+    first = coin_matrix(params.theta1)
+    out = _advance(amps, first, coin_matrix(params.theta2), phi.sign)
+    out[..., 1, -1] = -(amps[..., -1] @ first[0])  # the mirrored cut link at the top
+    return out
+
+
 def _cut_link_core(theta2: float, phi: BoundaryPhase, n_max: int) -> np.ndarray:
     """Everything after the first coin, as a dense matrix.
 

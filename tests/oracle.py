@@ -2,14 +2,27 @@
 
 The k-space one-step unitaries of the bulk walk are the oracle of the
 closed-form dispersion, gaps and windings in ``fockwalk.momentum``.
+``dense_edge_eigenmodes`` diagonalizes the dense step matrix of the finite
+lattice and is the oracle of the closed-form ``analysis.edge_eigenmodes``:
+it keeps the finite-size splitting of left- and right-edge partners, of order
+q^n_max, that the semi-infinite closed form leaves out.
 ``assert_close_to_chiral_steps`` holds the bound within which a batched
 chiral-frame time series, stepped with merged coins, matches one
 ``chiral_step`` per step.
 """
 
+import math
+
 import numpy as np
 
-from fockwalk.lattice import BulkParams, coin_matrix
+from fockwalk.analysis import EIGENPHASE_TOL, EigenMode, _edge_populations
+from fockwalk.lattice import (
+    BoundaryPhase,
+    BulkParams,
+    _site_probabilities,
+    build_step_matrix,
+    coin_matrix,
+)
 from fockwalk.momentum import TimeFrame
 
 
@@ -57,3 +70,54 @@ def assert_close_to_chiral_steps(table, want):
     for column, bound in ((0, "p_edge"), (1, "sx"), (2, "sx"), (3, "moments"),
                           (4, "moments"), (5, "norm")):
         assert moved[:, column].max(initial=0.0) <= MERGED_TOL[bound], bound
+
+
+def _localized_group_vectors(vectors: np.ndarray) -> np.ndarray:
+    """Site-localized basis of an orthonormal (near-)degenerate eigenspace.
+
+    Diagonalizes the mean-site operator inside it, so left- and right-edge
+    partners separate cleanly.
+    """
+    sites = np.repeat(np.arange(vectors.shape[0] // 2), 2)
+    _, w = np.linalg.eigh(vectors.T @ (sites[:, None] * vectors))
+    return vectors @ w
+
+
+def dense_edge_eigenmodes(params: BulkParams, phi: BoundaryPhase, n_max: int = 64,
+                          tol: float = EIGENPHASE_TOL) -> list[EigenMode]:
+    """Diagonalize the dense step and return the left-edge 0/pi modes.
+
+    U is real orthogonal, so (U + U^T)/2 has eigenvalues cos E and U's +-1
+    eigenspaces, with real orthonormal eigenvectors v.  Those with
+    ||Uv - v|| < tol (||Uv + v|| < tol) classify as "zero" ("pi") provided the
+    mode carries more than half of its weight on sites 0..1; modes at the
+    mirrored right edge are dropped by a left-half-weight filter.  U turns a
+    mode by its eigenphase E in an invariant plane, so a mode's own residual r
+    gives E = 2 asin(r/2) (zero) or pi - 2 asin(r/2) (pi), both in [0, pi].
+    """
+    if n_max < 32:
+        raise ValueError("n_max must be at least 32 for a clean edge spectrum")
+    if not 0 < tol < 1:
+        # below 1, no vector passes both tests: ||Uv - v|| + ||Uv + v|| >= 2
+        raise ValueError(f"tol must lie strictly between 0 and 1, got {tol}")
+    u = build_step_matrix(params, phi, n_max)
+    _, vectors = np.linalg.eigh((u + u.T) / 2.0)
+    turned = u @ vectors
+
+    modes: list[EigenMode] = []
+    half = (n_max + 1) // 2
+    for target, sign in (("zero", 1.0), ("pi", -1.0)):
+        group = np.linalg.norm(turned - sign * vectors, axis=0) < tol
+        for v in _localized_group_vectors(vectors[:, group]).T:
+            p = _site_probabilities(v.reshape(-1, 2).T)
+            if float(np.sum(p[:half])) <= 0.5:
+                continue  # lives at the mirrored right edge
+            edge_weight = float(_edge_populations(p))
+            if edge_weight <= 0.5:
+                continue
+            turn = 2.0 * math.asin(float(np.linalg.norm(u @ v - sign * v)) / 2.0)
+            phase = turn if target == "zero" else math.pi - turn
+            modes.append(EigenMode(eigenphase=phase, amplitudes=v,
+                                   edge_weight=edge_weight, mode_class=target))
+    modes.sort(key=lambda m: m.eigenphase)
+    return modes

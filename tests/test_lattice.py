@@ -24,6 +24,7 @@ from fockwalk.lattice import (
     WalkerState,
     _advance,
     _coin_stack,
+    _cut_link_step,
     _trajectory,
     build_step_matrix,
     chiral_step,
@@ -113,6 +114,19 @@ def test_step_matrix_unitary_and_matches_sequential_step():
         vec[1] = 1.0
         seq = floquet_step(WalkerState.from_vector(vec), params, phi).to_vector()
         assert np.max(np.abs(seq - u @ vec)) < 1e-12
+
+
+def test_cut_link_step_is_the_dense_step():
+    """``_cut_link_step`` applies ``build_step_matrix``, top site included, to
+    a stack of states that fill the whole lattice."""
+    n_max, rng = 12, np.random.default_rng(8)
+    for phi in (PHI_ZERO, PHI_PI):
+        params = BulkParams(*rng.uniform(-2 * math.pi, 2 * math.pi, 2))
+        states = rng.normal(size=(3, 2, n_max + 1))
+        u = build_step_matrix(params, phi, n_max)
+        want = [WalkerState.from_vector(u @ WalkerState(s, 0).to_vector()).amps for s in states]
+        np.testing.assert_allclose(_cut_link_step(states, params, phi), want, rtol=0, atol=1e-14)
+        np.testing.assert_allclose(_cut_link_step(states[0], params, phi), want[0], rtol=0, atol=1e-14)
 
 
 def test_oracle_equivalence_on_all_interior_columns():
