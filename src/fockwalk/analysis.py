@@ -101,7 +101,8 @@ def _state_sums(states: np.ndarray, turns: np.ndarray | None, weights: np.ndarra
     edge = states[..., :2] if turns is None else turns @ states[..., :2]
     out = np.empty((rows, 7))
     out[:, :2] = p[:, :2]
-    out[:, 2:4] = 2.0 * np.real(edge[:, 0] * np.conj(edge[:, 1]))
+    down = np.conj(edge[:, 1]) if np.iscomplexobj(edge) else edge[:, 1]  # conj copies
+    out[:, 2:4] = 2.0 * np.real(edge[:, 0] * down)
     out[:, 4:] = np.einsum("kw,jw->kj", p, weights[:, :padded])
     return out
 

@@ -4,16 +4,19 @@ The walk space is the half line n = 0..n_max (phonon number states); a walker
 state keeps its amplitudes in one (2, n_max+1) array, row 0 = spin up a_n and
 row 1 = spin down b_n.  The coins are real rotations and phi is 0 or pi, so the
 walk is real orthogonal: a real start stays real, and a complex state steps
-through the same code.  The one step kernel ``_advance`` makes the bare step
-of a walker or of a stack of walkers, a (..., 2, N) array.  ``floquet_step``,
-``chiral_step`` and ``evolve`` step one ``WalkerState`` at a time and are the
-per-step reference path.  Every batched path (the time series, the sweep,
-the quench and the ramp) passes bare coin angles and boundary signs to the
-private ``_trajectory`` generator, which starts each walker at |0, down>,
-builds the coins, steps them and hands the states out in blocks of
-consecutive steps.  Amplitude moves at most one site per step (the walk's
-light cone), so it steps only the sites the cone has reached, in whole
-chunks of ``_SITE_CHUNK`` sites; the sites beyond them are zero.
+through the same code.  The one step kernel ``_step`` makes the bare step of
+a walker or of a stack of walkers, (..., 2, W) states kept in flat rows of
+2W + 2 numbers: the shift signs are folded into the coins and the shifts are
+buffer offsets, so a step is two matrix products and one boundary product.
+``_advance`` is its one-shot wrapper; ``floquet_step``, ``chiral_step`` and
+``evolve`` step one ``WalkerState`` at a time and are the per-step reference
+path.  Every batched path (the time series, the sweep, the quench and the
+ramp) passes bare coin angles and boundary signs to the private
+``_trajectory`` generator, which starts each walker at |0, down>, builds the
+coins, steps them straight into blocks of consecutive states and hands the
+blocks out.  Amplitude moves at most one site per step (the walk's light
+cone), so it steps only the sites the cone has reached, in whole chunks of
+``_SITE_CHUNK`` sites; the sites beyond them are zero.
 
 One Floquet step applies, in order: the first coin, extraction of the
 blocked spin-down amplitude at n = 0, the signed down-shift, the second
@@ -163,24 +166,45 @@ def _coin_stack(theta: np.ndarray) -> np.ndarray:
     return np.stack([c, -s, s, c], -1).reshape(theta.shape + (2, 2))
 
 
+_FOLD = np.array([[[1.0, 1.0], [-1.0, -1.0]], [[-1.0, -1.0], [1.0, 1.0]]])  # coin row signs
+
+
+def _fold(first: np.ndarray, second: np.ndarray, out=(None, None)):
+    """The coins with the shift signs folded in: row 1 of ``first`` and row 0
+    of ``second`` negated, exactly (in place for ``out=(first, second)``)."""
+    return np.multiply(first, _FOLD[0], out=out[0]), np.multiply(second, _FOLD[1], out=out[1])
+
+
+def _views(flat: np.ndarray, width: int, slot: int, site: int):
+    """Views of flat (..., 2W + 2) rows: the (..., 2, W) states, up at [0:W] and
+    down at [W+1:2W+1]; the (..., 2, W) slot at [slot:slot+2W]; and [site]."""
+    lead = flat.shape[:-1]
+    return (flat.reshape(lead + (2, width + 1))[..., :width],
+            flat[..., slot:slot + 2 * width].reshape(lead + (2, width)),
+            flat[..., site:site + 1])
+
+
+def _step(prev, first, second, sign, scratch, out, head) -> None:
+    """The step kernel: one bare-frame step of the (..., 2, W) states ``prev``
+    with ``_fold``-ed coins, sign = e^{i*phi}.  ``scratch`` is the ``_views``
+    of a zero row, slot [0:2W], site [W]: its states read the first product's
+    down spin one site down (0 from [2W] at the top).  ``out``, the new row's
+    slot [1:2W+1], moves the second's up spin one site up; ``head`` is [0]."""
+    shifted, product, spill = scratch
+    np.matmul(first, prev, out=product)
+    np.matmul(second, shifted, out=out)
+    np.multiply(spill, -sign, out=head)
+
+
 def _advance(amps: np.ndarray, first: np.ndarray, second: np.ndarray,
              sign: float) -> np.ndarray:
     """One bare-frame walk step of a (..., 2, N) amplitude array with (..., 2, 2)
-    coins, returned as a new array; ``sign`` is e^{i*phi}."""
-    amps = first @ amps
-    # the transposed view indexes site and spin from the front for any stack
-    # shape, as fast as plain (2, N) indexing (an Ellipsis index is slower)
-    sites = amps.T
-    blocked = sign * sites[0, 1]
-    # spin-down moves one site toward the boundary, with a sign
-    sites[:-1, 1] = -sites[1:, 1]
-    sites[-1, 1] = 0.0
-    amps = second @ amps
-    sites = amps.T
-    # spin-up moves one site away from the boundary, with a sign
-    sites[1:, 0] = -sites[:-1, 0]
-    sites[0, 0] = blocked
-    return amps
+    coins, returned as a new array (a view of its flat row); ``sign`` is e^{i*phi}."""
+    lead, width = amps.shape[:-2], amps.shape[-1]
+    state, out, head = _views(np.empty(lead + (2 * width + 2,), amps.dtype), width, 1, 0)
+    scratch = _views(np.zeros(lead + (2 * width + 2,), amps.dtype), width, 0, width)
+    _step(amps, *_fold(first, second), sign, scratch, out, head)
+    return state
 
 
 # Consecutive states are handed out in blocks of at most this many bytes (one
@@ -190,7 +214,9 @@ def _advance(amps: np.ndarray, first: np.ndarray, second: np.ndarray,
 _BLOCK_BYTES = 1 << 16
 # Trajectory blocks are stepped in whole chunks of this many sites, and ``analysis``
 # zero-pads states to whole chunks for its fixed-order moment product, so trailing
-# empty sites change no step or sum (and widths avoid OpenBLAS's 1-mod-8 rounding).
+# empty sites change no step or sum.  Chunk widths are multiples of 8 (OpenBLAS
+# rounds the last column of a product of width 1 mod 8 its own way); only the full
+# width N may not be, and there the top sites are empty.
 _SITE_CHUNK = 128
 
 
@@ -216,8 +242,10 @@ def _trajectory(angles: np.ndarray, signs, frame: str,
     block's last state t, rounded up to whole chunks of ``_SITE_CHUNK``
     sites.  Each state in a block equals the full-width state on those W
     sites (a zero may differ in sign) and the full-width state is zero beyond
-    them.  K >= 1 keeps a block within ``_BLOCK_BYTES`` if it can; a
-    one-state block views the stepped array.
+    them.  K >= 1 keeps a block's states within ``_BLOCK_BYTES`` if it can.
+    A block views a buffer of its own, K flat rows of 2W + 2 numbers per walker
+    (``_views``) that ``_step`` writes each state into, with coins folded once
+    per run of steps; it stays valid after later steps.
     """
     if frame not in ("walk", "chiral"):
         raise ValueError(f"frame must be walk or chiral, got {frame!r}")
@@ -233,8 +261,9 @@ def _trajectory(angles: np.ndarray, signs, frame: str,
 
     def coin_run(lo):
         step, h = per_step[lo:lo + run], readout[lo:lo + run + 1]
-        return zip(*_coin_stack(np.stack([step[:, 0] - h[1:] + h[:-1], step[:, 1], h[1:]],
-                                         axis=1)).swapaxes(0, 1))
+        first, second, turn = _coin_stack(np.stack([step[:, 0] - h[1:] + h[:-1], step[:, 1],
+                                                    h[1:]], axis=1)).swapaxes(0, 1)
+        return zip(*_fold(first, second, (first, second)), turn)
 
     coins = itertools.chain.from_iterable(map(coin_run, range(0, len(per_step), run)))
     if len(angles) == 1:
@@ -244,43 +273,49 @@ def _trajectory(angles: np.ndarray, signs, frame: str,
         """Sites stepped for state t: its light cone and one more, in whole chunks."""
         return min(n_sites, -(-(t + 2) // _SITE_CHUNK) * _SITE_CHUNK)
 
-    def layout(t):
-        """(K, W) of the block from state t: K states fit at its first and last widths."""
-        rows = min(steps + 1 - t, max(1, _BLOCK_BYTES // (site_bytes * width(t))))
-        rows = max(1, min(rows, _BLOCK_BYTES // (site_bytes * width(t + rows - 1))))
-        return rows, width(t + rows - 1)
+    def layouts():
+        """(K, W) of every block in order, once per width: K states fit at the
+        block's first and last widths, and whole blocks of one width repeat."""
+        t = 0
+        while t <= steps:
+            sites = width(t)
+            rows = min(steps + 1 - t, max(1, _BLOCK_BYTES // (site_bytes * sites)))
+            repeat = (min(steps, sites - 2) + 1 - t) // rows  # blocks within this width
+            if not repeat:  # the block that crosses into the next width
+                rows = max(1, min(rows, _BLOCK_BYTES // (site_bytes * width(t + rows - 1))))
+                repeat, sites = 1, width(t + rows - 1)
+            yield from itertools.repeat((rows, sites), repeat)
+            t += repeat * rows
 
-    rows, sites = layout(0)
-    amps = np.zeros(stack + (2, sites))
-    amps[..., 1, 0] = 1.0
-    block = np.empty((rows,) + amps.shape)
-    turns = np.empty((rows,) + stack + (2, 2))
-    block[0], turns[0] = amps, np.eye(2)
-    k = 1
+    def new_block(rows, sites):
+        """Readout rotations and the (states, slots, sites [0]) views of K flat rows."""
+        rotations = np.empty((rows,) + stack + (2, 2))
+        return rotations, *_views(np.empty((rows,) + stack + (2 * sites + 2,)), sites, 1, 0)
+
+    blocks = layouts()
+    rows, sites = next(blocks)
+    scratch = _views(np.zeros(stack + (2 * sites + 2,)), sites, 0, sites)
+    (turns, states, outs, heads), k = new_block(rows, sites), 1
+    states[0], turns[0] = 0.0, np.eye(2)
+    states[0, ..., 1, 0] = 1.0  # |0, down>
+    prev = states[0]
     for t, sign, (first, second, turn) in zip(range(1, steps + 1), signs, coins):
-        if k == rows:
-            yield block, turns if frame == "chiral" else None
-            if (rows, sites) != (1, n_sites):  # else settled: one full-width state per block
-                rows, sites = layout(t)
-            if sites > amps.shape[-1]:
-                wider = np.zeros(amps.shape[:-1] + (sites,))
-                wider[..., :amps.shape[-1]] = amps
-                amps = wider
-            if rows > 1:
-                block = np.empty((rows,) + amps.shape)
-                turns = np.empty((rows,) + stack + (2, 2))
-            k = 0
-        amps = _advance(amps, first, second, sign)
+        if k == rows:  # a new block, allocated after this step's coin run: a lower peak
+            yield states, turns if frame == "chiral" else None
+            rows, wider = next(blocks)
+            if wider > sites:  # the narrower scratch row is freed before the wider is made
+                prev = np.concatenate([prev, np.zeros(prev.shape[:-1] + (wider - sites,))], -1)
+                scratch, sites = None, wider
+                scratch = _views(np.zeros(stack + (2 * sites + 2,)), sites, 0, sites)
+            (turns, states, outs, heads), k = new_block(rows, sites), 0
+        _step(prev, first, second, sign, scratch, outs[k], heads[k])
+        prev, turns[k] = states[k], turn
         if kick is not None and t == kick[0] and kick[1] < sites:
             flip = turn.swapaxes(-1, -2) @ (turn * [[1.0], [-1.0]])  # H^T sigma_z H
-            spin = amps[..., kick[1]:kick[1] + 1]
+            spin = prev[..., kick[1]:kick[1] + 1]
             spin[...] = np.einsum("...ij,...jk->...ik", flip, spin)
-        if rows == 1:
-            block, turns = amps[None], turn[None]  # no later step writes to either
-        else:
-            block[k], turns[k] = amps, turn
         k += 1
-    yield block, turns if frame == "chiral" else None
+    yield states, turns if frame == "chiral" else None
 
 
 def floquet_step(state: WalkerState, params: BulkParams, phi: BoundaryPhase) -> WalkerState:

@@ -8,7 +8,8 @@ it keeps the finite-size splitting of left- and right-edge partners, of order
 q^n_max, that the semi-infinite closed form leaves out.
 ``assert_close_to_chiral_steps`` holds the bound within which a batched
 chiral-frame time series, stepped with merged coins, matches one
-``chiral_step`` per step.
+``chiral_step`` per step.  ``shifted_step`` is the bare step with unfolded
+coins and explicit signed shifts, the reference of ``lattice``'s step kernel.
 """
 
 import math
@@ -70,6 +71,23 @@ def assert_close_to_chiral_steps(table, want):
     for column, bound in ((0, "p_edge"), (1, "sx"), (2, "sx"), (3, "moments"),
                           (4, "moments"), (5, "norm")):
         assert moved[:, column].max(initial=0.0) <= MERGED_TOL[bound], bound
+
+
+def shifted_step(amps: np.ndarray, first: np.ndarray, second: np.ndarray,
+                 sign: float) -> np.ndarray:
+    """One bare walk step of a (..., 2, N) array with (..., 2, 2) coins, step by
+    step: first coin, blocked spin-down amplitude, signed down-shift, second
+    coin, signed up-shift, re-injection with e^{i*phi} = ``sign``."""
+    amps = first @ amps
+    sites = amps.T  # (site, spin, ...): indexes any stack shape without an Ellipsis
+    blocked = sign * sites[0, 1]
+    sites[:-1, 1] = -sites[1:, 1]
+    sites[-1, 1] = 0.0
+    amps = second @ amps
+    sites = amps.T
+    sites[1:, 0] = -sites[:-1, 0]
+    sites[0, 0] = blocked
+    return amps
 
 
 def _localized_group_vectors(vectors: np.ndarray) -> np.ndarray:

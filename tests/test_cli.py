@@ -99,22 +99,30 @@ def test_walk_distribution_schema(tmp_path):
 
 @pytest.mark.parametrize("frame", ["walk", "chiral"])
 @pytest.mark.parametrize("phi", [lattice.PHI_ZERO, lattice.PHI_PI])
-def test_walk_distribution_is_the_final_state(frame, phi, tmp_path):
+def test_walk_distribution_is_the_final_state(frame, phi, tmp_path, monkeypatch):
     # at 10 steps from theta1 = pi/2, theta2 = 0 the square of a numpy scalar
     # (C pow) and np.square differ in the last bits of p_2
     out, dist = tmp_path / "w.csv", tmp_path / "d.csv"
-    assert main(["walk", "theta1=pi/2", "theta2=0", f"phi={phi.phi!r}", "steps=10",
-                 f"frame={frame}", "--out", str(out), "--dist-out", str(dist)]) == EXIT_OK
+    argv = ["walk", "theta1=pi/2", "theta2=0", f"phi={phi.phi!r}", "steps=10",
+            f"frame={frame}", "--out", str(out), "--dist-out", str(dist)]
     _, state = analysis.walk_table(lattice.BulkParams(math.pi / 2, 0.0), phi, 10, frame)
-    if frame == "walk":
-        assert np.signbit(state.amps[state.amps == 0]).any()  # a -0 to print as 0
-    p = lattice._site_probabilities(state.amps)
-    up, down = state.amps + 0.0
-    want = "".join("%d,%.17g,%.17g,%.17g,%.17g,%.17g\n"
-                   % (n, p[n], up[n].real, up[n].imag, down[n].real, down[n].imag)
-                   for n in range(state.n_max + 1))
-    assert dist.read_text() == "n,p_n,re_a,im_a,re_b,im_b\n" + want
-    assert "-0" not in {cell for line in want.splitlines() for cell in line.split(",")}
+    # the final state, then its negation, whose empty sites all hold -0, to print as 0
+    negated = lattice.WalkerState(-state.amps, state.step_count)
+    assert np.signbit(negated.amps[negated.amps == 0]).any()
+    walk_table = analysis.walk_table
+    for final in (state, negated):
+        if final is negated:
+            monkeypatch.setattr(analysis, "walk_table",
+                                lambda *args: (walk_table(*args)[0], negated))
+        assert main(argv) == EXIT_OK
+        p = lattice._site_probabilities(final.amps)
+        up, down = final.amps + 0.0
+        want = "".join("%d,%.17g,%.17g,%.17g,%.17g,%.17g\n"
+                       % (n, p[n], up[n].real, up[n].imag, down[n].real, down[n].imag)
+                       for n in range(final.n_max + 1))
+        written = dist.read_text()
+        assert written == "n,p_n,re_a,im_a,re_b,im_b\n" + want
+        assert "-0" not in {cell for line in written.splitlines() for cell in line.split(",")}
 
 
 def test_walk_rejects_unknown_keys(tmp_path):

@@ -35,7 +35,7 @@ from fockwalk.lattice import (
     sigma_z_kick,
 )
 
-from oracle import MERGED_TOL, assert_close_to_chiral_steps
+from oracle import MERGED_TOL, assert_close_to_chiral_steps, shifted_step
 
 RNG = np.random.default_rng(20240811)
 
@@ -235,6 +235,51 @@ def test_stacked_step_matches_per_row_steps_and_the_oracle():
                     assert np.max(np.abs(got - u @ state.to_vector())) < 1e-12
 
 
+def same_bits(got, want):
+    """Bit for bit, up to the sign of a zero."""
+    return got.shape == want.shape and (got + 0.0).tobytes() == (want + 0.0).tobytes()
+
+
+# 1, 9, 129 and 1025 are 1 mod 8, where OpenBLAS rounds a product's last column its own way
+@pytest.mark.parametrize("width", [1, 2, 9, 24, 129, 1025])
+@pytest.mark.parametrize("stack", [(), (3,), (2, 4)])
+@pytest.mark.parametrize("dtype", [float, complex])
+def test_step_kernel_matches_the_shifted_step(width, stack, dtype):
+    """The one-shot ``_advance``, folded coins and buffer offsets, against the
+    step with explicit signed shifts: per-row coins, both boundary signs, real
+    and complex states, bit for bit up to the sign of a zero."""
+    for sign in (1.0, -1.0):
+        amps = RNG.normal(size=stack + (2, width)).astype(dtype)
+        if dtype is complex:
+            amps += 1j * RNG.normal(size=amps.shape)
+        first, second = (_coin_stack(RNG.uniform(-7.0, 7.0, size=stack)) for _ in range(2))
+        before = amps.copy()
+        got = _advance(amps, first, second, sign)
+        np.testing.assert_array_equal(amps, before)  # input untouched
+        assert got.dtype == amps.dtype
+        assert same_bits(got, shifted_step(amps, first, second, sign))
+
+
+# 134 and 262 steps end at full widths of 137 and 265 sites, both 1 mod 8
+@pytest.mark.parametrize("steps", [134, 262])
+@pytest.mark.parametrize("frame", ["walk", "chiral"])
+def test_trajectory_at_widths_one_mod_eight_matches_the_shifted_steps(steps, frame):
+    """Per-row, per-step coins and a kick: every state of every block equals the
+    full-width ``shifted_step`` walk, bit for bit up to the sign of a zero."""
+    angles = RNG.uniform(-7.0, 7.0, size=(steps, 2, 3))
+    signs = RNG.choice([-1.0, 1.0], size=steps).tolist()
+    kick = (steps // 2, steps // 4)
+    want, turns = stepped(angles, signs, frame, kick)
+    blocks = list(_trajectory(angles, signs, frame, kick))
+    states = [state for block, _ in blocks for state in block]
+    assert len(states) == steps + 1 and blocks[-1][0].shape[-1] == steps + 3
+    for state, full in zip(states, want):
+        assert same_bits(state, full[..., :state.shape[-1]])
+        assert not full[..., state.shape[-1]:].any()
+    if frame == "chiral":
+        assert same_bits(np.concatenate([turn for _, turn in blocks]), turns)
+
+
 def assert_blocks_hold(blocks, want, turns):
     """The (states, turns) blocks hold the states of ``want`` in order, equal
     on each block's first W sites (a zero may differ in sign) and zero beyond,
@@ -259,10 +304,11 @@ def edge_start(shape, n_sites, dtype=float):
 
 
 def stepped(angles, signs, frame, kick=None, dtype=float):
-    """Every state of a walk from |0, down>, full width, one ``_advance`` and
-    one merged coin per step, and the readout rotations H_t (None in the bare
-    frame): the reference of ``_trajectory``, in its arithmetic.  ``angles``
-    is (S, 2, ...) bare (theta1, theta2), S = len(signs) or 1."""
+    """Every state of a walk from |0, down>, full width, one ``shifted_step``
+    and one merged coin per step, and the readout rotations H_t (None in the
+    bare frame): the reference of ``_trajectory``, in its arithmetic up to the
+    folded signs.  ``angles`` is (S, 2, ...) bare (theta1, theta2), S =
+    len(signs) or 1."""
     half = 0.5 if frame == "chiral" else 0.0
     want = [edge_start(angles.shape[2:], len(signs) + 3, dtype)]
     turns = [np.broadcast_to(np.eye(2), angles.shape[2:] + (2, 2))]
@@ -271,7 +317,7 @@ def stepped(angles, signs, frame, kick=None, dtype=float):
         theta1, theta2 = angles[t - 1 if len(angles) > 1 else 0]
         turn = _coin_stack(theta1 * half)
         merged = _coin_stack(theta1 - theta1 * half + before)  # H_t H_{t-1}
-        amps = _advance(want[-1], merged, _coin_stack(theta2), sign)
+        amps = shifted_step(want[-1], merged, _coin_stack(theta2), sign)
         if kick is not None and t == kick[0]:
             flip = turn.swapaxes(-1, -2) @ (turn * [[1.0], [-1.0]])
             spin = amps[..., kick[1]:kick[1] + 1]
@@ -409,10 +455,11 @@ def test_trajectory_coin_runs_step_like_one_coin_pair_per_step(monkeypatch, fram
 
 
 def test_only_lattice_refers_to_the_step_kernel():
-    """``_advance`` is stepped, and ``_coin_stack`` builds the coins of a
-    trajectory, only in ``lattice``: through ``_trajectory`` and the per-step
-    functions.  No other module grows a stepping loop or builds coins."""
-    for kernel in ("_advance", "_coin_stack"):
+    """The step kernel ``_step`` and its one-shot wrapper ``_advance`` are
+    stepped, and ``_coin_stack`` and ``_fold`` build the coins of a trajectory,
+    only in ``lattice``: through ``_trajectory`` and the per-step functions.
+    No other module grows a stepping loop or builds coins."""
+    for kernel in ("_step", "_advance", "_coin_stack", "_fold", "_views"):
         users = set()
         for path in Path(lattice.__file__).parent.glob("*.py"):
             for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
@@ -459,16 +506,24 @@ def test_merged_coin_trajectory_matches_chiral_steps_and_kicks(per_step, phi, ki
 
 
 def test_the_step_kernel_has_one_frame_and_only_lattice_branches_on_frames():
-    """``_advance`` makes the bare step along one code path and takes no frame;
-    the chiral frame is a readout, built only in ``lattice``: no other module
-    compares a value with "chiral", so no other module can fork on the frame.
+    """``_step`` makes the bare step along one code path and takes no frame,
+    and the one-shot ``_advance`` wraps it without a branch; ``_trajectory``
+    and ``_advance`` alone call it, so one step body serves both.  The chiral
+    frame is a readout, built only in ``lattice``: no other module compares a
+    value with "chiral", so no other module can fork on the frame.
     (Validating a frame name against the tuple of both is not a fork.)"""
     assert list(inspect.signature(_advance).parameters) == ["amps", "first", "second", "sign"]
+    assert "frame" not in inspect.signature(lattice._step).parameters
     source = ast.parse(Path(lattice.__file__).read_text(encoding="utf-8"))
-    kernel, = (node for node in ast.walk(source)
-               if isinstance(node, ast.FunctionDef) and node.name == "_advance")
-    assert not any(isinstance(node, (ast.If, ast.IfExp, ast.For, ast.While, ast.Match))
-                   for node in ast.walk(kernel))
+    functions = {node.name: node for node in source.body if isinstance(node, ast.FunctionDef)}
+    for name in ("_step", "_advance"):
+        assert not any(isinstance(node, (ast.If, ast.IfExp, ast.For, ast.While, ast.Match,
+                                         ast.comprehension))
+                       for node in ast.walk(functions[name])), name
+    callers = {name for name, function in functions.items()
+               for node in ast.walk(function)
+               if isinstance(node, ast.Name) and node.id == "_step"}
+    assert callers == {"_advance", "_trajectory"}
     users = set()
     for path in Path(lattice.__file__).parent.glob("*.py"):
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):

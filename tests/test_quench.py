@@ -270,15 +270,23 @@ def test_ramp_survival_curve_matches_per_ramp_quenches(name, nq_list, n0, post):
 
 
 def test_ramp_keeps_the_top_two_sites_empty(monkeypatch):
-    def checked(amps, *args):
-        out = advance(amps, *args)
-        assert out.shape[:2] == (6, 2) and out.shape[2] == 20 + 12 + 80 + 3
-        assert not np.any(out[:, :, -2:])
-        return out
+    """Every state the ramp steps from, and every state it steps to, has its
+    top two sites empty; the step kernel runs once per step."""
+    calls = []
 
-    advance = lattice._advance
-    monkeypatch.setattr(lattice, "_advance", checked)
+    def checked(prev, first, second, sign, scratch, out, head):
+        step(prev, first, second, sign, scratch, out, head)
+        assert prev.shape == out.shape == (6, 2, 20 + 12 + 80 + 3)
+        assert not np.any(prev[..., -2:])
+        # ``out`` holds the new down spin, and at n the new up spin of site n + 1 (at
+        # the last n, the amplitude shifted past the top)
+        assert not np.any(out[..., 1, -2:]) and not np.any(out[..., 0, -3:])
+        calls.append(sign)
+
+    step = lattice._step
+    monkeypatch.setattr(lattice, "_step", checked)
     ramp_survival_curve(scenario("fig6c"), [1, 2, 4, 6, 8, 12])
+    assert len(calls) == 20 + 12 + 80
 
 
 def no_stepping(*args):
@@ -292,13 +300,13 @@ def no_stepping(*args):
     ([], 20, 80, "at least one ramp duration"),
 ])
 def test_ramp_rejects_bad_durations_before_stepping(monkeypatch, nq_list, n0, post, message):
-    monkeypatch.setattr(lattice, "_advance", no_stepping)
+    monkeypatch.setattr(lattice, "_step", no_stepping)
     with pytest.raises(ValueError, match=message):
         ramp_survival_curve(scenario("fig6c"), nq_list, n0=n0, post=post)
 
 
 def test_ramp_rejects_a_kick_outside_the_shortest_lattice(monkeypatch):
-    monkeypatch.setattr(lattice, "_advance", no_stepping)
+    monkeypatch.setattr(lattice, "_step", no_stepping)
     far = dataclasses.replace(scenario("fig6d-kick"), kick=20 + 1 + 80 + 3)
     with pytest.raises(SiteOutOfRange):
         ramp_survival_curve(far, [1, 2, 3])
