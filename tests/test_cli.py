@@ -578,6 +578,28 @@ def test_unusable_path_exits_with_one_error_line(tmp_path, capsys):
         assert len(err.splitlines()) == 1 and err.startswith("error: ")
 
 
+@pytest.mark.parametrize("argv,flag", [
+    (["walk", "theta1=pi/2", "--out", "w.csv", "--json", ""], "--json"),
+    (["walk", "theta1=pi/2", "--out", "w.csv", "--dist-out", ""], "--dist-out"),
+    (["pulse-verify", "--out", ""], "--out"),
+    (["walk", "theta1=pi/2", "--out", ""], "--out"),
+])
+def test_empty_output_path_is_rejected_before_any_work(argv, flag, tmp_path, monkeypatch,
+                                                       capsys):
+    def fail(*args, **kwargs):
+        raise AssertionError("the experiment ran")
+
+    for name, (_, keys, summary) in cli.COMMANDS.items():  # every handler fails if called
+        monkeypatch.setitem(cli.COMMANDS, name, (fail, keys, summary))
+    monkeypatch.setattr(cli, "_parser", cli.build_parser)
+    monkeypatch.chdir(tmp_path)
+    assert main(argv) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {flag}: the path is empty\n"
+    assert list(tmp_path.iterdir()) == []  # nothing created
+
+
 def _modules_after_cli_import() -> list[str]:
     code = "import json, sys, fockwalk.cli; print(json.dumps(sorted(sys.modules)))"
     src = os.path.dirname(os.path.dirname(fockwalk.__file__))

@@ -35,7 +35,7 @@ from fockwalk.lattice import (
     sigma_z_kick,
 )
 
-from oracle import MERGED_TOL, assert_close_to_chiral_steps, shifted_step
+from oracle import MERGED_TOL, assert_close_to_chiral_steps, dense_step_matrix, shifted_step
 
 RNG = np.random.default_rng(20240811)
 
@@ -107,7 +107,7 @@ def test_step_matrix_unitary_and_matches_sequential_step():
     for _ in range(50):
         params = BulkParams(*RNG.uniform(-2 * math.pi, 2 * math.pi, 2))
         phi = PHI_ZERO if RNG.integers(2) == 0 else PHI_PI
-        u = build_step_matrix(params, phi, n_max)
+        u = dense_step_matrix(params, phi, n_max)
         assert np.max(np.abs(u.conj().T @ u - np.eye(dim))) < 1e-12
         # action on |0,down> column
         vec = np.zeros(dim, dtype=complex)
@@ -117,22 +117,39 @@ def test_step_matrix_unitary_and_matches_sequential_step():
 
 
 def test_cut_link_step_is_the_dense_step():
-    """``_cut_link_step`` applies ``build_step_matrix``, top site included, to
+    """``_cut_link_step`` applies the dense step, top site included, to
     a stack of states that fill the whole lattice."""
     n_max, rng = 12, np.random.default_rng(8)
     for phi in (PHI_ZERO, PHI_PI):
         params = BulkParams(*rng.uniform(-2 * math.pi, 2 * math.pi, 2))
         states = rng.normal(size=(3, 2, n_max + 1))
-        u = build_step_matrix(params, phi, n_max)
+        u = dense_step_matrix(params, phi, n_max)
         want = [WalkerState.from_vector(u @ WalkerState(s, 0).to_vector()).amps for s in states]
         np.testing.assert_allclose(_cut_link_step(states, params, phi), want, rtol=0, atol=1e-14)
         np.testing.assert_allclose(_cut_link_step(states[0], params, phi), want[0], rtol=0, atol=1e-14)
 
 
+@pytest.mark.parametrize("n_max", [2, 3, 12, 33, 64])
+def test_step_matrix_is_the_dense_cut_link_assembly(n_max):
+    """``build_step_matrix``, the step kernel applied to every basis state,
+    equals the hand-assembled cut-link matrix exactly (a zero may differ in
+    sign), in float64, over seeded angles and both boundary phases."""
+    rng = np.random.default_rng(2500 + n_max)
+    for _ in range(30):
+        params = BulkParams(*rng.uniform(-2 * math.pi, 2 * math.pi, 2))
+        for phi in (PHI_ZERO, PHI_PI):
+            u = build_step_matrix(params, phi, n_max)
+            assert u.dtype == np.float64
+            assert np.array_equal(u, dense_step_matrix(params, phi, n_max))
+    for small in (-1, 0, 1):
+        with pytest.raises(ValueError):
+            build_step_matrix(BulkParams(0.3, 0.7), PHI_ZERO, small)
+
+
 def test_oracle_equivalence_on_all_interior_columns():
     n_max = 24
     params = BulkParams(1.234, -2.345)
-    u = build_step_matrix(params, PHI_PI, n_max)
+    u = dense_step_matrix(params, PHI_PI, n_max)
     for idx in range(2 * (n_max - 1)):
         vec = np.zeros(2 * (n_max + 1), dtype=complex)
         vec[idx] = 1.0
@@ -143,14 +160,14 @@ def test_oracle_equivalence_on_all_interior_columns():
 def test_chiral_step_is_half_coin_similarity():
     n_max = 20
     params = BulkParams(0.77, 1.91)
-    u_chiral = build_step_matrix(params, PHI_ZERO, n_max, frame="chiral")
+    u_chiral = dense_step_matrix(params, PHI_ZERO, n_max, frame="chiral")
     vec = np.zeros(2 * (n_max + 1), dtype=complex)
     vec[3] = 0.6
     vec[4] = 0.8
     seq = chiral_step(WalkerState.from_vector(vec), params, PHI_ZERO).to_vector()
     assert np.max(np.abs(seq - u_chiral @ vec)) < 1e-12
     # same eigenphases as the bare frame
-    bare = build_step_matrix(params, PHI_ZERO, n_max)
+    bare = dense_step_matrix(params, PHI_ZERO, n_max)
     assert bare.dtype == u_chiral.dtype == np.float64  # real orthogonal in both frames
     e1 = np.sort(np.angle(np.linalg.eigvals(bare)))
     e2 = np.sort(np.angle(np.linalg.eigvals(u_chiral)))
@@ -189,7 +206,7 @@ def test_complex_states_match_the_oracle_in_both_frames():
         for phi in (PHI_ZERO, PHI_PI):
             for _ in range(5):
                 params = BulkParams(*RNG.uniform(-2 * math.pi, 2 * math.pi, 2))
-                u = build_step_matrix(params, phi, n_max, frame=frame)
+                u = dense_step_matrix(params, phi, n_max, frame=frame)
                 vec = RNG.normal(size=u.shape[0]) + 1j * RNG.normal(size=u.shape[0])
                 vec[-4:] = 0.0  # keep the top two sites (the guard band) empty
                 vec /= np.linalg.norm(vec)
@@ -229,7 +246,7 @@ def test_stacked_step_matches_per_row_steps_and_the_oracle():
                     params = BulkParams(*thetas[row])
                     state = WalkerState(amps[row].copy(), 0)
                     single = step(state, params, phi).to_vector()
-                    u = build_step_matrix(params, phi, n_max, frame=frame)
+                    u = dense_step_matrix(params, phi, n_max, frame=frame)
                     got = WalkerState(out[row], 1).to_vector()
                     assert np.max(np.abs(got - single)) < 1e-12
                     assert np.max(np.abs(got - u @ state.to_vector())) < 1e-12
