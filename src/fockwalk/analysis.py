@@ -3,10 +3,10 @@
 One table holds every per-step observable of a state: P_edge, <sigma_x> at
 sites 0 and 1, the phonon moments and the norm (``observable_table`` for a
 block of states, ``observable_record`` for one).  Also: the final P_edge of
-every point of a parameter sweep, localization fits of stable edge profiles,
-plateau detection, and the 0- and pi-energy edge modes in closed form: one
-geometric profile per channel, kept if its residual under the dense cut-link
-step is small, with no diagonalization (the dense oracle is test-side).
+every point of a parameter sweep, plateau detection, and the 0- and pi-energy
+edge modes in closed form: one geometric profile per channel, kept if its
+residual under the dense cut-link step is small, with no diagonalization (the
+dense oracle and the localization fits of edge profiles are test-side).
 
 The time series and the sweep pass coin angles to ``lattice._trajectory`` and
 reduce its blocks, sharing one P_edge reduction with ``quench``'s ramp sweep.
@@ -39,10 +39,6 @@ EIGENPHASE_TOL = 1e-6
 OCCUPATION_FLOOR = 1e-9
 
 
-class InsufficientSupport(RuntimeError):
-    """Not enough sites above the probability floor to fit a decay length."""
-
-
 @dataclass(frozen=True)
 class ObservableRecord:
     step: int
@@ -63,13 +59,6 @@ class EigenMode:
 
     def site_probabilities(self) -> np.ndarray:
         return _site_probabilities(self.amplitudes.reshape(-1, 2).T)
-
-
-@dataclass(frozen=True)
-class LocalizationFit:
-    lam: float          # decay length: p_n ~ exp(-n / lam)
-    ratio_even: float   # fitted p_{n+2} / p_n
-    r_squared: float
 
 
 def _edge_populations(p: np.ndarray) -> np.ndarray:
@@ -229,15 +218,6 @@ def edge_eigenmodes(params: BulkParams, phi: BoundaryPhase, n_max: int = 64,
     return modes
 
 
-def successive_ratios(profile: np.ndarray, floor: float = 1e-12) -> np.ndarray:
-    """p_{n+1} / p_n wherever both sit above the floor (nan elsewhere)."""
-    profile = np.asarray(profile, dtype=float)
-    ratios = np.full(profile.size - 1, np.nan)
-    ok = (profile[:-1] > floor) & (profile[1:] > floor)
-    ratios[ok] = profile[1:][ok] / profile[:-1][ok]
-    return ratios
-
-
 def linear_fit(x: np.ndarray, y: np.ndarray) -> tuple[float, float, float]:
     """Least-squares line y ~ slope x + intercept: (slope, intercept, R^2)."""
     slope, intercept = np.polyfit(x, y, 1)
@@ -246,34 +226,6 @@ def linear_fit(x: np.ndarray, y: np.ndarray) -> tuple[float, float, float]:
     ss_tot = float(np.sum((y - y.mean()) ** 2))
     r_squared = 1.0 - ss_res / ss_tot if ss_tot > 0 else 1.0
     return slope, intercept, r_squared
-
-
-def fit_localization(profile: np.ndarray, floor: float = 1e-12) -> LocalizationFit:
-    """Log-linear least-squares decay length of a stable edge profile.
-
-    Fits ln p_n over the leading window of sites above the floor and reports
-    the positive decay length lam with p_n ~ exp(-n / lam), the implied
-    even-site ratio, and the fit quality.
-    """
-    profile = np.asarray(profile, dtype=float)
-    window = np.flatnonzero(profile > floor)
-    if window.size < 6:
-        raise InsufficientSupport(f"only {window.size} sites above {floor}")
-    # keep the contiguous run that starts at the first admissible site
-    run_end = window[0]
-    for j in window:
-        if j == run_end:
-            run_end += 1
-        else:
-            break
-    sites = np.arange(window[0], run_end)
-    if sites.size < 6:
-        raise InsufficientSupport(f"only {sites.size} sites above {floor}")
-    slope, _, r_squared = linear_fit(sites, np.log(profile[sites]))
-    if slope >= 0:
-        raise InsufficientSupport("profile does not decay")
-    return LocalizationFit(lam=-1.0 / slope, ratio_even=float(np.exp(2.0 * slope)),
-                           r_squared=r_squared)
 
 
 def detect_stabilization(series, window: int = 10, tol: float = 0.01,

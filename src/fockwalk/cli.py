@@ -126,7 +126,7 @@ def resolve(args, keys: dict) -> tuple[argparse.Namespace, set[str]]:
     """Every key's parsed value (None if it has no default and was not
     given) and the set of keys given, from ``--config`` and the command line;
     a parser's ValueError becomes a ConfigError naming the key."""
-    pairs = read_config_file(args.config) if args.config else {}
+    pairs = read_config_file(args.config) if args.config is not None else {}
     given: dict[str, str] = {}
     for item in args.pairs:
         _add_pair(given, item)

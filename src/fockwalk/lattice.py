@@ -16,7 +16,10 @@ ramp) passes bare coin angles and boundary signs to the private
 coins, steps them straight into blocks of consecutive states and hands the
 blocks out.  Amplitude moves at most one site per step (the walk's light
 cone), so it steps only the sites the cone has reached, in whole chunks of
-``_SITE_CHUNK`` sites; the sites beyond them are zero.
+``_SITE_CHUNK`` sites; the sites beyond them are zero.  The blocks hold at
+least 8 walker-states each and are views of one pair of buffers used in turn,
+so a block is valid until the generator resumes twice.  Every
+``_SITE_CHUNK`` steps the trajectory flushes subnormal amplitudes to +0.0.
 
 One Floquet step applies, in order: the first coin, extraction of the
 blocked spin-down amplitude at n = 0, the signed down-shift, the second
@@ -209,16 +212,17 @@ def _advance(amps: np.ndarray, first: np.ndarray, second: np.ndarray,
     return state
 
 
-# Consecutive states are handed out in blocks of at most this many bytes (one
-# state when a state is larger).  Blocks and the temporaries of reducing them
-# stay below glibc's 128 KB mmap threshold, so they come from the heap instead
-# of being mapped and page-faulted in afresh for every block.
+# A block holds the consecutive states of at most this many bytes, but at least
+# 8 walker-states, so one walker wider than 512 sites comes in blocks of 8 states.
+# The blocks of a trajectory take turns in one pair of buffers: a block above
+# glibc's 128 KB mmap threshold is not mapped and page-faulted in afresh.
 _BLOCK_BYTES = 1 << 16
 # Trajectory blocks are stepped in whole chunks of this many sites, and ``analysis``
 # zero-pads states to whole chunks for its fixed-order moment product, so trailing
 # empty sites change no step or sum.  Chunk widths are multiples of 8 (OpenBLAS
 # rounds the last column of a product of width 1 mod 8 its own way); only the full
-# width N may not be, and there the top sites are empty.
+# width N may not be, and there the top sites are empty.  Every this many steps
+# the trajectory also flushes its subnormal amplitudes to zero.
 _SITE_CHUNK = 128
 
 
@@ -244,17 +248,29 @@ def _trajectory(angles: np.ndarray, signs, frame: str,
     block's last state t, rounded up to whole chunks of ``_SITE_CHUNK``
     sites.  Each state in a block equals the full-width state on those W
     sites (a zero may differ in sign) and the full-width state is zero beyond
-    them.  K >= 1 keeps a block's states within ``_BLOCK_BYTES`` if it can.
-    A block views a buffer of its own, K flat rows of 2W + 2 numbers per walker
-    (``_views``) that ``_step`` writes each state into, with coins folded once
-    per run of steps; it stays valid after later steps.
+    them.  K keeps a block's states within ``_BLOCK_BYTES`` if it can, but K
+    >= ceil(8 / walkers), so a block holds at least 8 walker-states.
+
+    The blocks are views of one pair of buffers per trajectory, used in turn:
+    K flat rows of 2W + 2 numbers per walker (``_views``) that ``_step`` writes
+    each state into, with coins folded once per run of steps.  The views are
+    built once per (K, W, buffer).  A block stays valid until the generator
+    resumes twice; the caller reduces or copies it before then.
+
+    Right after each step t with t % ``_SITE_CHUNK`` == 0, and after that
+    step's kick, every amplitude below the smallest normal float
+    (``np.finfo(float).tiny``, 2.2e-308) in magnitude is set to +0.0: the
+    subnormal tail ahead of the bulk steps many times slower and carries no
+    readable probability.  The rule depends on t alone, not on the blocks.
     """
     if frame not in ("walk", "chiral"):
         raise ValueError(f"frame must be walk or chiral, got {frame!r}")
     steps = len(signs)
     stack = angles.shape[2:]
+    walkers = math.prod(stack)
     n_sites = steps + 3
-    site_bytes = 16 * math.prod(stack)
+    site_bytes = 16 * walkers
+    floor = -(-8 // walkers)  # rows of at least 8 walker-states
     # per run of steps: merged first angles theta1_t - h_t + h_{t-1}, theta2, h_t
     per_step = angles if len(angles) != 1 else angles[[0, 0]]
     readout = np.zeros((len(per_step) + 1,) + stack)  # h_t of state t, h_0 = 0
@@ -281,41 +297,56 @@ def _trajectory(angles: np.ndarray, signs, frame: str,
         t = 0
         while t <= steps:
             sites = width(t)
-            rows = min(steps + 1 - t, max(1, _BLOCK_BYTES // (site_bytes * sites)))
+            rows = min(steps + 1 - t, max(floor, _BLOCK_BYTES // (site_bytes * sites)))
             repeat = (min(steps, sites - 2) + 1 - t) // rows  # blocks within this width
             if not repeat:  # the block that crosses into the next width
-                rows = max(1, min(rows, _BLOCK_BYTES // (site_bytes * width(t + rows - 1))))
+                rows = min(rows, max(floor, _BLOCK_BYTES // (site_bytes * width(t + rows - 1))))
                 repeat, sites = 1, width(t + rows - 1)
             yield from itertools.repeat((rows, sites), repeat)
             t += repeat * rows
 
-    def new_block(rows, sites):
-        """Readout rotations and the (states, slots, sites [0]) views of K flat rows."""
-        rotations = np.empty((rows,) + stack + (2, 2))
-        return rotations, *_views(np.empty((rows,) + stack + (2 * sites + 2,)), sites, 1, 0)
+    plan = list(layouts())
+    size = walkers * max(rows * (2 * sites + 2) for rows, sites in plan)
+    most = walkers * max(rows for rows, _ in plan)
+    pair = [(np.empty(size), np.empty(4 * most)) for _ in range(2)]
+    views = {}
 
-    blocks = layouts()
+    def block(rows, sites, parity):
+        """Readout rotations and the (states, slots, sites [0]) views of K flat rows
+        of buffer ``parity``, built once per (K, W, buffer)."""
+        if (rows, sites, parity) not in views:
+            flat, rotations = pair[parity]
+            views[rows, sites, parity] = (
+                rotations[:4 * walkers * rows].reshape((rows,) + stack + (2, 2)),
+                *_views(flat[:walkers * rows * (2 * sites + 2)].reshape(
+                    (rows,) + stack + (2 * sites + 2,)), sites, 1, 0))
+        return views[rows, sites, parity]
+
+    blocks = iter(plan)
     rows, sites = next(blocks)
     scratch = _views(np.zeros(stack + (2 * sites + 2,)), sites, 0, sites)
-    (turns, states, outs, heads), k = new_block(rows, sites), 1
+    (turns, states, outs, heads), k, parity = block(rows, sites, 0), 1, 0
     states[0], turns[0] = 0.0, np.eye(2)
     states[0, ..., 1, 0] = 1.0  # |0, down>
     prev = states[0]
     for t, sign, (first, second, turn) in zip(range(1, steps + 1), signs, coins):
-        if k == rows:  # a new block, allocated after this step's coin run: a lower peak
+        if k == rows:  # the next block goes into the other buffer, which prev is not in
             yield states, turns if frame == "chiral" else None
             rows, wider = next(blocks)
             if wider > sites:  # the narrower scratch row is freed before the wider is made
                 prev = np.concatenate([prev, np.zeros(prev.shape[:-1] + (wider - sites,))], -1)
                 scratch, sites = None, wider
                 scratch = _views(np.zeros(stack + (2 * sites + 2,)), sites, 0, sites)
-            (turns, states, outs, heads), k = new_block(rows, sites), 0
+            parity ^= 1
+            (turns, states, outs, heads), k = block(rows, sites, parity), 0
         _step(prev, first, second, sign, scratch, outs[k], heads[k])
         prev, turns[k] = states[k], turn
         if kick is not None and t == kick[0] and kick[1] < sites:
             flip = turn.swapaxes(-1, -2) @ (turn * [[1.0], [-1.0]])  # H^T sigma_z H
             spin = prev[..., kick[1]:kick[1] + 1]
             spin[...] = np.einsum("...ij,...jk->...ik", flip, spin)
+        if t % _SITE_CHUNK == 0:
+            prev[np.abs(prev) < np.finfo(float).tiny] = 0.0
         k += 1
     yield states, turns if frame == "chiral" else None
 

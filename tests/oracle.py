@@ -13,13 +13,22 @@ q^n_max, that the semi-infinite closed form leaves out.
 chiral-frame time series, stepped with merged coins, matches one
 ``chiral_step`` per step.  ``shifted_step`` is the bare step with unfolded
 coins and explicit signed shifts, the reference of ``lattice``'s step kernel.
+
+Passages: ``jc_subspace_hamiltonian`` is the two-level sideband Hamiltonian as
+a matrix, ``full_cf4_passage`` the CF4 product over every step of a passage,
+the reference of the mirrored half-passage in ``pulse._stirap_batch``, and
+``stirap_evolve`` the one-level view of that batch.  Edge profiles:
+``successive_ratios`` and ``fit_localization`` read the decay of a stable
+bound-state profile.
 """
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
-from fockwalk.analysis import EIGENPHASE_TOL, EigenMode, _edge_populations
+from fockwalk import pulse
+from fockwalk.analysis import EIGENPHASE_TOL, EigenMode, _edge_populations, linear_fit
 from fockwalk.lattice import (
     BoundaryPhase,
     BulkParams,
@@ -188,3 +197,90 @@ def dense_edge_eigenmodes(params: BulkParams, phi: BoundaryPhase, n_max: int = 6
                                    edge_weight=edge_weight, mode_class=target))
     modes.sort(key=lambda m: m.eigenphase)
     return modes
+
+
+def jc_subspace_hamiltonian(n: int, omega: float, delta: float) -> np.ndarray:
+    """Rotating-frame sideband Hamiltonian on span{|down, n>, |up, n+1>}.
+
+    The coupling carries the ladder factor sqrt(n+1); eigenvalues are
+    +/- sqrt(delta^2 + (n+1) omega^2) / 2.
+    """
+    if n < 0:
+        raise ValueError("phonon index must be non-negative")
+    a, b = pulse._passage_coefficients(n, omega, delta)
+    return np.array([[a, b], [b, -a]])
+
+
+def stirap_evolve(n: int, config: pulse.PulseConfig) -> tuple[np.ndarray, float]:
+    """Passage from |down, n>: (final amplitudes, probability in |up, n+1>)."""
+    if n < 0:
+        raise ValueError("phonon index must be non-negative")
+    psi = pulse._stirap_batch([n], config)[0]
+    return psi, float(abs(psi[1]) ** 2)
+
+
+def full_cf4_passage(ns, config: pulse.PulseConfig) -> np.ndarray:
+    """The CF4 passage from |down, n> for each level of ``ns``, every one of its
+    ceil(tau / dt) steps integrated in time order, 1024 steps to a chunk, with
+    the quaternion renormalised after each chunk: (len(ns), 2) amplitudes.
+    ``pulse._stirap_batch`` integrates half of the steps and mirrors them."""
+    ns = np.asarray(ns, dtype=int)
+    steps = max(1, int(math.ceil(config.tau / config.integrator_step)))
+    dt = config.tau / steps
+    levels = ns[:, None]
+    total = np.zeros((4, ns.size))
+    total[0] = 1.0
+    for start in range(0, steps, 1024):
+        t = np.arange(start, min(start + 1024, steps)) * dt
+        total = pulse._quaternion_product(pulse._steps(levels, t, config, dt), total)
+        total /= np.linalg.norm(total, axis=0)
+    w, x, y, z = total
+    return np.stack((w - 1j * z, y - 1j * x), axis=-1)
+
+
+class InsufficientSupport(RuntimeError):
+    """Not enough sites above the probability floor to fit a decay length."""
+
+
+@dataclass(frozen=True)
+class LocalizationFit:
+    lam: float          # decay length: p_n ~ exp(-n / lam)
+    ratio_even: float   # fitted p_{n+2} / p_n
+    r_squared: float
+
+
+def successive_ratios(profile: np.ndarray, floor: float = 1e-12) -> np.ndarray:
+    """p_{n+1} / p_n wherever both sit above the floor (nan elsewhere)."""
+    profile = np.asarray(profile, dtype=float)
+    ratios = np.full(profile.size - 1, np.nan)
+    ok = (profile[:-1] > floor) & (profile[1:] > floor)
+    ratios[ok] = profile[1:][ok] / profile[:-1][ok]
+    return ratios
+
+
+def fit_localization(profile: np.ndarray, floor: float = 1e-12) -> LocalizationFit:
+    """Log-linear least-squares decay length of a stable edge profile.
+
+    Fits ln p_n over the leading window of sites above the floor and reports
+    the positive decay length lam with p_n ~ exp(-n / lam), the implied
+    even-site ratio, and the fit quality.
+    """
+    profile = np.asarray(profile, dtype=float)
+    window = np.flatnonzero(profile > floor)
+    if window.size < 6:
+        raise InsufficientSupport(f"only {window.size} sites above {floor}")
+    # keep the contiguous run that starts at the first admissible site
+    run_end = window[0]
+    for j in window:
+        if j == run_end:
+            run_end += 1
+        else:
+            break
+    sites = np.arange(window[0], run_end)
+    if sites.size < 6:
+        raise InsufficientSupport(f"only {sites.size} sites above {floor}")
+    slope, _, r_squared = linear_fit(sites, np.log(profile[sites]))
+    if slope >= 0:
+        raise InsufficientSupport("profile does not decay")
+    return LocalizationFit(lam=-1.0 / slope, ratio_even=float(np.exp(2.0 * slope)),
+                           r_squared=r_squared)

@@ -9,14 +9,11 @@ from fockwalk import analysis
 from fockwalk.analysis import (
     EIGENPHASE_TOL,
     OCCUPATION_FLOOR,
-    InsufficientSupport,
     _edge_populations,
     detect_stabilization,
     edge_eigenmodes,
-    fit_localization,
     observable_record,
     observable_table,
-    successive_ratios,
     walk_table,
 )
 from fockwalk.lattice import (
@@ -33,7 +30,13 @@ from fockwalk.momentum import (
     quasienergy_gaps,
     virtual_bulk_params,
 )
-from oracle import dense_edge_eigenmodes, dense_step_matrix
+from oracle import (
+    InsufficientSupport,
+    dense_edge_eigenmodes,
+    dense_step_matrix,
+    fit_localization,
+    successive_ratios,
+)
 
 RNG = np.random.default_rng(5)
 GOLD_RATIO = (math.sqrt(2) - 1) ** 2  # zero-mode site ratio at (pi/2, 0)

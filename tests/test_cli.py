@@ -134,6 +134,15 @@ def test_empty_config_is_an_error(tmp_path):
     assert main(["walk", "--out", str(tmp_path / "x.csv")]) == EXIT_CONFIG
 
 
+def test_empty_config_path_exits_with_one_error_line(tmp_path, capsys):
+    out = tmp_path / "c.csv"
+    assert main(["walk", "theta1=pi/2", "steps=5", "--config", "", "--out", str(out)]) \
+        == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+    assert not out.exists()
+
+
 def test_repeated_key_is_rejected_and_the_command_line_overrides_config(tmp_path, capsys):
     out, ref, cfg = tmp_path / "w.csv", tmp_path / "ref.csv", tmp_path / "run.cfg"
     cfg.write_text("theta1 = pi/2\ntheta1=0\n")

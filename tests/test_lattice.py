@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from fockwalk import lattice
+from fockwalk import analysis, lattice, quench
 from fockwalk.analysis import (
     _moment_weights,
     _observables,
@@ -287,7 +287,7 @@ def test_trajectory_at_widths_one_mod_eight_matches_the_shifted_steps(steps, fra
     signs = RNG.choice([-1.0, 1.0], size=steps).tolist()
     kick = (steps // 2, steps // 4)
     want, turns = stepped(angles, signs, frame, kick)
-    blocks = list(_trajectory(angles, signs, frame, kick))
+    blocks = collect(_trajectory(angles, signs, frame, kick))
     states = [state for block, _ in blocks for state in block]
     assert len(states) == steps + 1 and blocks[-1][0].shape[-1] == steps + 3
     for state, full in zip(states, want):
@@ -295,6 +295,20 @@ def test_trajectory_at_widths_one_mod_eight_matches_the_shifted_steps(steps, fra
         assert not full[..., state.shape[-1]:].any()
     if frame == "chiral":
         assert same_bits(np.concatenate([turn for _, turn in blocks]), turns)
+
+
+def collect(blocks):
+    """Every (states, turns) block of a trajectory, copied as it is yielded.  A
+    block stays valid until the generator resumes twice, so each block still
+    equals its copy once the next block has been yielded."""
+    copies, previous = [], None
+    for block in blocks:
+        if previous is not None:
+            for held, copy in zip(previous, copies[-1]):
+                assert held is None or held.tobytes() == copy.tobytes()
+        previous = block
+        copies.append(tuple(None if part is None else part.copy() for part in block))
+    return copies
 
 
 def assert_blocks_hold(blocks, want, turns):
@@ -324,8 +338,9 @@ def stepped(angles, signs, frame, kick=None, dtype=float):
     """Every state of a walk from |0, down>, full width, one ``shifted_step``
     and one merged coin per step, and the readout rotations H_t (None in the
     bare frame): the reference of ``_trajectory``, in its arithmetic up to the
-    folded signs.  ``angles`` is (S, 2, ...) bare (theta1, theta2), S =
-    len(signs) or 1."""
+    folded signs, with the same flush of subnormal amplitudes to +0.0 after
+    every ``_SITE_CHUNK``-th step and its kick.  ``angles`` is (S, 2, ...)
+    bare (theta1, theta2), S = len(signs) or 1."""
     half = 0.5 if frame == "chiral" else 0.0
     want = [edge_start(angles.shape[2:], len(signs) + 3, dtype)]
     turns = [np.broadcast_to(np.eye(2), angles.shape[2:] + (2, 2))]
@@ -339,6 +354,8 @@ def stepped(angles, signs, frame, kick=None, dtype=float):
             flip = turn.swapaxes(-1, -2) @ (turn * [[1.0], [-1.0]])
             spin = amps[..., kick[1]:kick[1] + 1]
             spin[...] = np.einsum("...ij,...jk->...ik", flip, spin)
+        if t % lattice._SITE_CHUNK == 0:
+            amps[np.abs(amps) < np.finfo(float).tiny] = 0.0
         want.append(amps)
         turns.append(turn)
         before = theta1 * half
@@ -354,8 +371,8 @@ def test_trajectory_blocks_hold_every_state_in_order(monkeypatch):
     state_bytes = want[0].nbytes
     for block_bytes in (1, 5 * state_bytes, lattice._BLOCK_BYTES):
         monkeypatch.setattr(lattice, "_BLOCK_BYTES", block_bytes)
-        blocks = list(_trajectory(angles, signs, "chiral", kick=(9, 4)))
-        rows = max(1, block_bytes // state_bytes)
+        blocks = collect(_trajectory(angles, signs, "chiral", kick=(9, 4)))
+        rows = max(-(-8 // walkers), block_bytes // state_bytes)  # >= 8 walker-states
         assert [len(b) for b, _ in blocks[:-1]] == [rows] * (len(blocks) - 1)
         assert 1 <= len(blocks[-1][0]) <= rows
         assert_blocks_hold(blocks, want, turns)
@@ -385,7 +402,7 @@ def test_trajectory_steps_only_the_light_cone(frame, sign, dtype, stack, kick_si
     # lies inside the support, 100 outside it and 250 outside the stepped sites
     kick = None if kick_site is None else (60, kick_site)
     want, turns = stepped(angles, [sign] * steps, frame, kick, dtype)  # full-width stepping
-    blocks = list(_trajectory(angles, [sign] * steps, frame, kick))
+    blocks = collect(_trajectory(angles, [sign] * steps, frame, kick))
     assert all(block.dtype == np.float64 for block, _ in blocks)
     assert_blocks_hold(blocks, want, turns)
     last = -1
@@ -406,7 +423,8 @@ def test_trajectory_steps_only_the_light_cone(frame, sign, dtype, stack, kick_si
 
 
 # _BLOCK_BYTES for a (2, 2, 293) trajectory of 290 steps: one state per block;
-# four at full width; and four at 128 sites, two at 256, then one at the full 293
+# four at full width; and four at 128 sites, two at 256, then one at the full 293;
+# each raised to the floor of four states (8 walker-states) a block
 BLOCK_SIZES = {"one": 1, "many": 4 * 2 * 2 * 293 * 8, "settling": 2 * 2 * 2 * 293 * 8 - 1}
 
 
@@ -421,7 +439,7 @@ def test_trajectory_states_match_per_step_advance_after_collection(monkeypatch, 
     signs = RNG.choice([-1.0, 1.0], size=steps).tolist()
     want, turns = stepped(angles, signs, "chiral", kick)
     monkeypatch.setattr(lattice, "_BLOCK_BYTES", BLOCK_SIZES[blocks_of])
-    blocks = list(_trajectory(angles, signs, "chiral", kick))  # every block kept
+    blocks = collect(_trajectory(angles, signs, "chiral", kick))  # every block kept
     states = [state for block, _ in blocks for state in block]
     assert len(states) == steps + 1
     for state, full in zip(states, want):
@@ -431,13 +449,14 @@ def test_trajectory_states_match_per_step_advance_after_collection(monkeypatch, 
         assert not full[..., width:].any()
     assert np.concatenate([turn for _, turn in blocks]).tobytes() == turns.tobytes()
     sizes = {(len(block), block.shape[-1]) for block, _ in blocks[:-1]}
+    floor = -(-8 // walkers)
     if blocks_of == "one":
-        assert {rows for rows, _ in sizes} == {1}
+        assert {rows for rows, _ in sizes} == {floor}
     elif blocks_of == "many":
         assert (4, n_sites) in sizes and all(rows >= 4 for rows, _ in sizes)
     else:
-        assert {(4, 128), (2, 256), (1, n_sites)} <= sizes
-        assert all(rows == 1 for rows, width in sizes if width == n_sites)
+        assert {(4, 128), (max(2, floor), 256), (max(1, floor), n_sites)} <= sizes
+        assert all(rows == max(1, floor) for rows, width in sizes if width == n_sites)
 
 
 @pytest.mark.parametrize("frame", ["walk", "chiral"])
@@ -460,7 +479,7 @@ def test_trajectory_coin_runs_step_like_one_coin_pair_per_step(monkeypatch, fram
     monkeypatch.setattr(lattice, "_coin_stack", counted)
     # the three coins of a step for 3 walkers are 4 * 3 * 3 doubles; ``run`` steps per block
     monkeypatch.setattr(lattice, "_BLOCK_BYTES", run * 6 * angles[0].nbytes)
-    blocks = list(_trajectory(angles, signs, frame, kick=(11, 2)))
+    blocks = collect(_trajectory(angles, signs, frame, kick=(11, 2)))
     assert calls == [min(run, steps - lo) for lo in range(0, steps, run)]
     states = [state for block, _ in blocks for state in block]
     assert len(states) == steps + 1
@@ -498,7 +517,7 @@ def test_merged_coin_trajectory_matches_chiral_steps_and_kicks(per_step, phi, ki
     angles = RNG.uniform(-7.0, 7.0, size=(steps if per_step else 1, 2, walkers))
     # after step 30 the support is sites 0..30: site 5 lies inside it, 60 outside
     kick = None if kick_site is None else (30, kick_site)
-    blocks = list(_trajectory(angles, [phi.sign] * steps, "chiral", kick))
+    blocks = collect(_trajectory(angles, [phi.sign] * steps, "chiral", kick))
     states = np.concatenate([np.pad(block, [(0, 0)] * 3 + [(0, steps + 3 - block.shape[-1])])
                              for block, _ in blocks])
     turns = np.concatenate([turn for _, turn in blocks])
@@ -589,6 +608,71 @@ def test_walk_table_does_not_depend_on_the_block_size(monkeypatch):
             np.testing.assert_array_equal(again, table)
             np.testing.assert_array_equal(last.amps, state.amps)
         monkeypatch.undo()
+
+
+@pytest.mark.parametrize("frame", ["walk", "chiral"])
+def test_trajectory_flushes_its_subnormal_tail(monkeypatch, frame):
+    """At (0.9 pi, 0.9 pi) the amplitude ahead of the bulk underflows within 200
+    steps.  No subnormal amplitude is left after a ``_SITE_CHUNK``-th step; the
+    table and final state do not depend on the block size; the table is bit for
+    bit that of unflushed stepping, and the final state moves only where the
+    unflushed amplitude is below 1e-280, by at most 1e-300."""
+    tiny = np.finfo(float).tiny
+    params, steps = BulkParams(0.9 * math.pi, 0.9 * math.pi), 400
+    angles = np.array([[params.theta1, params.theta2]])
+
+    def subnormals():
+        """The count of subnormal amplitudes in states 128, 256 and 384."""
+        counts, t = [], -1
+        for states, _ in _trajectory(angles, [1.0] * steps, frame):
+            for state in states:
+                t += 1
+                if t in (128, 256, 384):
+                    counts.append(int(np.count_nonzero((np.abs(state) < tiny) & (state != 0))))
+        return counts
+
+    assert subnormals() == [0, 0, 0]
+    table, final = walk_table(params, PHI_ZERO, steps, frame)
+    for block_bytes in (1, 5 * 2 * (steps + 3) * 8, 1 << 20):
+        monkeypatch.setattr(lattice, "_BLOCK_BYTES", block_bytes)
+        again, last = walk_table(params, PHI_ZERO, steps, frame)
+        assert again.tobytes() == table.tobytes()
+        assert last.amps.tobytes() == final.amps.tobytes()
+    # one chunk wider than the lattice: every state at full width, never flushed
+    monkeypatch.setattr(lattice, "_SITE_CHUNK", steps + 4)
+    unflushed = subnormals()
+    assert unflushed[0] == 0 and unflushed[1] > 0 and unflushed[2] > 0
+    again, last = walk_table(params, PHI_ZERO, steps, frame)
+    assert again.tobytes() == table.tobytes()
+    moved = last.amps != final.amps
+    assert moved.any() and np.all(np.abs(last.amps[moved]) < 1e-280)
+    assert np.abs(last.amps - final.amps).max() <= 1e-300
+
+
+def test_trajectory_block_counts(monkeypatch):
+    """Work, not time: the 4000-step walk of a lone walker comes in at most 500
+    blocks of at least 8 states (2578 blocks of up to 64 KB before the floor);
+    a 300-step quench, one 39-walker sweep stack of 100 steps, the fig6c ramp
+    and a 200-step walk keep their block counts."""
+    counts = []
+
+    def counted(*args, **kwargs):
+        counts.append(0)
+        for block in trajectory(*args, **kwargs):
+            counts[-1] += 1
+            yield block
+
+    trajectory = lattice._trajectory
+    for module in (analysis, quench):
+        monkeypatch.setattr(module, "_trajectory", counted)
+    walk_table(BulkParams(math.pi / 2, 0.0), PHI_ZERO, 4000)
+    walk_table(BulkParams(math.pi / 2, math.pi / 8), PHI_ZERO, 200)
+    quench.quench_table(quench.scenario("fig6c").protocol(nq=10, post=270))
+    points = BulkParams(np.linspace(-3.0, 3.0, 39), np.linspace(-2.0, 2.0, 39))
+    analysis.sweep_edge_populations(points, PHI_ZERO, 100)
+    quench.ramp_survival_curve(quench.scenario("fig6c"), range(1, 49))
+    assert counts[0] <= 500
+    assert counts[1:] == [9, 17, 101, 149]
 
 
 def test_walk_table_rejects_an_unknown_frame():

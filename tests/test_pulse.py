@@ -7,15 +7,16 @@ from fockwalk.lattice import PHI_PI, PHI_ZERO, BulkParams, build_step_matrix
 from fockwalk.pulse import (
     PulseConfig,
     StepTooCoarse,
+    _passage_coefficients,
     _stirap_batch,
     adiabaticity_margin,
     aux_leakage,
     compile_six_step_cycle,
-    jc_subspace_hamiltonian,
     spin_block,
-    stirap_evolve,
     verify_cycle,
 )
+
+from oracle import full_cf4_passage, jc_subspace_hamiltonian, stirap_evolve
 
 RNG = np.random.default_rng(99)
 ADIABATIC = PulseConfig(omega0=1.0, delta0=1.0, tau=100.0, integrator_step=0.004)
@@ -158,6 +159,45 @@ def test_cf4_chunks_and_pairs_multiply_in_time_order(steps):
     batch = _stirap_batch(ns, config, enforce_step=False)
     expected = np.array([_sequential_cf4(n, config, steps) for n in ns])
     np.testing.assert_allclose(batch, expected, rtol=0, atol=1e-12)
+
+
+def test_passage_coefficients_mirror_about_the_middle_of_the_passage():
+    """H(tau - t) = sigma_x H(t) sigma_x: a changes sign, b does not."""
+    rng = np.random.default_rng(11)
+    for _ in range(50):
+        omega0, delta0 = rng.uniform(0.05, 3.0, 2)
+        tau, n = rng.uniform(1.0, 500.0), int(rng.integers(0, 40))
+        t = rng.uniform(0.0, tau)
+        a, b = _passage_coefficients(n, omega0 * math.sin(math.pi * t / tau),
+                                     delta0 * math.cos(math.pi * t / tau))
+        a_m, b_m = _passage_coefficients(n, omega0 * math.sin(math.pi * (tau - t) / tau),
+                                         delta0 * math.cos(math.pi * (tau - t) / tau))
+        assert a_m == pytest.approx(-a, rel=0, abs=1e-13)
+        assert b_m == pytest.approx(b, rel=0, abs=1e-13)
+
+
+def test_mirrored_quaternion_is_sigma_x_transpose_sigma_x():
+    paulis = (np.array([[0, 1], [1, 0]]), np.array([[0, -1j], [1j, 0]]),
+              np.array([[1, 0], [0, -1]]))
+
+    def su2(w, x, y, z):
+        return w * np.eye(2) - 1j * (x * paulis[0] + y * paulis[1] + z * paulis[2])
+
+    for q in RNG.normal(size=(10, 4)):
+        w, x, y, z = q / np.linalg.norm(q)
+        np.testing.assert_allclose(paulis[0] @ su2(w, x, y, z).T @ paulis[0],
+                                   su2(w, x, y, -z), rtol=0, atol=1e-15)
+
+
+# N = ceil(tau / dt) passage steps: 1, 2 and 3, and an odd and an even N near 25000
+@pytest.mark.parametrize("steps", [1, 2, 3, 24391, 25000])
+@pytest.mark.parametrize("omega0,delta0", [(1.0, 1.0), (0.7, 1.3)])
+def test_mirrored_passage_matches_the_full_cf4_product(steps, omega0, delta0):
+    config = PulseConfig(omega0, delta0, (steps - 0.5) * 0.004, 0.004)
+    assert math.ceil(config.tau / config.integrator_step) == steps
+    ns = np.arange(11)
+    np.testing.assert_allclose(_stirap_batch(ns, config), full_cf4_passage(ns, config),
+                               rtol=0, atol=1e-13)
 
 
 def test_cf4_passage_is_unitary():
