@@ -31,6 +31,7 @@ from .lattice import (
     WalkerState,
     _cut_link_step,
     _site_probabilities,
+    _stepped_widths,
     _trajectory,
     coin_matrix,
 )
@@ -159,20 +160,24 @@ def sweep_edge_populations(points: BulkParams, phi: BoundaryPhase, steps: int) -
     counterpart of ``steps`` calls of ``chiral_step`` from |0, down> on an
     n_max = steps + 2 lattice, read by ``observable_record``, its per-point
     reference.
-    The points run through ``_trajectory`` as (R, 2, steps + 3) stacks of
-    walkers with per-row angles and one shared phi, R rows at a time with
-    each stack within ``_BLOCK_BYTES``, so memory does not grow with the
+    The points run through ``_trajectory`` as stacks of R walkers with
+    per-row angles and one shared phi, read on sites 0 and 1 only, so state t
+    is stepped on the sites that can still reach them (the double light
+    cone, at most about half the lattice).  R keeps the widest stepped state
+    of a stack within ``_BLOCK_BYTES``, so memory does not grow with the
     number of points.
     """
     if steps < 0:
         raise ValueError(f"steps must be >= 0, got {steps}")
     angles = np.stack([points.theta1, points.theta2], dtype=float).reshape(1, 2, -1)
-    rows = max(1, _BLOCK_BYTES // (2 * (steps + 3) * 8))
+    rows = max(1, _BLOCK_BYTES // (2 * int(_stepped_widths(steps, 2).max()) * 8))
     p_edge = np.empty(angles.shape[-1])
     for lo in range(0, len(p_edge), rows):
-        for states, _ in _trajectory(angles[..., lo:lo + rows], [phi.sign] * steps, "chiral"):
+        for states, turns in _trajectory(angles[..., lo:lo + rows], [phi.sign] * steps,
+                                         "chiral", reads=2):
             pass  # only the last state is read
         p_edge[lo:lo + rows] = _edge_populations(_site_probabilities(states[-1, ..., :2]))
+        states = turns = None  # the last block is freed before the next stack steps
     return p_edge
 
 

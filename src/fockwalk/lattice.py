@@ -16,7 +16,9 @@ ramp) passes bare coin angles and boundary signs to the private
 coins, steps them straight into blocks of consecutive states and hands the
 blocks out.  Amplitude moves at most one site per step (the walk's light
 cone), so it steps only the sites the cone has reached, in whole chunks of
-``_SITE_CHUNK`` sites; the sites beyond them are zero.  The blocks hold at
+``_SITE_CHUNK`` sites; the sites beyond them are zero.  For a caller that
+reads only the edge (the sweep and the ramp) it steps only the sites that can
+still reach it, in multiples of 8: the double light cone.  The blocks hold at
 least 8 walker-states each and are views of one pair of buffers used in turn,
 so a block is valid until the generator resumes twice.  Every
 ``_SITE_CHUNK`` steps the trajectory flushes subnormal amplitudes to +0.0.
@@ -193,7 +195,8 @@ def _step(prev, first, second, sign, scratch, out, head) -> None:
     """The step kernel: one bare-frame step of the (..., 2, W) states ``prev``
     with ``_fold``-ed coins, sign = e^{i*phi}.  ``scratch`` is the ``_views``
     of a zero row, slot [0:2W], site [W]: its states read the first product's
-    down spin one site down (0 from [2W] at the top).  ``out``, the new row's
+    down spin one site down (0 from [2W] at the top); its slot may be cut to a
+    narrower ``prev``, with the zero row beyond it.  ``out``, the new row's
     slot [1:2W+1], moves the second's up spin one site up; ``head`` is [0]."""
     shifted, product, spill = scratch
     np.matmul(first, prev, out=product)
@@ -217,17 +220,25 @@ def _advance(amps: np.ndarray, first: np.ndarray, second: np.ndarray,
 # The blocks of a trajectory take turns in one pair of buffers: a block above
 # glibc's 128 KB mmap threshold is not mapped and page-faulted in afresh.
 _BLOCK_BYTES = 1 << 16
-# Trajectory blocks are stepped in whole chunks of this many sites, and ``analysis``
-# zero-pads states to whole chunks for its fixed-order moment product, so trailing
-# empty sites change no step or sum.  Chunk widths are multiples of 8 (OpenBLAS
-# rounds the last column of a product of width 1 mod 8 its own way); only the full
-# width N may not be, and there the top sites are empty.  Every this many steps
-# the trajectory also flushes its subnormal amplitudes to zero.
+# Trajectories read in full are stepped in whole chunks of this many sites, and
+# ``analysis`` zero-pads states to whole chunks for its fixed-order moment product,
+# so trailing empty sites change no step or sum.  Every stepped width is a multiple
+# of 8 (OpenBLAS rounds the last column of a product of width 1 mod 8 its own way)
+# or the full width N, where the top sites are empty.  Every this many steps the
+# trajectory also flushes its subnormal amplitudes to zero.
 _SITE_CHUNK = 128
 
 
+def _stepped_widths(steps: int, reads: int) -> np.ndarray:
+    """Sites stepped for each state 0..steps of a trajectory whose caller reads
+    the first ``reads`` sites of each state; see ``_trajectory``."""
+    t = np.arange(steps + 1)
+    align = _SITE_CHUNK if reads >= steps + 3 else 8
+    return np.minimum(steps + 3, -(-np.minimum(t + 2, reads + steps + 1 - t) // align) * align)
+
+
 def _trajectory(angles: np.ndarray, signs, frame: str,
-                kick: tuple[int, int] | None = None):
+                kick: tuple[int, int] | None = None, reads: int | None = None):
     """Step walkers from |0, down> on N = len(signs) + 3 sites once per entry
     of ``signs`` (e^{i*phi} of each step) and yield the start state and every
     later state, in order, as consecutive blocks (states, turns) of (K, ..., 2,
@@ -243,13 +254,19 @@ def _trajectory(angles: np.ndarray, signs, frame: str,
     H_t^-1 c_t of the chiral states c_t, H_t = R(theta1_t / 2), H_0 = 1: a
     bare walk whose first coin is H_t H_{t-1}, and ``turns`` holds H_t.
 
-    Only the light cone is stepped: state t is zero beyond site t.  A block's
-    states are stepped on their first W sites: W is min(N, t + 2) for the
-    block's last state t, rounded up to whole chunks of ``_SITE_CHUNK``
-    sites.  Each state in a block equals the full-width state on those W
-    sites (a zero may differ in sign) and the full-width state is zero beyond
-    them.  K keeps a block's states within ``_BLOCK_BYTES`` if it can, but K
-    >= ceil(8 / walkers), so a block holds at least 8 walker-states.
+    Only sites that can reach a read site are stepped.  State t is zero
+    beyond site t (the forward light cone), and if the caller reads only the
+    first R = ``reads`` sites of each state (all N if None), no site beyond
+    R - 1 + steps - t reaches them by the last step.  So state t is stepped
+    on min(t + 2, R + steps - t + 1) sites (``_stepped_widths``), rounded up
+    to whole chunks of ``_SITE_CHUNK`` sites if R >= N, else to a multiple of
+    8 (see ``_SITE_CHUNK``), and at most N.  Read in full, a block's states are stepped
+    on the W sites of its last state, and the full-width state is zero
+    beyond them; read at the edge, a block holds states of one width W.
+    Each state equals the full-width state on its first min(W, R + steps - t)
+    sites (a zero may differ in sign).  K keeps a block's states within
+    ``_BLOCK_BYTES`` if it can, but K >= ceil(8 / walkers), so a block holds
+    at least 8 walker-states.
 
     The blocks are views of one pair of buffers per trajectory, used in turn:
     K flat rows of 2W + 2 numbers per walker (``_views``) that ``_step`` writes
@@ -269,6 +286,7 @@ def _trajectory(angles: np.ndarray, signs, frame: str,
     stack = angles.shape[2:]
     walkers = math.prod(stack)
     n_sites = steps + 3
+    reads = n_sites if reads is None else reads
     site_bytes = 16 * walkers
     floor = -(-8 // walkers)  # rows of at least 8 walker-states
     # per run of steps: merged first angles theta1_t - h_t + h_{t-1}, theta2, h_t
@@ -287,23 +305,27 @@ def _trajectory(angles: np.ndarray, signs, frame: str,
     if len(angles) == 1:
         coins = itertools.chain([next(coins)], itertools.repeat(next(coins)))
 
-    def width(t):
-        """Sites stepped for state t: its light cone and one more, in whole chunks."""
-        return min(n_sites, -(-(t + 2) // _SITE_CHUNK) * _SITE_CHUNK)
+    widths = _stepped_widths(steps, reads)
+    lasts = [*np.flatnonzero(np.diff(widths)).tolist(), steps]  # each run of one width ends
 
     def layouts():
         """(K, W) of every block in order, once per width: K states fit at the
-        block's first and last widths, and whole blocks of one width repeat."""
+        block's width, and whole blocks of one width repeat.  The block that
+        ends a run of one width is cut short there if only the edge is read,
+        and else crosses into the next width, K cut to fit its last width."""
         t = 0
-        while t <= steps:
-            sites = width(t)
-            rows = min(steps + 1 - t, max(floor, _BLOCK_BYTES // (site_bytes * sites)))
-            repeat = (min(steps, sites - 2) + 1 - t) // rows  # blocks within this width
-            if not repeat:  # the block that crosses into the next width
-                rows = min(rows, max(floor, _BLOCK_BYTES // (site_bytes * width(t + rows - 1))))
-                repeat, sites = 1, width(t + rows - 1)
-            yield from itertools.repeat((rows, sites), repeat)
-            t += repeat * rows
+        for last in lasts:
+            while t <= last:
+                sites = int(widths[t])
+                rows = min(steps + 1 - t, max(floor, _BLOCK_BYTES // (site_bytes * sites)))
+                repeat = (last + 1 - t) // rows  # blocks within this width
+                if not repeat:  # the block that ends this width
+                    wider = int(widths[t + rows - 1])
+                    rows = last + 1 - t if reads < n_sites else min(
+                        rows, max(floor, _BLOCK_BYTES // (site_bytes * wider)))
+                    repeat, sites = 1, int(widths[t + rows - 1])
+                yield from itertools.repeat((rows, sites), repeat)
+                t += repeat * rows
 
     plan = list(layouts())
     size = walkers * max(rows * (2 * sites + 2) for rows, sites in plan)
@@ -324,7 +346,7 @@ def _trajectory(angles: np.ndarray, signs, frame: str,
 
     blocks = iter(plan)
     rows, sites = next(blocks)
-    scratch = _views(np.zeros(stack + (2 * sites + 2,)), sites, 0, sites)
+    zero = scratch = _views(np.zeros(stack + (2 * sites + 2,)), sites, 0, sites)
     (turns, states, outs, heads), k, parity = block(rows, sites, 0), 1, 0
     states[0], turns[0] = 0.0, np.eye(2)
     states[0, ..., 1, 0] = 1.0  # |0, down>
@@ -332,15 +354,17 @@ def _trajectory(angles: np.ndarray, signs, frame: str,
     for t, sign, (first, second, turn) in zip(range(1, steps + 1), signs, coins):
         if k == rows:  # the next block goes into the other buffer, which prev is not in
             yield states, turns if frame == "chiral" else None
-            rows, wider = next(blocks)
-            if wider > sites:  # the narrower scratch row is freed before the wider is made
-                prev = np.concatenate([prev, np.zeros(prev.shape[:-1] + (wider - sites,))], -1)
-                scratch, sites = None, wider
-                scratch = _views(np.zeros(stack + (2 * sites + 2,)), sites, 0, sites)
+            rows, new = next(blocks)
+            if new != sites:  # the old scratch row is freed before the new one is made
+                zero = scratch = None
+                zero = _views(np.zeros(stack + (2 * new + 2,)), new, 0, new)
+                # a narrower prev is read as it is, into the start of the new zero row
+                scratch = (zero[0], zero[1][..., :sites], zero[2]) if new > sites else zero
+                prev, sites = prev[..., :new], new
             parity ^= 1
             (turns, states, outs, heads), k = block(rows, sites, parity), 0
         _step(prev, first, second, sign, scratch, outs[k], heads[k])
-        prev, turns[k] = states[k], turn
+        prev, turns[k], scratch = states[k], turn, zero
         if kick is not None and t == kick[0] and kick[1] < sites:
             flip = turn.swapaxes(-1, -2) @ (turn * [[1.0], [-1.0]])  # H^T sigma_z H
             spin = prev[..., kick[1]:kick[1] + 1]

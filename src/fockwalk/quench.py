@@ -254,15 +254,16 @@ def ramp_survival_curve(scenario: QuenchScenario, nq_list, n0: int = 20,
                         post: int = 80) -> list[tuple[int, float, float]]:
     """Stabilized post-quench P_edge and channel loss for each ramp duration.
 
-    Every distinct nq is one row of a (P, 2, N) stack of walkers, all started
-    at |0, down> and run together through ``lattice._trajectory`` for
+    Every distinct nq is one row of a stack of P walkers, all started at
+    |0, down> and run together through ``lattice._trajectory`` for
     n0 + max(nq) + post steps; each row follows the ``_schedule`` of its own
-    duration, and only P_edge is read.  A row's P_edge at step t does not
-    depend on later steps, so row nq is read up to its own length
-    n0 + nq + post, as ``run_quench`` would run it.  The readout is always
-    the mean of a row's last PLATEAU_WINDOW states, which all follow the ramp
-    if post >= PLATEAU_WINDOW - 1; plateau detection only tells whether the
-    row settled.
+    duration.  Only P_edge is read, so state t is stepped on the sites that
+    can still reach sites 0 and 1 (the double light cone).  A row's P_edge at
+    step t does not depend on later steps, so row nq is read up to its own
+    length n0 + nq + post, as ``run_quench`` would run it.  The readout is
+    always the mean of a row's last PLATEAU_WINDOW states, which all follow
+    the ramp if post >= PLATEAU_WINDOW - 1; plateau detection only tells
+    whether the row settled.
 
     The loss column is the fraction of the bound-channel population
     transferred out relative to the adiabatic limit, estimated by the
@@ -276,7 +277,7 @@ def ramp_survival_curve(scenario: QuenchScenario, nq_list, n0: int = 20,
     scenario.protocol(n0=n0, nq=nqs[0], post=post)  # validates n0, nq, post and kick
     angles, signs, kick = _schedule(scenario, n0, nqs, n0 + nqs[-1] + post)
     p_edge = np.concatenate([_edge_populations(_site_probabilities(states[..., :2]))
-                             for states, _ in _trajectory(angles, signs, "chiral", kick)])
+                             for states, _ in _trajectory(angles, signs, "chiral", kick, 2)])
 
     stabilized = []
     for row, nq in enumerate(nqs):

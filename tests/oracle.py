@@ -13,6 +13,10 @@ q^n_max, that the semi-infinite closed form leaves out.
 chiral-frame time series, stepped with merged coins, matches one
 ``chiral_step`` per step.  ``shifted_step`` is the bare step with unfolded
 coins and explicit signed shifts, the reference of ``lattice``'s step kernel.
+``forward_cone_edge_populations`` steps a chiral-frame trajectory on its
+whole forward light cone, in 128-site chunks, with ``shifted_step``: the rule
+every trajectory followed before the edge readers (the sweep and the ramp)
+stepped only the sites that can still reach the edge, and their reference.
 
 Passages: ``jc_subspace_hamiltonian`` is the two-level sideband Hamiltonian as
 a matrix, ``full_cf4_passage`` the CF4 product over every step of a passage,
@@ -32,6 +36,7 @@ from fockwalk.analysis import EIGENPHASE_TOL, EigenMode, _edge_populations, line
 from fockwalk.lattice import (
     BoundaryPhase,
     BulkParams,
+    _coin_stack,
     _site_probabilities,
     coin_matrix,
 )
@@ -99,6 +104,37 @@ def shifted_step(amps: np.ndarray, first: np.ndarray, second: np.ndarray,
     sites[1:, 0] = -sites[:-1, 0]
     sites[0, 0] = blocked
     return amps
+
+
+def forward_cone_edge_populations(angles: np.ndarray, signs, kick=None) -> np.ndarray:
+    """P_edge = p_0 + p_1 after every step of a chiral-frame walk from |0, down>
+    on N = len(signs) + 3 sites: (len(signs) + 1, ...) for the stack of walkers
+    of ``angles``, (S, 2, ...) bare coin angles (theta1, theta2), S = len(signs)
+    or 1.  Step t steps the first min(N, t + 2) sites, rounded up to whole
+    128-site chunks, with ``shifted_step`` and the merged first coin H_t
+    H_{t-1}, H_t = R(theta1_t / 2); ``kick=(step, site)`` then flips the
+    chiral spin-down amplitude at ``site``, and every 128th step sets the
+    amplitudes below the smallest normal float to +0.0."""
+    n_sites = len(signs) + 3
+    state = np.zeros(angles.shape[2:] + (2, n_sites))
+    state[..., 1, 0] = 1.0
+    p_edge = [_edge_populations(_site_probabilities(state))]
+    before = 0.0  # theta1_{t-1} / 2
+    for t, sign in enumerate(signs, 1):
+        theta1, theta2 = angles[t - 1 if len(angles) > 1 else 0]
+        turn = _coin_stack(theta1 * 0.5)
+        merged = _coin_stack(theta1 - theta1 * 0.5 + before)
+        width = min(n_sites, -(-(t + 2) // 128) * 128)
+        state[..., :width] = shifted_step(state[..., :width], merged, _coin_stack(theta2), sign)
+        if kick is not None and t == kick[0]:
+            flip = turn.swapaxes(-1, -2) @ (turn * [[1.0], [-1.0]])  # H^T sigma_z H
+            spin = state[..., kick[1]:kick[1] + 1]
+            spin[...] = np.einsum("...ij,...jk->...ik", flip, spin)
+        if t % 128 == 0:
+            state[np.abs(state) < np.finfo(float).tiny] = 0.0
+        p_edge.append(_edge_populations(_site_probabilities(state)))
+        before = theta1 * 0.5
+    return np.array(p_edge)
 
 
 def _cut_link_core(theta2: float, phi: BoundaryPhase, n_max: int) -> np.ndarray:

@@ -1,6 +1,8 @@
 import ast
+import dataclasses
 import inspect
 import math
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -35,7 +37,13 @@ from fockwalk.lattice import (
     sigma_z_kick,
 )
 
-from oracle import MERGED_TOL, assert_close_to_chiral_steps, dense_step_matrix, shifted_step
+from oracle import (
+    MERGED_TOL,
+    assert_close_to_chiral_steps,
+    dense_step_matrix,
+    forward_cone_edge_populations,
+    shifted_step,
+)
 
 RNG = np.random.default_rng(20240811)
 
@@ -652,8 +660,9 @@ def test_trajectory_flushes_its_subnormal_tail(monkeypatch, frame):
 def test_trajectory_block_counts(monkeypatch):
     """Work, not time: the 4000-step walk of a lone walker comes in at most 500
     blocks of at least 8 states (2578 blocks of up to 64 KB before the floor);
-    a 300-step quench, one 39-walker sweep stack of 100 steps, the fig6c ramp
-    and a 200-step walk keep their block counts."""
+    a 300-step quench and a 200-step walk keep their block counts.  One
+    39-walker sweep stack of 100 steps and the fig6c ramp, read at the edge,
+    come in blocks of one stepped width each (101 and 149 at full width)."""
     counts = []
 
     def counted(*args, **kwargs):
@@ -672,7 +681,156 @@ def test_trajectory_block_counts(monkeypatch):
     analysis.sweep_edge_populations(points, PHI_ZERO, 100)
     quench.ramp_survival_curve(quench.scenario("fig6c"), range(1, 49))
     assert counts[0] <= 500
-    assert counts[1:] == [9, 17, 101, 149]
+    assert counts[1:] == [9, 17, 40, 100]
+
+
+# Steps around the first widths of 8 and 16 sites (9 and 17: 1 mod 8) and around
+# the first 128-site chunk and subnormal flush.
+EDGE_STEPS = [0, 1, 2, 7, 8, 9, 15, 16, 17, 100, 127, 128, 129]
+
+
+def edge_width(t, steps):
+    """Sites stepped for state t when only sites 0 and 1 are read: those that can
+    still reach them by the last step, in multiples of 8, at most the lattice."""
+    return min(steps + 3, -(-min(t + 2, steps + 3 - t) // 8) * 8)
+
+
+def edge_of(blocks):
+    """P_edge = p_0 + p_1 of every state of a trajectory's blocks, in order."""
+    return np.concatenate([lattice._site_probabilities(states[..., :2]).sum(-1)
+                           for states, _ in blocks])
+
+
+@pytest.mark.parametrize("steps", EDGE_STEPS)
+@pytest.mark.parametrize("walkers", [1, 39, 256])
+def test_edge_read_trajectory_is_the_forward_cone_bit_for_bit(monkeypatch, steps, walkers):
+    """Read on sites 0 and 1 only, a trajectory steps each state on the sites
+    that can still reach them, in blocks of one width each.  Every state's
+    P_edge is bit for bit that of stepping the whole forward cone, with
+    seeded random per-step angles, random boundary signs and a kick."""
+    rng = np.random.default_rng([steps, walkers])
+    angles = rng.uniform(-7.0, 7.0, size=(max(steps, 1), 2, walkers))
+    signs = rng.choice([-1.0, 1.0], size=steps).tolist()
+    kick = (steps // 2, steps // 3 + 1) if steps > 1 else None
+    widths = []
+
+    def checked(prev, first, second, sign, scratch, out, head):
+        widths.append(out.shape[-1])
+        step(prev, first, second, sign, scratch, out, head)
+
+    step = lattice._step
+    monkeypatch.setattr(lattice, "_step", checked)
+    blocks = collect(_trajectory(angles, signs, "chiral", kick, reads=2))
+    assert edge_of(blocks).tobytes() == forward_cone_edge_populations(angles, signs,
+                                                                      kick).tobytes()
+    assert widths == [edge_width(t, steps) for t in range(1, steps + 1)]
+    assert [block.shape[-1] for block, _ in blocks] == [
+        edge_width(t, steps) for t in np.cumsum([0] + [len(block) for block, _ in blocks[:-1]])]
+
+
+@pytest.mark.parametrize("steps", EDGE_STEPS)
+@pytest.mark.parametrize("phi", [PHI_ZERO, PHI_PI])
+def test_sweep_reads_the_forward_cones_edge_in_stacks_of_1_39_and_256(monkeypatch, steps, phi):
+    """The sweep's final P_edge at seeded random points is bit for bit that of
+    stepping the whole forward cone, whatever the stack size: 1, 39 (6 stacks
+    and one of 22) and 256 walkers a stack."""
+    rng = np.random.default_rng(steps)
+    theta = rng.uniform(-7.0, 7.0, size=(2, 256))
+    want = forward_cone_edge_populations(theta[None], [phi.sign] * steps)[-1]
+    widest = max(edge_width(t, steps) for t in range(steps + 1))
+    stacks = []
+
+    def recorded(angles, *args, **kwargs):
+        stacks.append(angles.shape[-1])
+        return trajectory(angles, *args, **kwargs)
+
+    trajectory = analysis._trajectory
+    monkeypatch.setattr(analysis, "_trajectory", recorded)
+    for stack, points, want_stacks in ((1, 5, [1] * 5), (39, 256, [39] * 6 + [22]),
+                                       (256, 256, [256])):
+        stacks.clear()
+        # the sweep fits a stack's widest stepped state into _BLOCK_BYTES
+        monkeypatch.setattr(analysis, "_BLOCK_BYTES", stack * widest * 16)
+        got = analysis.sweep_edge_populations(BulkParams(*theta[:, :points]), phi, steps)
+        assert got.tobytes() == want[:points].tobytes()
+        assert stacks == want_stacks
+
+
+@pytest.mark.parametrize("steps", [s for s in EDGE_STEPS if s >= 15])
+def test_ramp_reads_the_forward_cones_edge_at_every_step(monkeypatch, steps):
+    """The ramp's P_edge after every step is bit for bit that of stepping the
+    whole forward cone: seeded random ramps in both boundary phases, with a
+    phi flip and a kick, and the kick scenario fig6d-kick."""
+    rng = np.random.default_rng(steps)
+    n0, post = 4, 5
+    nqs = sorted({steps - n0 - post, *rng.integers(1, steps - n0 - post, size=5).tolist()})
+    flip = quench.QuenchScenario("random", BulkParams(*rng.uniform(-7.0, 7.0, 2)),
+                                 BulkParams(*rng.uniform(-7.0, 7.0, 2)), PHI_ZERO, PHI_PI,
+                                 "die", (0, 0), (0, 0), kick=2)
+    stay = dataclasses.replace(flip, phi_initial=PHI_PI, kick=None)
+    seen = []
+
+    def recorded(p):
+        seen.append(edge(p))
+        return seen[-1]
+
+    edge = quench._edge_populations
+    monkeypatch.setattr(quench, "_edge_populations", recorded)
+    for sc in (flip, stay, quench.scenario("fig6d-kick")):
+        seen.clear()
+        quench.ramp_survival_curve(sc, nqs, n0=n0, post=post)
+        angles, signs, kick = quench._schedule(sc, n0, nqs, steps)
+        assert len(signs) == steps
+        want = forward_cone_edge_populations(angles, signs, kick)
+        assert np.concatenate(seen).tobytes() == want.tobytes()
+
+
+def test_site_steps_of_edge_and_full_readers(monkeypatch):
+    """Work, not time: the stepped sites times the walkers, summed over the
+    step kernel's calls.  Read at the edge, the 256-point, 100-step sweep
+    steps 3104 sites a walker (10300 on the whole forward cone) and the fig6c
+    ramp 6368 (19450).  Read in full, a 200- and a 4000-step walk and a
+    300-step quench step what they stepped before the edge readers changed."""
+    total = []
+
+    def counted(prev, first, second, sign, scratch, out, head):
+        total[-1] += out.size // 2
+        step(prev, first, second, sign, scratch, out, head)
+
+    def count(run, *args):
+        total.append(0)
+        run(*args)
+        return total[-1]
+
+    step = lattice._step
+    monkeypatch.setattr(lattice, "_step", counted)
+    grid = (2 * np.arange(16) + 1) * math.pi / 16 - math.pi
+    points = BulkParams(np.repeat(grid, 16), np.tile(grid, 16))
+    assert count(analysis.sweep_edge_populations, points, PHI_ZERO, 100) == 256 * 3104
+    assert count(quench.ramp_survival_curve, quench.scenario("fig6c"), range(1, 49)) == 48 * 6368
+    assert count(walk_table, BulkParams(math.pi / 2, math.pi / 8), PHI_ZERO, 200) == 31975
+    assert count(walk_table, BulkParams(math.pi / 2, 0.0), PHI_ZERO, 4000) == 8275727
+    assert count(quench.quench_table, quench.scenario("fig6c").protocol(nq=10, post=270)) == 64848
+
+
+def test_edge_readers_peak_memory():
+    """The tracemalloc peaks of the 256-point, 100-step sweep and of the fig6c
+    ramp stay at or below those of stepping the whole forward cone (292232
+    and 847752 bytes, numpy 2.4.6 on x86-64): the sweep's wider stacks fit
+    the same bytes, so more walkers cannot grow its memory unseen."""
+    grid = (2 * np.arange(16) + 1) * math.pi / 16 - math.pi
+    points = BulkParams(np.repeat(grid, 16), np.tile(grid, 16))
+    for run, args, bound in (
+            (analysis.sweep_edge_populations, (points, PHI_ZERO, 100), 292232),
+            (quench.ramp_survival_curve, (quench.scenario("fig6c"), range(1, 49)), 847752)):
+        run(*args)  # warm: caches and first-call allocations
+        tracemalloc.start()
+        try:
+            run(*args)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= bound, run.__name__
 
 
 def test_walk_table_rejects_an_unknown_frame():

@@ -270,23 +270,28 @@ def test_ramp_survival_curve_matches_per_ramp_quenches(name, nq_list, n0, post):
 
 
 def test_ramp_keeps_the_top_two_sites_empty(monkeypatch):
-    """Every state the ramp steps from, and every state it steps to, has its
-    top two sites empty; the step kernel runs once per step."""
+    """The ramp reads only P_edge, so state t is stepped on the sites that can
+    still reach sites 0 and 1 by the last step, in multiples of 8: far below
+    the top two sites, which stay empty.  A narrower state is read as it is,
+    a wider one cut; the step kernel runs once per step."""
     calls = []
+    total = 20 + 12 + 80
+
+    def width(t):
+        return min(total + 3, -(-min(t + 2, total + 3 - t) // 8) * 8)
 
     def checked(prev, first, second, sign, scratch, out, head):
         step(prev, first, second, sign, scratch, out, head)
-        assert prev.shape == out.shape == (6, 2, 20 + 12 + 80 + 3)
-        assert not np.any(prev[..., -2:])
-        # ``out`` holds the new down spin, and at n the new up spin of site n + 1 (at
-        # the last n, the amplitude shifted past the top)
-        assert not np.any(out[..., 1, -2:]) and not np.any(out[..., 0, -3:])
+        t = len(calls) + 1
+        assert out.shape == (6, 2, width(t))
+        assert prev.shape == (6, 2, min(width(t - 1), width(t)))
         calls.append(sign)
 
     step = lattice._step
     monkeypatch.setattr(lattice, "_step", checked)
     ramp_survival_curve(scenario("fig6c"), [1, 2, 4, 6, 8, 12])
-    assert len(calls) == 20 + 12 + 80
+    assert len(calls) == total
+    assert max(width(t) for t in range(total + 1)) == 64 < total + 3 - 2
 
 
 def no_stepping(*args):
