@@ -8,8 +8,9 @@ edge modes in closed form: one geometric profile per channel, kept if its
 residual under the dense cut-link step is small, with no diagonalization (the
 dense oracle and the localization fits of edge profiles are test-side).
 
-The time series and the sweep pass coin angles to ``lattice._trajectory`` and
-reduce its blocks, sharing one P_edge reduction with ``quench``'s ramp sweep.
+``lattice._trajectory`` runs only here: ``_read_in_full`` reduces its blocks to
+the observable table and last state (walk, quench), ``_read_at_edge`` to every
+state's P_edge (ramp), and the sweep reads each stack's last state.
 The table's moments are one fixed-order product over sites zero-padded to whole
 ``lattice._SITE_CHUNK``-site chunks, so trailing zero sites change no bit: a
 state's row is the same on the full lattice and in any block of ``_trajectory``.
@@ -134,6 +135,24 @@ def observable_record(step: int, state: WalkerState) -> ObservableRecord:
     return ObservableRecord(step, *observable_table(state.amps[None])[0].tolist())
 
 
+def _read_in_full(angles: np.ndarray, signs, frame: str, kick=None):
+    """The observable table of every state of one walker's ``_trajectory``
+    and its last state, turned back to the frame: ((steps + 1, 6), (2, N))."""
+    sums, weights = [], _moment_weights(len(signs) + 3)
+    for states, turns in _trajectory(angles, signs, frame, kick):
+        sums.append(_state_sums(states, turns, weights))
+    final = np.zeros((2, len(signs) + 3))  # the sites beyond the last block are empty
+    final[:, :states.shape[-1]] = states[-1] if turns is None else turns[-1] @ states[-1]
+    return _observables(np.concatenate(sums)), final
+
+
+def _read_at_edge(angles: np.ndarray, signs, kick=None) -> np.ndarray:
+    """P_edge of every state of a chiral-frame ``_trajectory`` read on sites 0
+    and 1 only (the double light cone): (steps + 1,) + the stack of walkers."""
+    return np.concatenate([_edge_populations(_site_probabilities(states[..., :2]))
+                           for states, _ in _trajectory(angles, signs, "chiral", kick, 2)])
+
+
 def walk_table(params: BulkParams, phi: BoundaryPhase, steps: int,
                frame: str = "walk") -> tuple[np.ndarray, WalkerState]:
     """Time series of a walk from |0, down> and its final state.
@@ -144,13 +163,9 @@ def walk_table(params: BulkParams, phi: BoundaryPhase, steps: int,
     (``frame="walk"``) or ``chiral_step`` (``frame="chiral"``) on an
     n_max = steps + 2 lattice; those per-step functions are its reference.
     """
-    sums, weights = [], _moment_weights(steps + 3)
-    for states, turns in _trajectory(np.array([[params.theta1, params.theta2]]),
-                                     [phi.sign] * steps, frame):
-        sums.append(_state_sums(states, turns, weights))
-    final = np.zeros((2, steps + 3))  # the sites beyond the last block are empty
-    final[:, :states.shape[-1]] = states[-1] if turns is None else turns[-1] @ states[-1]
-    return _observables(np.concatenate(sums)), WalkerState(final, steps)
+    table, final = _read_in_full(np.array([[params.theta1, params.theta2]]),
+                                 [phi.sign] * steps, frame)
+    return table, WalkerState(final, steps)
 
 
 def sweep_edge_populations(points: BulkParams, phi: BoundaryPhase, steps: int) -> np.ndarray:

@@ -81,7 +81,7 @@ def _checked(convert, ok, reason: str):
 
 
 # Work bounds far above every example and benchmark workload, checked before any
-# work; a ramp of P durations of T steps may step P T^2 <= MAX_STEPS^2 sites.
+# work; P ramps or sweep points of T steps each may step P T^2 <= MAX_STEPS^2 sites.
 MAX_STEPS = 100_000  # walk, sweep-point and quench steps
 MAX_GRID = 1000  # phase-diagram points per axis
 MAX_DENSE_DIM = 2048  # rows of pulse-verify's cycle (3 n_max + 3) and eigen's oracle (2 n_max + 2)
@@ -185,14 +185,13 @@ def _timeseries_rows(table) -> list[list]:
 
 def cmd_walk(args, cfg, given) -> int:
     if not given:
-        raise ConfigError("walk requires at least theta1=, theta2=")
+        raise ConfigError("walk requires at least one key=value")
     params = lattice.BulkParams(cfg.theta1, cfg.theta2)
     table, state = analysis.walk_table(params, cfg.phi, cfg.steps, cfg.frame)
     _emit(args, TIMESERIES_HEADER, _timeseries_rows(table))
     if getattr(args, "dist_out", None) is not None:
         up, down = state.amps + 0.0  # an exact zero prints 0, never -0
-        columns = (lattice._site_probabilities(state.amps), up.real, up.imag,
-                   down.real, down.imag)
+        columns = (state.site_probabilities(), up.real, up.imag, down.real, down.imag)
         dist_rows = list(zip(range(state.n_max + 1), *(c.tolist() for c in columns)))
         write_csv(args.dist_out, DISTRIBUTION_HEADER, dist_rows)
     return EXIT_OK
@@ -205,7 +204,11 @@ def _sweep_point(index, theta1, theta2, phi, p_edge, b0, b_pi):
 
 def cmd_sweep(args, cfg, given) -> int:
     if not given:
-        raise ConfigError("sweep requires theta1= and theta2= (one may be a list)")
+        raise ConfigError("sweep requires at least one key=value")
+    points = len(cfg.theta1) * len(cfg.theta2)
+    if points * cfg.steps**2 > MAX_STEPS**2:
+        raise ConfigError(f"steps={cfg.steps}: {points} points of {cfg.steps} steps: "
+                          f"must be <= one {MAX_STEPS}-step walk")
     grid = lattice.BulkParams(*np.array(list(itertools.product(cfg.theta1, cfg.theta2))).T)
     p_edge = analysis.sweep_edge_populations(grid, cfg.phi, cfg.steps).tolist()
     predicted = zip(*(b.tolist() for b in momentum.bound_state_channels(grid, cfg.phi)))
@@ -228,8 +231,6 @@ def cmd_quench(args, cfg, given) -> int:
         for key in ("theta1_i", "theta2_i", "theta1_f", "theta2_f"):
             if getattr(cfg, key) is None:
                 raise ConfigError(f"quench without scenario= needs {key}=")
-        if cfg.kick is not None and cfg.kick > total + 2:
-            raise ConfigError(f"kick={cfg.kick}: site outside 0..{total + 2}")
         protocol = quench.QuenchProtocol(
             initial=lattice.BulkParams(cfg.theta1_i, cfg.theta2_i),
             final=lattice.BulkParams(cfg.theta1_f, cfg.theta2_f),
@@ -254,7 +255,7 @@ def cmd_ramp(args, cfg, given) -> int:
 
 def cmd_eigen(args, cfg, given) -> int:
     if not given:
-        raise ConfigError("eigen requires theta1= and theta2=")
+        raise ConfigError("eigen requires at least one key=value")
     modes = analysis.edge_eigenmodes(lattice.BulkParams(cfg.theta1, cfg.theta2), cfg.phi,
                                      n_max=cfg.n_max)
     rows = []

@@ -10,18 +10,18 @@ a walker or of a stack of walkers, (..., 2, W) states kept in flat rows of
 buffer offsets, so a step is two matrix products and one boundary product.
 ``_advance`` is its one-shot wrapper; ``floquet_step``, ``chiral_step`` and
 ``evolve`` step one ``WalkerState`` at a time and are the per-step reference
-path.  Every batched path (the time series, the sweep, the quench and the
-ramp) passes bare coin angles and boundary signs to the private
-``_trajectory`` generator, which starts each walker at |0, down>, builds the
-coins, steps them straight into blocks of consecutive states and hands the
-blocks out.  Amplitude moves at most one site per step (the walk's light
-cone), so it steps only the sites the cone has reached, in whole chunks of
-``_SITE_CHUNK`` sites; the sites beyond them are zero.  For a caller that
-reads only the edge (the sweep and the ramp) it steps only the sites that can
-still reach it, in multiples of 8: the double light cone.  The blocks hold at
-least 8 walker-states each and are views of one pair of buffers used in turn,
-so a block is valid until the generator resumes twice.  Every
-``_SITE_CHUNK`` steps the trajectory flushes subnormal amplitudes to +0.0.
+path.  ``analysis`` alone runs the batched paths (the time series, the
+sweep, the quench and the ramp) through the private ``_trajectory``
+generator: from bare coin angles and boundary signs, it starts each walker
+at |0, down>, builds the coins, steps them straight into blocks of
+consecutive states and hands the blocks out.  Amplitude moves at most one
+site per step (the walk's light cone), so it steps only the sites the cone
+has reached, in whole chunks of ``_SITE_CHUNK`` sites; the sites beyond them
+are zero.  For a caller that reads only the edge (the sweep and the ramp) it
+steps only the sites that can still reach it, in multiples of 8: the double
+light cone.  Each block holds states of one stepped width and is a view of
+one pair of buffers used in turn, so a block is valid until the generator
+resumes twice.  Every ``_SITE_CHUNK`` steps it flushes subnormals to +0.0.
 
 One Floquet step applies, in order: the first coin, extraction of the
 blocked spin-down amplitude at n = 0, the signed down-shift, the second
@@ -220,12 +220,12 @@ def _advance(amps: np.ndarray, first: np.ndarray, second: np.ndarray,
 # The blocks of a trajectory take turns in one pair of buffers: a block above
 # glibc's 128 KB mmap threshold is not mapped and page-faulted in afresh.
 _BLOCK_BYTES = 1 << 16
-# Trajectories read in full are stepped in whole chunks of this many sites, and
-# ``analysis`` zero-pads states to whole chunks for its fixed-order moment product,
-# so trailing empty sites change no step or sum.  Every stepped width is a multiple
-# of 8 (OpenBLAS rounds the last column of a product of width 1 mod 8 its own way)
-# or the full width N, where the top sites are empty.  Every this many steps the
-# trajectory also flushes its subnormal amplitudes to zero.
+# Trajectories read in full are stepped in whole chunks of this many sites, every
+# state of a block on the same chunks, and ``analysis`` zero-pads states to whole
+# chunks for its fixed-order moment product, so trailing empty sites change no step
+# or sum.  Every stepped width is a multiple of 8 (OpenBLAS rounds the last column of
+# a product of width 1 mod 8 its own way) or the full width N, where the top sites
+# are empty.  Every this many steps the trajectory also flushes its subnormals to zero.
 _SITE_CHUNK = 128
 
 
@@ -260,13 +260,13 @@ def _trajectory(angles: np.ndarray, signs, frame: str,
     R - 1 + steps - t reaches them by the last step.  So state t is stepped
     on min(t + 2, R + steps - t + 1) sites (``_stepped_widths``), rounded up
     to whole chunks of ``_SITE_CHUNK`` sites if R >= N, else to a multiple of
-    8 (see ``_SITE_CHUNK``), and at most N.  Read in full, a block's states are stepped
-    on the W sites of its last state, and the full-width state is zero
-    beyond them; read at the edge, a block holds states of one width W.
-    Each state equals the full-width state on its first min(W, R + steps - t)
-    sites (a zero may differ in sign).  K keeps a block's states within
-    ``_BLOCK_BYTES`` if it can, but K >= ceil(8 / walkers), so a block holds
-    at least 8 walker-states.
+    8 (see ``_SITE_CHUNK``), and at most N.  Every block holds states of one
+    stepped width W, each stepped on exactly that width, and equals the
+    full-width state on its first min(W, R + steps - t) sites (a zero may
+    differ in sign); read in full, the full-width state is zero beyond W.
+    K keeps a block's states within ``_BLOCK_BYTES`` if it can, but K >=
+    ceil(8 / walkers), so a block holds at least 8 walker-states unless the
+    run of states of its width ends first.
 
     The blocks are views of one pair of buffers per trajectory, used in turn:
     K flat rows of 2W + 2 numbers per walker (``_views``) that ``_step`` writes
@@ -285,8 +285,6 @@ def _trajectory(angles: np.ndarray, signs, frame: str,
     steps = len(signs)
     stack = angles.shape[2:]
     walkers = math.prod(stack)
-    n_sites = steps + 3
-    reads = n_sites if reads is None else reads
     site_bytes = 16 * walkers
     floor = -(-8 // walkers)  # rows of at least 8 walker-states
     # per run of steps: merged first angles theta1_t - h_t + h_{t-1}, theta2, h_t
@@ -305,31 +303,22 @@ def _trajectory(angles: np.ndarray, signs, frame: str,
     if len(angles) == 1:
         coins = itertools.chain([next(coins)], itertools.repeat(next(coins)))
 
-    widths = _stepped_widths(steps, reads)
+    widths = _stepped_widths(steps, steps + 3 if reads is None else reads)
     lasts = [*np.flatnonzero(np.diff(widths)).tolist(), steps]  # each run of one width ends
 
     def layouts():
-        """(K, W) of every block in order, once per width: K states fit at the
-        block's width, and whole blocks of one width repeat.  The block that
-        ends a run of one width is cut short there if only the edge is read,
-        and else crosses into the next width, K cut to fit its last width."""
-        t = 0
+        """(K, W) of every block in order: K states of one stepped width W, as
+        many as fit the block, cut short where the run of that width ends."""
+        first = 0
         for last in lasts:
-            while t <= last:
-                sites = int(widths[t])
-                rows = min(steps + 1 - t, max(floor, _BLOCK_BYTES // (site_bytes * sites)))
-                repeat = (last + 1 - t) // rows  # blocks within this width
-                if not repeat:  # the block that ends this width
-                    wider = int(widths[t + rows - 1])
-                    rows = last + 1 - t if reads < n_sites else min(
-                        rows, max(floor, _BLOCK_BYTES // (site_bytes * wider)))
-                    repeat, sites = 1, int(widths[t + rows - 1])
-                yield from itertools.repeat((rows, sites), repeat)
-                t += repeat * rows
+            sites = int(widths[last])
+            rows = max(floor, _BLOCK_BYTES // (site_bytes * sites))
+            for t in range(first, last + 1, rows):
+                yield min(rows, last + 1 - t), sites
+            first = last + 1
 
-    plan = list(layouts())
-    size = walkers * max(rows * (2 * sites + 2) for rows, sites in plan)
-    most = walkers * max(rows for rows, _ in plan)
+    size = walkers * max(rows * (2 * sites + 2) for rows, sites in layouts())
+    most = walkers * max(rows for rows, _ in layouts())
     pair = [(np.empty(size), np.empty(4 * most)) for _ in range(2)]
     views = {}
 
@@ -344,7 +333,7 @@ def _trajectory(angles: np.ndarray, signs, frame: str,
                     (rows,) + stack + (2 * sites + 2,)), sites, 1, 0))
         return views[rows, sites, parity]
 
-    blocks = iter(plan)
+    blocks = layouts()
     rows, sites = next(blocks)
     zero = scratch = _views(np.zeros(stack + (2 * sites + 2,)), sites, 0, sites)
     (turns, states, outs, heads), k, parity = block(rows, sites, 0), 1, 0

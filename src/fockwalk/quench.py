@@ -6,10 +6,10 @@ boundary phase or applies a sigma_z kick at the end of step ``n0``, and then
 keeps evolving.  ``survival_catalog`` lists the named quench experiments and
 their expected outcomes, ``scenario`` looks one up by name, and
 ``landau_zener_fit`` extracts the exponential dependence of the bound-state
-loss on the ramp duration.  Both batched paths pass the angles of every
-step to ``lattice._trajectory`` and reduce its blocks: ``quench_table`` runs
-one protocol to the observable table, and ``ramp_survival_curve`` runs all
-ramp durations of a sweep as one stack of walkers and reads only P_edge.
+loss on the ramp duration.  Both batched paths hand the angles of every
+step to the trajectory readers of ``analysis``: ``quench_table`` reads one
+protocol in full to the observable table, and ``ramp_survival_curve`` runs
+all ramp durations of a sweep as one stack of walkers and reads only P_edge.
 ``_schedule`` alone defines a protocol's angles, phase switch and kick;
 ``run_quench`` steps through it one ``chiral_step`` and one
 ``observable_record`` at a time and is the per-step reference of both.
@@ -28,10 +28,8 @@ import numpy as np
 
 from .analysis import (
     ObservableRecord,
-    _edge_populations,
-    _moment_weights,
-    _observables,
-    _state_sums,
+    _read_at_edge,
+    _read_in_full,
     detect_stabilization,
     linear_fit,
     observable_record,
@@ -42,8 +40,6 @@ from .lattice import (
     BoundaryPhase,
     BulkParams,
     SiteOutOfRange,
-    _site_probabilities,
-    _trajectory,
     chiral_step,
     initial_state,
     sigma_z_kick,
@@ -76,7 +72,7 @@ class QuenchProtocol:
             raise ValueError("total_steps must cover the ramp")
         n_max = self.total_steps + 2  # the lattice a quench runs on
         if self.kick is not None and not 0 <= self.kick <= n_max:
-            raise SiteOutOfRange(f"site {self.kick} outside 0..{n_max}")
+            raise SiteOutOfRange(f"kick={self.kick}: site outside 0..{n_max}")
 
 
 def _schedule(ends, n0: int, durations, steps: int):
@@ -103,12 +99,10 @@ def quench_table(protocol: QuenchProtocol) -> np.ndarray:
     """``run_quench``'s time series as one (total_steps + 1, 6) array.
 
     Row t holds the observables of ``analysis.observable_table`` after step
-    t.  The trajectory is reduced block by block and finished at once.
+    t, read in full by ``analysis._read_in_full``.
     """
     angles, signs, kick = _schedule(protocol, protocol.n0, [protocol.nq], protocol.total_steps)
-    blocks = _trajectory(angles[..., 0], signs, "chiral", kick)
-    weights = _moment_weights(protocol.total_steps + 3)
-    return _observables(np.concatenate([_state_sums(*block, weights) for block in blocks]))
+    return _read_in_full(angles[..., 0], signs, "chiral", kick)[0]
 
 
 def run_quench(protocol: QuenchProtocol) -> list[ObservableRecord]:
@@ -255,7 +249,7 @@ def ramp_survival_curve(scenario: QuenchScenario, nq_list, n0: int = 20,
     """Stabilized post-quench P_edge and channel loss for each ramp duration.
 
     Every distinct nq is one row of a stack of P walkers, all started at
-    |0, down> and run together through ``lattice._trajectory`` for
+    |0, down> and run together through ``analysis._read_at_edge`` for
     n0 + max(nq) + post steps; each row follows the ``_schedule`` of its own
     duration.  Only P_edge is read, so state t is stepped on the sites that
     can still reach sites 0 and 1 (the double light cone).  A row's P_edge at
@@ -276,8 +270,7 @@ def ramp_survival_curve(scenario: QuenchScenario, nq_list, n0: int = 20,
         raise ValueError("nq_list needs at least one ramp duration")
     scenario.protocol(n0=n0, nq=nqs[0], post=post)  # validates n0, nq, post and kick
     angles, signs, kick = _schedule(scenario, n0, nqs, n0 + nqs[-1] + post)
-    p_edge = np.concatenate([_edge_populations(_site_probabilities(states[..., :2]))
-                             for states, _ in _trajectory(angles, signs, "chiral", kick, 2)])
+    p_edge = _read_at_edge(angles, signs, kick)
 
     stabilized = []
     for row, nq in enumerate(nqs):

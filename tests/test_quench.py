@@ -109,7 +109,7 @@ def test_protocol_validation():
                        n0=20, nq=5, total_steps=10)
     # the kick site must exist on the n_max = total_steps + 2 lattice
     for kick in (-1, 13, 500):
-        with pytest.raises(SiteOutOfRange, match=f"site {kick} outside 0..12"):
+        with pytest.raises(SiteOutOfRange, match=f"^kick={kick}: site outside 0\\.\\.12$"):
             QuenchProtocol(initial=BulkParams(1, 1), final=BulkParams(1, 1),
                            n0=5, nq=1, total_steps=10, kick=kick)
     for kick in (0, 12):
