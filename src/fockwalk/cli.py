@@ -22,7 +22,6 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import functools
-import itertools
 import json
 import math
 import os
@@ -83,7 +82,7 @@ def _checked(convert, ok, reason: str):
 # Work bounds far above every example and benchmark workload, checked before any
 # work; P ramps or sweep points of T steps each may step P T^2 <= MAX_STEPS^2 sites.
 MAX_STEPS = 100_000  # walk, sweep-point and quench steps
-MAX_GRID = 1000  # phase-diagram points per axis
+MAX_GRID = 1000  # phase-diagram points per axis; a sweep has at most MAX_GRID^2 points
 MAX_DENSE_DIM = 2048  # rows of pulse-verify's cycle (3 n_max + 3) and eigen's oracle (2 n_max + 2)
 MAX_EIGEN_N, MAX_PULSE_N = MAX_DENSE_DIM // 2 - 1, MAX_DENSE_DIM // 3 - 1
 
@@ -206,10 +205,13 @@ def cmd_sweep(args, cfg, given) -> int:
     if not given:
         raise ConfigError("sweep requires at least one key=value")
     points = len(cfg.theta1) * len(cfg.theta2)
+    if points > MAX_GRID**2:
+        raise ConfigError(f"theta1=, theta2=: {points} points: must be <= {MAX_GRID**2}")
     if points * cfg.steps**2 > MAX_STEPS**2:
         raise ConfigError(f"steps={cfg.steps}: {points} points of {cfg.steps} steps: "
                           f"must be <= one {MAX_STEPS}-step walk")
-    grid = lattice.BulkParams(*np.array(list(itertools.product(cfg.theta1, cfg.theta2))).T)
+    grid = lattice.BulkParams(np.repeat(cfg.theta1, len(cfg.theta2)),
+                              np.tile(cfg.theta2, len(cfg.theta1)))
     p_edge = analysis.sweep_edge_populations(grid, cfg.phi, cfg.steps).tolist()
     predicted = zip(*(b.tolist() for b in momentum.bound_state_channels(grid, cfg.phi)))
     rows = [_sweep_point(index, t1, t2, cfg.phi, p, *b) for index, (t1, t2, p, b)

@@ -20,8 +20,8 @@ has reached, in whole chunks of ``_SITE_CHUNK`` sites; the sites beyond them
 are zero.  For a caller that reads only the edge (the sweep and the ramp) it
 steps only the sites that can still reach it, in multiples of 8: the double
 light cone.  Each block holds states of one stepped width and is a view of
-one pair of buffers used in turn, so a block is valid until the generator
-resumes twice.  Every ``_SITE_CHUNK`` steps it flushes subnormals to +0.0.
+the trajectory's one buffer, so a block is valid until the generator
+resumes.  Every ``_SITE_CHUNK`` steps it flushes subnormals to +0.0.
 
 One Floquet step applies, in order: the first coin, extraction of the
 blocked spin-down amplitude at n = 0, the signed down-shift, the second
@@ -217,8 +217,8 @@ def _advance(amps: np.ndarray, first: np.ndarray, second: np.ndarray,
 
 # A block holds the consecutive states of at most this many bytes, but at least
 # 8 walker-states, so one walker wider than 512 sites comes in blocks of 8 states.
-# The blocks of a trajectory take turns in one pair of buffers: a block above
-# glibc's 128 KB mmap threshold is not mapped and page-faulted in afresh.
+# Every block of a trajectory is written into one buffer: a block above glibc's
+# 128 KB mmap threshold is not mapped and page-faulted in afresh.
 _BLOCK_BYTES = 1 << 16
 # Trajectories read in full are stepped in whole chunks of this many sites, every
 # state of a block on the same chunks, and ``analysis`` zero-pads states to whole
@@ -268,11 +268,13 @@ def _trajectory(angles: np.ndarray, signs, frame: str,
     ceil(8 / walkers), so a block holds at least 8 walker-states unless the
     run of states of its width ends first.
 
-    The blocks are views of one pair of buffers per trajectory, used in turn:
-    K flat rows of 2W + 2 numbers per walker (``_views``) that ``_step`` writes
-    each state into, with coins folded once per run of steps.  The views are
-    built once per (K, W, buffer).  A block stays valid until the generator
-    resumes twice; the caller reduces or copies it before then.
+    The blocks are views of one states buffer and one rotations buffer per
+    trajectory: K flat rows of 2W + 2 numbers per walker (``_views``) that
+    ``_step`` writes each state into, with coins folded once per run of steps.
+    The views are built once per (K, W).  A block stays valid until the
+    generator resumes; the caller reduces or copies it before then.  The first
+    state of a block may overwrite the last of the block before, which
+    ``_step`` reads only in its first product, into the scratch row.
 
     Right after each step t with t % ``_SITE_CHUNK`` == 0, and after that
     step's kick, every amplitude below the smallest normal float
@@ -317,31 +319,28 @@ def _trajectory(angles: np.ndarray, signs, frame: str,
                 yield min(rows, last + 1 - t), sites
             first = last + 1
 
-    size = walkers * max(rows * (2 * sites + 2) for rows, sites in layouts())
-    most = walkers * max(rows for rows, _ in layouts())
-    pair = [(np.empty(size), np.empty(4 * most)) for _ in range(2)]
+    flat = np.empty(walkers * max(rows * (2 * sites + 2) for rows, sites in layouts()))
+    rotations = np.empty(4 * walkers * max(rows for rows, _ in layouts()))
     views = {}
 
-    def block(rows, sites, parity):
-        """Readout rotations and the (states, slots, sites [0]) views of K flat rows
-        of buffer ``parity``, built once per (K, W, buffer)."""
-        if (rows, sites, parity) not in views:
-            flat, rotations = pair[parity]
-            views[rows, sites, parity] = (
+    def block(rows, sites):
+        """Rotations and (states, slots, sites [0]) views of K rows, once per (K, W)."""
+        if (rows, sites) not in views:
+            views[rows, sites] = (
                 rotations[:4 * walkers * rows].reshape((rows,) + stack + (2, 2)),
                 *_views(flat[:walkers * rows * (2 * sites + 2)].reshape(
                     (rows,) + stack + (2 * sites + 2,)), sites, 1, 0))
-        return views[rows, sites, parity]
+        return views[rows, sites]
 
     blocks = layouts()
     rows, sites = next(blocks)
     zero = scratch = _views(np.zeros(stack + (2 * sites + 2,)), sites, 0, sites)
-    (turns, states, outs, heads), k, parity = block(rows, sites, 0), 1, 0
+    (turns, states, outs, heads), k = block(rows, sites), 1
     states[0], turns[0] = 0.0, np.eye(2)
     states[0, ..., 1, 0] = 1.0  # |0, down>
     prev = states[0]
     for t, sign, (first, second, turn) in zip(range(1, steps + 1), signs, coins):
-        if k == rows:  # the next block goes into the other buffer, which prev is not in
+        if k == rows:  # the next block overwrites this one; _step reads prev first
             yield states, turns if frame == "chiral" else None
             rows, new = next(blocks)
             if new != sites:  # the old scratch row is freed before the new one is made
@@ -350,8 +349,7 @@ def _trajectory(angles: np.ndarray, signs, frame: str,
                 # a narrower prev is read as it is, into the start of the new zero row
                 scratch = (zero[0], zero[1][..., :sites], zero[2]) if new > sites else zero
                 prev, sites = prev[..., :new], new
-            parity ^= 1
-            (turns, states, outs, heads), k = block(rows, sites, parity), 0
+            (turns, states, outs, heads), k = block(rows, sites), 0
         _step(prev, first, second, sign, scratch, outs[k], heads[k])
         prev, turns[k], scratch = states[k], turn, zero
         if kick is not None and t == kick[0] and kick[1] < sites:

@@ -2,6 +2,7 @@ import itertools
 import json
 import math
 import os
+import random
 import shlex
 import subprocess
 import sys
@@ -361,6 +362,34 @@ def test_bad_values_exit_with_one_error_line(argv, tmp_path, capsys):
     assert err.startswith(f"error: {bad}: ")
 
 
+# Values for the fuzz test: bad text and numbers, and small valid numbers and names,
+# so that no draw does much work.
+FUZZ_VALUES = ["", " ", "nan", "inf", "-inf", "1e308", "-1", "0", "1", "2", "0.5", "pi/0",
+               "pi/2", "-2pi/3", "π/2", "ü", "0,1", "pi/2,0,-pi/2", "1,2,3,4,5", ",", "fig6c",
+               "fig6d-kick", "none", "walk", "chiral", "=", "1.5"]
+
+
+def test_seeded_fuzz_exits_with_a_code_and_at_most_one_line(tmp_path, capsys):
+    """400 seeded draws, each a subcommand with 0-3 keys from its table or an
+    unknown key, every value from ``FUZZ_VALUES``: the run exits 0 with an
+    empty stderr, or 2 or 3 with one line, and no exception escapes."""
+    rng = random.Random(2013)
+    names = sorted(cli.COMMANDS)
+    for _ in range(400):
+        command = rng.choice(names)
+        keys = [*cli.COMMANDS[command][1], "bogus"]
+        pairs = [f"{rng.choice(keys)}={rng.choice(FUZZ_VALUES)}" for _ in range(rng.randint(0, 3))]
+        argv = [command, *pairs, "--out", str(tmp_path / "out")]
+        code = main(argv)
+        err = capsys.readouterr().err
+        if code == EXIT_OK:
+            assert err == "", argv
+        else:
+            assert code in (EXIT_CONFIG, EXIT_NUMERIC), argv
+            assert len(err.splitlines()) == 1 and err.endswith("\n"), argv
+            assert err.startswith(("error: ", "numeric error: ")), argv
+
+
 def test_zero_divisor_from_a_config_file_exits_with_one_error_line(tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("theta1=pi/0\ntheta2=0\n")
@@ -473,6 +502,41 @@ def test_sweep_work_bound_sits_at_its_limit(tmp_path, monkeypatch, capsys):
         assert err == (f"error: steps={steps}: 256 points of {steps} steps: "
                        f"must be <= one {cli.MAX_STEPS}-step walk\n")
     assert ran == [(256, 6250)] and not out.exists()
+
+
+class Reached(Exception):
+    """Raised by a stub to end a run once its input is checked."""
+
+
+def test_sweep_point_count_sits_at_its_limit(tmp_path, monkeypatch, capsys):
+    """A sweep has at most MAX_GRID^2 points, the rows of the largest phase
+    diagram, however few its steps: a 1000 x 1000 grid reaches the
+    experiment (a stub here, which ends the run) in ``itertools.product``
+    order; one point more exits 2 with one line before the grid is built."""
+    side = cli.MAX_GRID
+    theta1, theta2 = range(side), range(-side, 0)
+
+    def experiment(grid, phi, steps):
+        assert list(zip(grid.theta1.tolist(), grid.theta2.tolist())) == list(
+            itertools.product(map(float, theta1), map(float, theta2)))
+        raise Reached
+
+    monkeypatch.setattr(cli.analysis, "sweep_edge_populations", experiment)
+    out = tmp_path / "x.csv"
+    sweep = ["sweep", "theta1=" + ",".join(map(str, theta1))]
+    with pytest.raises(Reached):
+        main(sweep + ["theta2=" + ",".join(map(str, theta2)), "steps=1", "--out", str(out)])
+
+    def fail(*args, **kwargs):
+        raise AssertionError("the grid was built")
+
+    monkeypatch.setattr(cli.lattice, "BulkParams", fail)
+    for steps in (0, 1):
+        wider = "theta2=" + ",".join(map(str, range(-side, 1)))
+        assert main(sweep + [wider, f"steps={steps}", "--out", str(out)]) == EXIT_CONFIG
+        assert capsys.readouterr().err == (
+            f"error: theta1=, theta2=: {side * (side + 1)} points: must be <= {side * side}\n")
+    assert not out.exists()
 
 
 def test_memory_error_exits_with_one_error_line(tmp_path, monkeypatch, capsys):
