@@ -84,9 +84,6 @@ class BoundaryPhase:
         """e^{i*phi} as a real number (+1 or -1)."""
         return 1.0 if self.phi == 0.0 else -1.0
 
-    def flipped(self) -> "BoundaryPhase":
-        return BoundaryPhase(math.pi if self.phi == 0.0 else 0.0)
-
 
 PHI_ZERO = BoundaryPhase(0.0)
 PHI_PI = BoundaryPhase(math.pi)
@@ -128,17 +125,6 @@ class WalkerState:
     def site_probabilities(self) -> np.ndarray:
         """p_n = |a_n|^2 + |b_n|^2."""
         return _site_probabilities(self.amps)
-
-    def to_vector(self) -> np.ndarray:
-        """Flatten to the dense-matrix basis: index(n, spin) = 2n + spin."""
-        return self.amps.T.flatten()  # a copy even for n_max = 0
-
-    @classmethod
-    def from_vector(cls, vec: np.ndarray, step_count: int = 0) -> "WalkerState":
-        vec = np.asarray(vec)
-        if vec.ndim != 1 or vec.size % 2:
-            raise ValueError("vector length must be even")
-        return cls(vec.reshape(-1, 2).T.copy(), step_count)
 
 
 def initial_state(n_max: int, site: int = 0, spin: str = "down") -> WalkerState:

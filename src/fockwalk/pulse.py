@@ -5,8 +5,10 @@ The walk step is implemented physically as six laser operations on the
 shelving passage into the auxiliary level, a pi pulse, a second coin pulse
 on the (down, auxiliary) pair, a blue-sideband passage, and a closing pi
 pulse.  ``compile_six_step_cycle`` assembles the six ideal operators on the
-truncated ladder: the coin and pi pulses are ``lattice.coin_matrix``-style
-rotations on one level pair, and the boundary phase e^{i phi} = +/-1 is a
+truncated ladder.  Each is a 2x2 rotation on pairs of (phonon, level) states
+and the identity elsewhere: the coin and pi pulses turn two levels at one
+phonon number, the sideband passages turn |n, down> with a state one phonon
+below (red) or above (blue), and the boundary phase e^{i phi} = +/-1 is a
 sign.  The cycle is therefore real, its physical block equals the one-step
 walk matrix ``build_step_matrix`` exactly (bit for bit), and the auxiliary
 level is empty after every full cycle.  That matrix is the step kernel of
@@ -39,8 +41,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .lattice import BoundaryPhase, BulkParams, build_step_matrix, coin_matrix
-
-UP, DOWN, AUX = 0, 1, 2
 
 # verify_cycle calls a schedule adiabatic below this margin and at or above
 # this worst-case two-passage fidelity
@@ -89,95 +89,56 @@ class PulseConfig:
 _PI_TURN = np.array([[0.0, -1.0], [1.0, 0.0]])
 
 
-def _idx(n: int, level: int) -> int:
-    return 3 * n + level
-
-
-def _level_rotation(rot: np.ndarray, pair: tuple[int, int], n_max: int) -> np.ndarray:
-    """The 2x2 ``rot`` on the level ``pair`` at every phonon level."""
-    block = np.eye(3)
-    block[np.ix_(pair, pair)] = rot
-    return np.kron(np.eye(n_max + 1), block)
-
-
-def _red_sideband(n_max: int) -> np.ndarray:
-    """Step 2: shelve |n, down> -> -|n-1, aux|; |0, down> is blocked.
-
-    The return legs |n, aux> -> |n+1, down> complete the passage unitarily;
-    the top auxiliary state has no partner inside the truncation and stays.
-    """
-    dim = 3 * (n_max + 1)
-    m = np.zeros((dim, dim))
-    for n in range(n_max + 1):
-        m[_idx(n, UP), _idx(n, UP)] = 1.0
-    m[_idx(0, DOWN), _idx(0, DOWN)] = 1.0
-    for n in range(1, n_max + 1):
-        m[_idx(n - 1, AUX), _idx(n, DOWN)] = -1.0
-        m[_idx(n, DOWN), _idx(n - 1, AUX)] = 1.0
-    m[_idx(n_max, AUX), _idx(n_max, AUX)] = 1.0
-    return m
-
-
-def _blue_sideband(n_max: int) -> np.ndarray:
-    """Step 5: |n, down> -> -|n+1, up>, with |0, up> unpaired.
-
-    The unpaired edge state picks up a minus sign (see the module note);
-    the cut top link shelves |n_max, down> into the empty top auxiliary
-    slot so the passage stays unitary on the truncated ladder.
-    """
-    dim = 3 * (n_max + 1)
-    m = np.zeros((dim, dim))
-    for n in range(n_max):
-        m[_idx(n + 1, UP), _idx(n, DOWN)] = -1.0
-        m[_idx(n, DOWN), _idx(n + 1, UP)] = 1.0
-    m[_idx(0, UP), _idx(0, UP)] = -1.0
-    for n in range(n_max):
-        m[_idx(n, AUX), _idx(n, AUX)] = 1.0
-    m[_idx(n_max, AUX), _idx(n_max, DOWN)] = -1.0
-    m[_idx(n_max, DOWN), _idx(n_max, AUX)] = 1.0
+def _turns(rot: np.ndarray, first: np.ndarray, second: np.ndarray, dim: int) -> np.ndarray:
+    """The 2x2 ``rot`` on each pair (first[k], second[k]) of basis states,
+    the identity on every other state."""
+    m = np.eye(dim)
+    m[first, first], m[first, second] = rot[0]
+    m[second, first], m[second, second] = rot[1]
     return m
 
 
 def compile_six_step_cycle(params: BulkParams, phi: BoundaryPhase, n_max: int) -> np.ndarray:
     """Compose the six ideal laser operators (plus the phase control) into
-    one real cycle on the (phonon x three-level) space."""
+    one real cycle on the (phonon x three-level) space, basis index 3n + level."""
     if n_max < 2:
         raise ValueError("n_max must be at least 2")
+    dim = 3 * (n_max + 1)
+    up, down, aux = np.arange(dim).reshape(-1, 3).T  # up[n] is the index of |n, up>
     # step 1: coin R_y(theta1) on (up, down)
-    s1 = _level_rotation(coin_matrix(params.theta1), (UP, DOWN), n_max)
-    s2 = _red_sideband(n_max)
+    s1 = _turns(coin_matrix(params.theta1), up, down, dim)
+    # step 2: red sideband, |n, down> -> -|n-1, aux>; |0, down> is blocked,
+    # and the top aux state has no partner inside the truncation
+    s2 = _turns(_PI_TURN.T, down[1:], aux[:-1], dim)
     # phase control e^{i phi} on the down levels after the shelving passage;
     # only the blocked boundary amplitude |0, down> is there to pick it up
-    s2[DOWN::3] *= phi.sign
+    s2[down] *= phi.sign
     # step 3: pi pulse, up -> down, down -> -up
-    s3 = _level_rotation(_PI_TURN, (UP, DOWN), n_max)
+    s3 = _turns(_PI_TURN, up, down, dim)
     # step 4: coin R_y(theta2) on (down, aux); the rotation at phonon m
     # realizes the link (m, m+1) of the walk, and the link above the
     # truncation edge is cut
-    s4 = _level_rotation(coin_matrix(params.theta2), (DOWN, AUX), n_max)
-    s4[-3:, -3:] = np.eye(3)
-    s5 = _blue_sideband(n_max)
+    s4 = _turns(coin_matrix(params.theta2), down[:-1], aux[:-1], dim)
+    # step 5: blue sideband, |n, down> -> -|n+1, up>; the cut top link
+    # shelves |n_max, down> into the empty top aux state, so it stays unitary
+    s5 = _turns(_PI_TURN.T, down, np.append(up[1:], aux[-1]), dim)
+    s5[up[0], up[0]] = -1.0  # the unpaired edge state |0, up> (module note)
     # step 6: pi pulse returning the shelved amplitude, aux -> down
-    s6 = _level_rotation(_PI_TURN.T, (DOWN, AUX), n_max)
+    s6 = _turns(_PI_TURN.T, down, aux, dim)
     return s6 @ s5 @ s4 @ s3 @ s2 @ s1
 
 
-def _physical_indices(n_sites: int) -> np.ndarray:
-    """Indices of the (up, down) levels in walk-vector order (2n + spin)."""
-    return np.arange(3 * n_sites).reshape(n_sites, 3)[:, [UP, DOWN]].ravel()
-
-
 def spin_block(cycle: np.ndarray) -> np.ndarray:
-    """Restriction of a cycle matrix to the physical (up, down) block."""
-    keep = _physical_indices(cycle.shape[0] // 3)
-    return cycle[np.ix_(keep, keep)]
+    """Restriction of a cycle matrix to the physical (up, down) block, in
+    walk-vector order (2n + spin)."""
+    n = cycle.shape[0] // 3
+    return cycle.reshape(n, 3, n, 3)[:, :2, :, :2].reshape(2 * n, 2 * n)
 
 
 def aux_leakage(cycle: np.ndarray) -> float:
     """Largest matrix element from a physical column into an auxiliary row."""
-    n_sites = cycle.shape[0] // 3
-    aux = np.arange(AUX, 3 * n_sites, 3)
-    return float(np.max(np.abs(cycle[np.ix_(aux, _physical_indices(n_sites))])))
+    n = cycle.shape[0] // 3
+    return float(np.max(np.abs(cycle.reshape(n, 3, n, 3)[:, 2, :, :2])))
 
 
 # ---------------------------------------------------------------------------
@@ -187,12 +148,6 @@ def _passage_coefficients(n, omega, delta):
     """(a, b) of the sideband Hamiltonian H = a sigma_z + b sigma_x on
     span{|down, n>, |up, n+1>}; ``n`` may be an array of phonon indices."""
     return -0.5 * delta, 0.5 * np.sqrt(n + 1.0) * omega
-
-
-def _max_hamiltonian_norm(n: int, config: PulseConfig) -> float:
-    # hypot, not a root of squares, so huge finite amplitudes do not overflow
-    a, b = _passage_coefficients(n, config.omega0, config.delta0)
-    return math.hypot(a, b)
 
 
 # CF4 (Blanes & Moan 2006): Gauss nodes 1/2 -/+ sqrt(3)/6 and the weights of
@@ -269,7 +224,8 @@ def _stirap_batch(ns, config: PulseConfig, enforce_step: bool = True) -> np.ndar
     is the quaternion (w, x, y, -z) of V = (w, x, y, z).
     """
     ns = np.asarray(ns, dtype=int)
-    worst = _max_hamiltonian_norm(int(ns.max()), config)
+    # hypot, not a root of squares, so huge finite amplitudes do not overflow
+    worst = math.hypot(*_passage_coefficients(int(ns.max()), config.omega0, config.delta0))
     if enforce_step and config.integrator_step * worst >= 0.01:
         raise StepTooCoarse(
             f"step {config.integrator_step} too coarse for |H| ~ {worst:.3g}")

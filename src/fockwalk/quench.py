@@ -48,6 +48,7 @@ from .momentum import quasienergy_gaps
 
 
 PLATEAU_WINDOW = 10  # states a P_edge plateau is read over
+LOSS_FLOOR = 0.02  # landau_zener_fit fits only the ramp losses above this
 
 
 class InsufficientLoss(RuntimeError):
@@ -295,11 +296,11 @@ class LZFit:
 
 
 def landau_zener_fit(scenario: QuenchScenario, nq_list, n0: int = 20,
-                     post: int = 80, loss_floor: float = 0.02) -> LZFit:
+                     post: int = 80) -> LZFit:
     """Exponential fit loss ~ A exp(-beta nq) of the ramp survival curve.
 
-    Only ramps that transfer population out of the bound channel above the
-    floor enter the log-linear regression (the floor sits above the
+    Only ramps that transfer population out of the bound channel above
+    LOSS_FLOOR enter the log-linear regression (the floor sits above the
     residual interference wobble of the stabilized readout); the
     quasi-energy gap at E = pi of the final parameters is reported for the
     rate-crossover comparison.
@@ -307,7 +308,7 @@ def landau_zener_fit(scenario: QuenchScenario, nq_list, n0: int = 20,
     if len(set(int(n) for n in nq_list)) < 5:
         raise ValueError("need at least 5 distinct ramp durations")
     rows = ramp_survival_curve(scenario, nq_list, n0=n0, post=post)
-    pts = [(nq, loss) for nq, _, loss in rows if loss > loss_floor]
+    pts = [(nq, loss) for nq, _, loss in rows if loss > LOSS_FLOOR]
     if len(pts) < 3:
         raise InsufficientLoss("fewer than 3 ramps lost population above the floor")
     nqs = np.array([q for q, _ in pts], dtype=float)

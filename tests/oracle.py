@@ -18,12 +18,17 @@ whole forward light cone, in 128-site chunks, with ``shifted_step``: the rule
 every trajectory followed before the edge readers (the sweep and the ramp)
 stepped only the sites that can still reach the edge, and their reference.
 
+Pulses: ``six_step_cycle`` assembles the six laser operators of
+``pulse.compile_six_step_cycle`` one phonon at a time, with the coin and pi
+pulses as Kronecker products and the two sideband passages as per-phonon
+loops: the reference of the pair-rotation builder.
 Passages: ``jc_subspace_hamiltonian`` is the two-level sideband Hamiltonian as
 a matrix, ``full_cf4_passage`` the CF4 product over every step of a passage,
 the reference of the mirrored half-passage in ``pulse._stirap_batch``, and
 ``stirap_evolve`` the one-level view of that batch.  Edge profiles:
 ``successive_ratios`` and ``fit_localization`` read the decay of a stable
-bound-state profile.
+bound-state profile.  ``to_vector`` and ``from_vector`` convert a
+``WalkerState`` to and from the dense-matrix basis.
 """
 
 import math
@@ -36,6 +41,7 @@ from fockwalk.analysis import EIGENPHASE_TOL, EigenMode, _edge_populations, line
 from fockwalk.lattice import (
     BoundaryPhase,
     BulkParams,
+    WalkerState,
     _coin_stack,
     _site_probabilities,
     coin_matrix,
@@ -182,6 +188,87 @@ def dense_step_matrix(params: BulkParams, phi: BoundaryPhase, n_max: int,
         half = np.kron(eye, coin_matrix(params.theta1 / 2.0))
         return half @ core @ half
     raise ValueError(f"unknown frame {frame!r}")
+
+
+def to_vector(state: WalkerState) -> np.ndarray:
+    """Flatten to the dense-matrix basis: index(n, spin) = 2n + spin."""
+    return state.amps.T.flatten()  # a copy even for n_max = 0
+
+
+def from_vector(vec: np.ndarray, step_count: int = 0) -> WalkerState:
+    """The state of a dense-matrix basis vector (index 2n + spin)."""
+    vec = np.asarray(vec)
+    if vec.ndim != 1 or vec.size % 2:
+        raise ValueError("vector length must be even")
+    return WalkerState(vec.reshape(-1, 2).T.copy(), step_count)
+
+
+UP, DOWN, AUX = 0, 1, 2
+
+
+def _idx(n: int, level: int) -> int:
+    return 3 * n + level
+
+
+def _level_rotation(rot: np.ndarray, pair: tuple[int, int], n_max: int) -> np.ndarray:
+    """The 2x2 ``rot`` on the level ``pair`` at every phonon level."""
+    block = np.eye(3)
+    block[np.ix_(pair, pair)] = rot
+    return np.kron(np.eye(n_max + 1), block)
+
+
+def _red_sideband(n_max: int) -> np.ndarray:
+    """Step 2: shelve |n, down> -> -|n-1, aux|; |0, down> is blocked.
+
+    The return legs |n, aux> -> |n+1, down> complete the passage unitarily;
+    the top auxiliary state has no partner inside the truncation and stays.
+    """
+    dim = 3 * (n_max + 1)
+    m = np.zeros((dim, dim))
+    for n in range(n_max + 1):
+        m[_idx(n, UP), _idx(n, UP)] = 1.0
+    m[_idx(0, DOWN), _idx(0, DOWN)] = 1.0
+    for n in range(1, n_max + 1):
+        m[_idx(n - 1, AUX), _idx(n, DOWN)] = -1.0
+        m[_idx(n, DOWN), _idx(n - 1, AUX)] = 1.0
+    m[_idx(n_max, AUX), _idx(n_max, AUX)] = 1.0
+    return m
+
+
+def _blue_sideband(n_max: int) -> np.ndarray:
+    """Step 5: |n, down> -> -|n+1, up>, with |0, up> unpaired.
+
+    The unpaired edge state picks up a minus sign; the cut top link shelves
+    |n_max, down> into the empty top auxiliary slot so the passage stays
+    unitary on the truncated ladder.
+    """
+    dim = 3 * (n_max + 1)
+    m = np.zeros((dim, dim))
+    for n in range(n_max):
+        m[_idx(n + 1, UP), _idx(n, DOWN)] = -1.0
+        m[_idx(n, DOWN), _idx(n + 1, UP)] = 1.0
+    m[_idx(0, UP), _idx(0, UP)] = -1.0
+    for n in range(n_max):
+        m[_idx(n, AUX), _idx(n, AUX)] = 1.0
+    m[_idx(n_max, AUX), _idx(n_max, DOWN)] = -1.0
+    m[_idx(n_max, DOWN), _idx(n_max, AUX)] = 1.0
+    return m
+
+
+def six_step_cycle(params: BulkParams, phi: BoundaryPhase, n_max: int) -> np.ndarray:
+    """The six laser operators and the phase control, built phonon by phonon
+    on the basis index 3n + level, composed in the order of
+    ``pulse.compile_six_step_cycle``."""
+    pi_turn = np.array([[0.0, -1.0], [1.0, 0.0]])
+    s1 = _level_rotation(coin_matrix(params.theta1), (UP, DOWN), n_max)
+    s2 = _red_sideband(n_max)
+    s2[DOWN::3] *= phi.sign
+    s3 = _level_rotation(pi_turn, (UP, DOWN), n_max)
+    s4 = _level_rotation(coin_matrix(params.theta2), (DOWN, AUX), n_max)
+    s4[-3:, -3:] = np.eye(3)  # the cut link above the truncation edge
+    s5 = _blue_sideband(n_max)
+    s6 = _level_rotation(pi_turn.T, (DOWN, AUX), n_max)
+    return s6 @ s5 @ s4 @ s3 @ s2 @ s1
 
 
 def _localized_group_vectors(vectors: np.ndarray) -> np.ndarray:

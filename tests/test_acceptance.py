@@ -22,7 +22,6 @@ from fockwalk.lattice import (
     PHI_PI,
     PHI_ZERO,
     BulkParams,
-    WalkerState,
     build_step_matrix,
     chiral_step,
     evolve,
@@ -45,7 +44,7 @@ from fockwalk.pulse import (
 )
 from fockwalk.quench import landau_zener_fit, run_quench, survival_catalog
 
-from oracle import bulk_unitary_k, dense_step_matrix
+from oracle import bulk_unitary_k, dense_step_matrix, from_vector, to_vector
 
 PI = math.pi
 RNG = np.random.default_rng(0xACCE)
@@ -77,7 +76,7 @@ def test_criterion_01_step_oracle_equivalence():
         for idx in range(0, 2 * (n_max - 1), 7):  # stride the admissible columns
             vec = np.zeros(2 * (n_max + 1), dtype=complex)
             vec[idx] = 1.0
-            seq = floquet_step(WalkerState.from_vector(vec), params, phi).to_vector()
+            seq = to_vector(floquet_step(from_vector(vec), params, phi))
             worst = max(worst, float(np.max(np.abs(seq - u @ vec))))
     elapsed = time.perf_counter() - start
     ok = worst < 1e-12 and elapsed < 10.0

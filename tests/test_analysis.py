@@ -35,7 +35,9 @@ from oracle import (
     dense_edge_eigenmodes,
     dense_step_matrix,
     fit_localization,
+    from_vector,
     successive_ratios,
+    to_vector,
 )
 
 RNG = np.random.default_rng(5)
@@ -95,7 +97,7 @@ def test_observable_record_agrees_with_the_public_helpers():
         if trial % 2:
             vec = vec + 1j * RNG.normal(size=vec.size)
         vec[2 * (trial % 3):2 * (trial % 3) + 2] *= 1e-6  # site 0, 1 or 2 unoccupied
-        states.append(WalkerState.from_vector(vec / np.linalg.norm(vec)))
+        states.append(from_vector(vec / np.linalg.norm(vec)))
     for state in states:
         rec = observable_record(7, state)
         assert rec.step == 7
@@ -389,7 +391,7 @@ def test_dynamics_matches_spectral_projection():
         state = relax(params, PHI_ZERO, 120)
         p_dyn = observable_record(120, state).p_edge
         modes = edge_eigenmodes(params, PHI_ZERO, n_max=96)
-        init = initial_state(96).to_vector()
+        init = to_vector(initial_state(96))
         # rotate |0,down> into the chiral frame used by the dynamics
         c, s = math.cos(params.theta1 / 4), math.sin(params.theta1 / 4)
         overlap = 0.0

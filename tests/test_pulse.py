@@ -16,7 +16,7 @@ from fockwalk.pulse import (
     verify_cycle,
 )
 
-from oracle import full_cf4_passage, jc_subspace_hamiltonian, stirap_evolve
+from oracle import full_cf4_passage, jc_subspace_hamiltonian, six_step_cycle, stirap_evolve
 
 RNG = np.random.default_rng(99)
 ADIABATIC = PulseConfig(omega0=1.0, delta0=1.0, tau=100.0, integrator_step=0.004)
@@ -268,6 +268,29 @@ def test_compiled_cycle_is_real_and_equals_the_walk_matrix_exactly():
             cycle = compile_six_step_cycle(params, phi, 7)
             assert cycle.dtype == np.float64
             assert np.array_equal(spin_block(cycle), build_step_matrix(params, phi, 7))
+
+
+def equal_with_zero_signs(got, want):
+    return np.array_equal(got, want) and np.array_equal(np.signbit(got), np.signbit(want))
+
+
+@pytest.mark.parametrize("n_max", [2, 3, 7, 12, 64])
+def test_compiled_cycle_matches_the_six_step_oracle(n_max):
+    """The pair-rotation cycle is the phonon-by-phonon product bit for bit,
+    signs of zeros and the auxiliary rows and columns included, and its spin
+    block and leakage are the index views of the (up, down) and aux states."""
+    rng = np.random.default_rng(3000 + n_max)
+    edges = (0.0, math.pi, -math.pi, 2 * math.pi, 4 * math.pi)
+    angles = [*rng.uniform(-2 * math.pi, 2 * math.pi, (8, 2)),
+              *((a, b) for a in edges for b in edges)]
+    sites = np.arange(3 * (n_max + 1)).reshape(-1, 3)
+    physical, aux = sites[:, :2].ravel(), sites[:, 2]
+    for params in (BulkParams(theta1, theta2) for theta1, theta2 in angles):
+        for phi in (PHI_ZERO, PHI_PI):
+            cycle = compile_six_step_cycle(params, phi, n_max)
+            assert equal_with_zero_signs(cycle, six_step_cycle(params, phi, n_max))
+            assert equal_with_zero_signs(spin_block(cycle), cycle[np.ix_(physical, physical)])
+            assert aux_leakage(cycle) == np.max(np.abs(cycle[np.ix_(aux, physical)]))
 
 
 def test_compiled_cycle_trivial_angles():

@@ -9,15 +9,19 @@ module, by a ``from .module import name`` binding, or as ``module.name``
 through a ``from . import module`` binding.  A method or property, keyed
 ``Class.name``, is reached when reached code reads an attribute of its name
 (``x.name``, on any object); a reached class reaches its dunder methods, such
-as ``__post_init__``, but not the bodies of its other methods.
+as ``__post_init__``, but not the bodies of its other methods.  Every pin
+names a definition of ``src/fockwalk``, and every bench binding appears, as a
+word, in a ``bench/*.py`` file, so a pin goes when its name goes.
 """
 
 import ast
+import re
 from pathlib import Path
 
 import fockwalk
 
 SRC = Path(fockwalk.__file__).parent
+BENCH = Path(__file__).resolve().parents[1] / "bench"
 
 # Unreached by the CLI, and why each stays.
 BENCH_BINDINGS = {  # names that bench/ binds
@@ -29,10 +33,7 @@ PER_STEP_API = {  # the public per-step API and its helpers
     "z2_invariants", "TimeFrame", "sigma_z_kick",
     "WalkerState.up", "WalkerState.down", "WalkerState.copy",
 }
-TEST_ONLY = {  # methods only tests call; ROADMAP item 5 moves them out of src/
-    "WalkerState.to_vector", "WalkerState.from_vector", "BoundaryPhase.flipped",
-}
-PINNED = BENCH_BINDINGS | PER_STEP_API | TEST_ONLY
+PINNED = BENCH_BINDINGS | PER_STEP_API
 
 
 def _definitions(tree: ast.Module) -> dict[str, ast.stmt]:
@@ -132,4 +133,13 @@ def test_methods_are_reached_by_attribute_and_dunders_by_their_class():
                          ("quench", "QuenchScenario.protocol"),
                          ("quench", "QuenchProtocol.__post_init__")):  # by its class
         assert name in defs[module] and (module, name) in reached
-    assert ("lattice", "WalkerState.to_vector") not in reached
+    assert ("lattice", "WalkerState.copy") not in reached
+
+
+def test_every_pin_names_a_definition_and_every_bench_binding_is_in_bench():
+    _, defs = _reached()
+    defined = {name for names in defs.values() for name in names}
+    assert PINNED <= defined, sorted(PINNED - defined)
+    bench = "\n".join(path.read_text() for path in sorted(BENCH.glob("*.py")))
+    unbound = {name for name in BENCH_BINDINGS if not re.search(rf"\b{name}\b", bench)}
+    assert not unbound, sorted(unbound)
