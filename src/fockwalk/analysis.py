@@ -14,6 +14,10 @@ state's P_edge (ramp), and the sweep reads each stack's last state.
 The table's moments are one fixed-order product over sites zero-padded to whole
 ``lattice._SITE_CHUNK``-site chunks, so trailing zero sites change no bit: a
 state's row is the same on the full lattice and in any block of ``_trajectory``.
+``_read_in_full`` owns one site-probability scratch per trajectory, as large as
+the largest block's rows times its padded width (256 KB at 4003 sites), and
+writes every block's sums into one table: ``_state_sums`` rewrites the scratch
+rows it uses and zeroes their padding, so no block allocates.
 """
 
 from __future__ import annotations
@@ -30,6 +34,7 @@ from .lattice import (
     BoundaryPhase,
     BulkParams,
     WalkerState,
+    _block_layouts,
     _cut_link_step,
     _site_probabilities,
     _stepped_widths,
@@ -68,29 +73,48 @@ def _edge_populations(p: np.ndarray) -> np.ndarray:
     return p[..., 0] + p[..., 1]
 
 
+def _padded(width: int) -> int:
+    """W sites rounded up to whole ``_SITE_CHUNK``-site chunks."""
+    return -(-width // _SITE_CHUNK) * _SITE_CHUNK
+
+
 def _moment_weights(width: int) -> np.ndarray:
     """Rows 1, n and n^2 of sites 0..W-1, padded to whole ``_SITE_CHUNK``-site chunks."""
-    sites = np.arange(-(-width // _SITE_CHUNK) * _SITE_CHUNK, dtype=float)
+    sites = np.arange(_padded(width), dtype=float)
     return np.stack([np.ones_like(sites), sites, sites * sites])
 
 
-def _state_sums(states: np.ndarray, turns: np.ndarray | None, weights: np.ndarray) -> np.ndarray:
+def _state_sums(states: np.ndarray, turns: np.ndarray | None, weights: np.ndarray,
+                scratch: np.ndarray | None = None, out: np.ndarray | None = None) -> np.ndarray:
     """The reductions behind ``observable_table`` of a (K, 2, W) block of
-    states, one (K, 7) row each: p_0, p_1, 2 Re(a_n conj(b_n)) at n = 0, 1,
-    and sum_n p_n, sum_n n p_n and sum_n n^2 p_n; ``lattice._trajectory``'s
-    readout rotations ``turns``, if any, turn the spins at n = 0, 1.
+    states, one (K, 7) row each, written into ``out`` if given: p_0, p_1,
+    2 Re(a_n conj(b_n)) at n = 0, 1, and sum_n p_n, sum_n n p_n and
+    sum_n n^2 p_n; ``lattice._trajectory``'s readout rotations ``turns``, if
+    any, turn the spins at n = 0, 1.
 
     The moments are one fixed-order product (``np.einsum``; BLAS sums a K-row
     block in another order than a row alone) of the site probabilities, padded
     to whole ``_SITE_CHUNK``-site chunks, with ``_moment_weights`` of W or more
     sites: trailing zero sites change no bit, in any block or at any width.
+    The site probabilities go into the first K x P doubles of the flat
+    ``scratch`` (P = W padded), which the caller owns and may pass again for
+    the next block: every one of them is rewritten, the padding sites
+    W..P - 1 with zeros, so a wider earlier block leaves nothing behind.
+    Without ``scratch``, a fresh array is made.  Real states are squared by
+    ``np.einsum`` straight into the scratch, with no temporary and the same
+    bits as ``_site_probabilities``.
     """
     rows, _, width = states.shape
-    padded = -(-width // _SITE_CHUNK) * _SITE_CHUNK
-    p = np.zeros((rows, padded))
-    _site_probabilities(states, out=p[:, :width])
+    padded = _padded(width)
+    flat = np.empty(rows * padded) if scratch is None else scratch[:rows * padded]
+    p = flat.reshape(rows, padded)
+    if np.iscomplexobj(states):
+        _site_probabilities(states, out=p[:, :width])
+    else:
+        np.einsum("kiw,kiw->kw", states, states, out=p[:, :width])
+    p[:, width:] = 0.0
     edge = states[..., :2] if turns is None else turns @ states[..., :2]
-    out = np.empty((rows, 7))
+    out = np.empty((rows, 7)) if out is None else out
     out[:, :2] = p[:, :2]
     down = np.conj(edge[:, 1]) if np.iscomplexobj(edge) else edge[:, 1]  # conj copies
     out[:, 2:4] = 2.0 * np.real(edge[:, 0] * down)
@@ -137,13 +161,20 @@ def observable_record(step: int, state: WalkerState) -> ObservableRecord:
 
 def _read_in_full(angles: np.ndarray, signs, frame: str, kick=None):
     """The observable table of every state of one walker's ``_trajectory``
-    and its last state, turned back to the frame: ((steps + 1, 6), (2, N))."""
-    sums, weights = [], _moment_weights(len(signs) + 3)
+    and its last state, turned back to the frame: ((steps + 1, 6), (2, N)).
+    Every block is reduced into one site-probability scratch, sized for the
+    largest block the trajectory yields, and one array of all its sums."""
+    steps = len(signs)
+    weights = _moment_weights(steps + 3)
+    scratch = np.empty(max(rows * _padded(sites) for rows, sites
+                           in _block_layouts(_stepped_widths(steps, steps + 3), 1)))
+    sums, t = np.empty((steps + 1, 7)), 0
     for states, turns in _trajectory(angles, signs, frame, kick):
-        sums.append(_state_sums(states, turns, weights))
-    final = np.zeros((2, len(signs) + 3))  # the sites beyond the last block are empty
+        _state_sums(states, turns, weights, scratch, sums[t:t + len(states)])
+        t += len(states)
+    final = np.zeros((2, steps + 3))  # the sites beyond the last block are empty
     final[:, :states.shape[-1]] = states[-1] if turns is None else turns[-1] @ states[-1]
-    return _observables(np.concatenate(sums)), final
+    return _observables(sums), final
 
 
 def _read_at_edge(angles: np.ndarray, signs, kick=None) -> np.ndarray:

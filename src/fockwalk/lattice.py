@@ -39,6 +39,7 @@ state c_t with merged coins; only spin readouts and final states turn back.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -223,6 +224,20 @@ def _stepped_widths(steps: int, reads: int) -> np.ndarray:
     return np.minimum(steps + 3, -(-np.minimum(t + 2, reads + steps + 1 - t) // align) * align)
 
 
+def _block_layouts(widths: np.ndarray, walkers: int):
+    """(K, W) of every block of ``_trajectory`` in order, for the stepped widths
+    of its states and its number of walkers: K states of one stepped width W, as
+    many as fit the block, cut short where the run of that width ends."""
+    floor = -(-8 // walkers)  # rows of at least 8 walker-states
+    first = 0
+    for last in [*np.flatnonzero(np.diff(widths)).tolist(), len(widths) - 1]:
+        sites = int(widths[last])
+        rows = max(floor, _BLOCK_BYTES // (16 * walkers * sites))
+        for t in range(first, last + 1, rows):
+            yield min(rows, last + 1 - t), sites
+        first = last + 1
+
+
 def _trajectory(angles: np.ndarray, signs, frame: str,
                 kick: tuple[int, int] | None = None, reads: int | None = None):
     """Step walkers from |0, down> on N = len(signs) + 3 sites once per entry
@@ -273,8 +288,6 @@ def _trajectory(angles: np.ndarray, signs, frame: str,
     steps = len(signs)
     stack = angles.shape[2:]
     walkers = math.prod(stack)
-    site_bytes = 16 * walkers
-    floor = -(-8 // walkers)  # rows of at least 8 walker-states
     # per run of steps: merged first angles theta1_t - h_t + h_{t-1}, theta2, h_t
     per_step = angles if len(angles) != 1 else angles[[0, 0]]
     readout = np.zeros((len(per_step) + 1,) + stack)  # h_t of state t, h_0 = 0
@@ -292,19 +305,7 @@ def _trajectory(angles: np.ndarray, signs, frame: str,
         coins = itertools.chain([next(coins)], itertools.repeat(next(coins)))
 
     widths = _stepped_widths(steps, steps + 3 if reads is None else reads)
-    lasts = [*np.flatnonzero(np.diff(widths)).tolist(), steps]  # each run of one width ends
-
-    def layouts():
-        """(K, W) of every block in order: K states of one stepped width W, as
-        many as fit the block, cut short where the run of that width ends."""
-        first = 0
-        for last in lasts:
-            sites = int(widths[last])
-            rows = max(floor, _BLOCK_BYTES // (site_bytes * sites))
-            for t in range(first, last + 1, rows):
-                yield min(rows, last + 1 - t), sites
-            first = last + 1
-
+    layouts = functools.partial(_block_layouts, widths, walkers)
     flat = np.empty(walkers * max(rows * (2 * sites + 2) for rows, sites in layouts()))
     rotations = np.empty(4 * walkers * max(rows for rows, _ in layouts()))
     views = {}

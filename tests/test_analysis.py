@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from fockwalk import analysis
+from fockwalk import analysis, lattice
 from fockwalk.analysis import (
     EIGENPHASE_TOL,
     OCCUPATION_FLOOR,
@@ -156,6 +156,44 @@ def test_observable_table_rows_ignore_zero_padding_and_blocking():
                       np.concatenate([observable_table(states[:cut]),
                                       observable_table(states[cut:])])):
             assert other.tobytes() == table.tobytes()  # same bits, nan included
+
+
+def test_state_sums_reusing_one_scratch_change_no_bit():
+    """Blocks of 1-16 rows whose widths grow, shrink and are mostly not
+    multiples of 128, real and complex, some with readout rotations, reduced
+    one after another into one shared scratch: every block's sums and
+    observables have the bits of a fresh scratch, nan included, so the
+    probabilities a wider block left in the scratch never reach the moments.
+    For real states the scratch holds ``_site_probabilities`` bit for bit."""
+    rng = np.random.default_rng(31)
+    widths = [700, 129, 1000, 3, 255, 256, 257, 1201, 130, 1, 640, 2, 383, 1300]
+    widths += rng.integers(1, 1301, size=150).tolist()
+    scratch = np.zeros(16 * 1408)  # 16 rows of 1300 sites padded to 1408
+    weights = analysis._moment_weights(1300)
+    stale = 0
+    for trial, width in enumerate(widths):
+        rows = int(rng.integers(1, 17))
+        states = rng.normal(size=(rows, 2, width))
+        if trial % 2:
+            states = states + 1j * rng.normal(size=states.shape)
+        states[::3, :, :2] *= 1e-6  # an unoccupied edge: nan spin readouts
+        turns = None
+        if trial % 3 == 0:
+            angle = rng.uniform(-7.0, 7.0, size=rows)
+            turns = np.stack([[np.cos(angle), -np.sin(angle)],
+                              [np.sin(angle), np.cos(angle)]]).transpose(2, 0, 1)
+        padded = analysis._padded(width)
+        stale += bool(scratch[:rows * padded].reshape(rows, padded)[:, width:].any())
+        fresh = analysis._state_sums(states, turns, weights)
+        shared = analysis._state_sums(states, turns, weights, scratch)
+        assert shared.tobytes() == fresh.tobytes(), (trial, rows, width)
+        assert (analysis._observables(shared).tobytes()
+                == analysis._observables(fresh).tobytes())
+        p = scratch[:rows * padded].reshape(rows, padded)
+        if not trial % 2:
+            assert p[:, :width].tobytes() == lattice._site_probabilities(states).tobytes()
+        assert not p[:, width:].any()
+    assert stale > 100  # most blocks had an earlier block's values in their padding
 
 
 def direct_observable_table(states):

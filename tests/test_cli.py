@@ -465,7 +465,7 @@ def test_quench_and_ramp_work_bounds_sit_at_their_limits(tmp_path, monkeypatch):
     """At the limits the experiment runs; it is replaced here by a stub."""
     ran = []
     monkeypatch.setattr(cli.quench, "quench_table",
-                        lambda protocol: ran.append(protocol.total_steps) or np.zeros((1, 6)))
+                        lambda protocol: ran.append(protocol.total_steps) or np.ones((1, 6)))
     monkeypatch.setattr(cli.quench, "landau_zener_fit", lambda sc, nqs, n0, post: ran.append(
         (len(set(nqs)), n0 + max(nqs) + post)) or cli.quench.LZFit(1.0, 1.0, 1.0, 0.1))
     out = str(tmp_path / "x.csv")
@@ -561,6 +561,53 @@ def test_huge_pulse_amplitudes_exit_numeric_with_one_line(argv, tmp_path, capsys
     err = capsys.readouterr().err
     assert len(err.splitlines()) == 1 and err.startswith("numeric error: ")
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["walk", "theta1=pi/2", "theta2=0", "steps=300"],
+    ["walk", "theta1=3pi/4", "theta2=pi/4", "steps=300", "frame=chiral"],
+    ["quench", "scenario=fig6c"],
+])
+def test_norm_drift_exits_numeric_with_one_line(argv, tmp_path, monkeypatch, capsys):
+    """A step kernel that scales each state by 1 - 1e-11 drifts past
+    NUMERIC_TOL: walk and quench exit 3 with one line and write nothing."""
+    step = lattice._step
+
+    def lossy(prev, first, second, sign, scratch, out, head):
+        step(prev, first, second, sign, scratch, out, head)
+        out *= 1.0 - 1e-11
+
+    monkeypatch.setattr(lattice, "_step", lossy)
+    out = tmp_path / "x.csv"
+    assert main(argv + ["--out", str(out)]) == EXIT_NUMERIC
+    err = capsys.readouterr().err
+    assert err.startswith("numeric error: norm drift ") and err.endswith("exceeds 1e-10\n")
+    assert len(err.splitlines()) == 1 and not out.exists()
+    monkeypatch.setattr(lattice, "_step", step)
+    assert main(argv + ["--out", str(out)]) == EXIT_OK
+
+
+@pytest.mark.parametrize("argv,scale", [
+    (["sweep", "theta1=pi/2,3pi/4", "theta2=0,pi/4", "steps=60"], 3.0),
+    (["sweep", "theta1=pi/2,3pi/4", "theta2=0,pi/4", "steps=60"], -1.0),
+    (["sweep", "theta1=pi/2,3pi/4", "theta2=0,pi/4", "steps=60"], math.nan),
+    (["ramp", "scenario=fig6c", "nq_list=1,2,3,4,6,8,10,12"], 3.0),
+])
+def test_edge_population_out_of_range_exits_numeric_with_one_line(argv, scale, tmp_path,
+                                                                   monkeypatch, capsys):
+    """An edge reader whose P_edge leaves [0, 1 + NUMERIC_TOL] makes sweep and
+    ramp exit 3 with one line and write nothing.  Scaled by 3, ramp's losses
+    (ratios to the slowest ramp) and so its fit stay as they are."""
+    edge = analysis._edge_populations
+    monkeypatch.setattr(analysis, "_edge_populations", lambda p: scale * edge(p))
+    out = tmp_path / "x.csv"
+    assert main(argv + ["--out", str(out)]) == EXIT_NUMERIC
+    err = capsys.readouterr().err
+    assert err.startswith("numeric error: P_edge ") and err.endswith(
+        " outside [0, 1 + 1e-10]\n")
+    assert len(err.splitlines()) == 1 and not out.exists()
+    monkeypatch.setattr(analysis, "_edge_populations", edge)
+    assert main(argv + ["--out", str(out)]) == EXIT_OK
 
 
 def test_passage_step_limit_is_checked_before_any_work(tmp_path, monkeypatch, capsys):

@@ -861,13 +861,15 @@ def test_edge_readers_peak_memory():
 
 def test_full_readers_peak_memory():
     """The tracemalloc peaks of the 4000-step walk and the 300-step fig6c
-    quench, both read in full, stay within the blocks of one buffer
-    (1895164 and 346284 bytes, numpy 2.4.6 on x86-64); blocks taking turns
-    in a pair of buffers peaked at 2428060 and 415508."""
+    quench, both read in full, stay within the blocks of one buffer and one
+    site-probability scratch (1588486 and 211064 bytes, numpy 2.4.6 on
+    x86-64), with the same ~10% headroom as before; fresh probabilities per
+    block peaked at 1895164 and 346284, and blocks taking turns in a pair of
+    buffers at 2428060 and 415508."""
     for run, args, bound in (
-            (walk_table, (BulkParams(math.pi / 2, 0.0), PHI_ZERO, 4000), 2_100_000),
+            (walk_table, (BulkParams(math.pi / 2, 0.0), PHI_ZERO, 4000), 1_760_000),
             (quench.quench_table, (quench.scenario("fig6c").protocol(nq=10, post=270),),
-             380_000)):
+             232_000)):
         run(*args)  # warm: caches and first-call allocations
         tracemalloc.start()
         try:
