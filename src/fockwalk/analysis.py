@@ -15,7 +15,8 @@ The table's moments are one fixed-order product over sites zero-padded to whole
 ``lattice._SITE_CHUNK``-site chunks, so trailing zero sites change no bit: a
 state's row is the same on the full lattice and in any block of ``_trajectory``.
 ``_read_in_full`` owns one site-probability scratch per trajectory, as large as
-the largest block's rows times its padded width (256 KB at 4003 sites), and
+the largest block's rows times its padded width (256 KB at 4003 sites), read
+off the block plan that ``_trajectory`` then reuses, and
 writes every block's sums into one table: ``_state_sums`` rewrites the scratch
 rows it uses and zeroes their padding, so no block allocates.
 """
@@ -34,7 +35,7 @@ from .lattice import (
     BoundaryPhase,
     BulkParams,
     WalkerState,
-    _block_layouts,
+    _block_plan,
     _cut_link_step,
     _site_probabilities,
     _stepped_widths,
@@ -163,11 +164,12 @@ def _read_in_full(angles: np.ndarray, signs, frame: str, kick=None):
     """The observable table of every state of one walker's ``_trajectory``
     and its last state, turned back to the frame: ((steps + 1, 6), (2, N)).
     Every block is reduced into one site-probability scratch, sized for the
-    largest block the trajectory yields, and one array of all its sums."""
+    largest block of the block plan that the trajectory then reuses, and one
+    array of all its sums."""
     steps = len(signs)
     weights = _moment_weights(steps + 3)
-    scratch = np.empty(max(rows * _padded(sites) for rows, sites
-                           in _block_layouts(_stepped_widths(steps, steps + 3), 1)))
+    plan = _block_plan(steps, None, 1)
+    scratch = np.empty(max(rows * _padded(sites) for rows, sites, _ in plan))
     sums, t = np.empty((steps + 1, 7)), 0
     for states, turns in _trajectory(angles, signs, frame, kick):
         _state_sums(states, turns, weights, scratch, sums[t:t + len(states)])
@@ -179,7 +181,8 @@ def _read_in_full(angles: np.ndarray, signs, frame: str, kick=None):
 
 def _read_at_edge(angles: np.ndarray, signs, kick=None) -> np.ndarray:
     """P_edge of every state of a chiral-frame ``_trajectory`` read on sites 0
-    and 1 only (the double light cone): (steps + 1,) + the stack of walkers."""
+    and 1 only (the double light cone, no readout rotations): (steps + 1,) +
+    the stack of walkers."""
     return np.concatenate([_edge_populations(_site_probabilities(states[..., :2]))
                            for states, _ in _trajectory(angles, signs, "chiral", kick, 2)])
 

@@ -201,9 +201,10 @@ RAMP_HEADER = ["nq", "p_edge_stable", "loss"]
 EIGEN_HEADER = ["mode_class", "eigenphase", "edge_weight", "p0", "p1", "ratio10", "ratio21"]
 
 
-def _timeseries_rows(table) -> list[list]:
-    """TIMESERIES_HEADER rows of an observable table, row k after step k."""
-    return [[k, *row] for k, row in enumerate(table.tolist())]
+def _timeseries_rows(table) -> list[tuple]:
+    """TIMESERIES_HEADER rows of an observable table, row k after step k: one
+    tuple per row, zipped from the table's columns, with no list per row."""
+    return list(zip(range(len(table)), *table.T.tolist()))
 
 
 def cmd_walk(args, cfg, given) -> int:

@@ -21,7 +21,11 @@ are zero.  For a caller that reads only the edge (the sweep and the ramp) it
 steps only the sites that can still reach it, in multiples of 8: the double
 light cone.  Each block holds states of one stepped width and is a view of
 the trajectory's one buffer, so a block is valid until the generator
-resumes.  Every ``_SITE_CHUNK`` steps it flushes subnormals to +0.0.
+resumes.  One block plan (``_block_plan``) lays out the blocks and sizes the
+buffers and the full reader's scratch.  A step costs little more than its
+``_step`` call: the row views come from a list built once per run of one
+width, and the chiral readout rotations are copied in once per block, for
+full readers only.  Every ``_SITE_CHUNK`` steps it flushes subnormals to +0.0.
 
 One Floquet step applies, in order: the first coin, extraction of the
 blocked spin-down amplitude at n = 0, the signed down-shift, the second
@@ -224,18 +228,30 @@ def _stepped_widths(steps: int, reads: int) -> np.ndarray:
     return np.minimum(steps + 3, -(-np.minimum(t + 2, reads + steps + 1 - t) // align) * align)
 
 
-def _block_layouts(widths: np.ndarray, walkers: int):
-    """(K, W) of every block of ``_trajectory`` in order, for the stepped widths
-    of its states and its number of walkers: K states of one stepped width W, as
-    many as fit the block, cut short where the run of that width ends."""
+def _block_plan(steps: int, reads: int | None, walkers: int) -> tuple:
+    """The block plan of a ``_trajectory`` of ``steps`` steps of ``walkers``
+    walkers whose caller reads the first ``reads`` sites (all if None): one
+    (K, W, n) per run of n consecutive states of one stepped width W, in
+    blocks of K states each, the last one cut short where the run ends.
+    ``_trajectory`` and the reader that sizes its scratch for the largest
+    block share one evaluation: the last plan is kept until another is asked
+    for (``_layout_runs``)."""
+    return _layout_runs(steps, steps + 3 if reads is None else reads, walkers,
+                        _BLOCK_BYTES, _SITE_CHUNK)
+
+
+@functools.lru_cache(maxsize=1)
+def _layout_runs(steps: int, reads: int, walkers: int, block_bytes: int, chunk: int) -> tuple:
+    """``_block_plan`` for the block and chunk sizes it is keyed on: K states
+    of width W fit ``block_bytes`` if they can, but K >= ceil(8 / walkers)."""
+    widths = _stepped_widths(steps, reads)
     floor = -(-8 // walkers)  # rows of at least 8 walker-states
-    first = 0
-    for last in [*np.flatnonzero(np.diff(widths)).tolist(), len(widths) - 1]:
-        sites = int(widths[last])
-        rows = max(floor, _BLOCK_BYTES // (16 * walkers * sites))
-        for t in range(first, last + 1, rows):
-            yield min(rows, last + 1 - t), sites
+    runs, first = [], 0
+    for last in [*np.flatnonzero(np.diff(widths)).tolist(), steps]:
+        sites, count = int(widths[last]), last + 1 - first
+        runs.append((min(count, max(floor, block_bytes // (16 * walkers * sites))), sites, count))
         first = last + 1
+    return tuple(runs)
 
 
 def _trajectory(angles: np.ndarray, signs, frame: str,
@@ -250,10 +266,12 @@ def _trajectory(angles: np.ndarray, signs, frame: str,
     array, S = len(signs) for per-step angles or S = 1 for fixed ones; its
     trailing axes are the stack of walkers.  ``kick=(step, site)`` flips the
     sign of the spin-down amplitude of the frame's state at ``site`` right
-    after that step; the caller checks that the site exists.  In the bare
-    frame ``turns`` is None.  In the chiral frame the states are y_t =
-    H_t^-1 c_t of the chiral states c_t, H_t = R(theta1_t / 2), H_0 = 1: a
-    bare walk whose first coin is H_t H_{t-1}, and ``turns`` holds H_t.
+    after that step; the caller checks that the site exists.  In the chiral
+    frame the states are y_t = H_t^-1 c_t of the chiral states c_t, H_t =
+    R(theta1_t / 2), H_0 = 1: a bare walk whose first coin is H_t H_{t-1},
+    and ``turns`` holds H_t.  ``turns`` is None in the bare frame, and for a
+    caller that passes ``reads``, which reads populations only; the kick
+    still turns by its step's H_t.
 
     Only sites that can reach a read site are stepped.  State t is zero
     beyond site t (the forward light cone), and if the caller reads only the
@@ -267,15 +285,21 @@ def _trajectory(angles: np.ndarray, signs, frame: str,
     differ in sign); read in full, the full-width state is zero beyond W.
     K keeps a block's states within ``_BLOCK_BYTES`` if it can, but K >=
     ceil(8 / walkers), so a block holds at least 8 walker-states unless the
-    run of states of its width ends first.
+    run of states of its width ends first (``_block_plan``).
 
-    The blocks are views of one states buffer and one rotations buffer per
-    trajectory: K flat rows of 2W + 2 numbers per walker (``_views``) that
-    ``_step`` writes each state into, with coins folded once per run of steps.
-    The views are built once per (K, W).  A block stays valid until the
-    generator resumes; the caller reduces or copies it before then.  The first
-    state of a block may overwrite the last of the block before, which
-    ``_step`` reads only in its first product, into the scratch row.
+    The blocks are views of one states buffer per trajectory, and of one
+    rotations buffer if ``turns`` are read, both sized once from the one block
+    plan: K flat rows of 2W + 2 numbers per walker (``_views``).  Per step, ``_step`` writes the state
+    into its row, taking the row's (state, slot, head) views from a list
+    built once per run of width W for its K rows (a block cut short takes
+    the first ones) and dropped when the run ends; nothing else is written.
+    Per block, the rotations are copied in as slices of the coin runs'
+    rotations, one broadcast for fixed angles.  Per trajectory, the coins
+    are built and folded once per run of steps, and the rotations only
+    where they are read.  A block stays valid until the generator resumes;
+    the caller reduces or copies it before then.  The first state of a block
+    may overwrite the last of the block before, which ``_step`` reads only
+    in its first product, into the scratch row.
 
     Right after each step t with t % ``_SITE_CHUNK`` == 0, and after that
     step's kick, every amplitude below the smallest normal float
@@ -288,65 +312,85 @@ def _trajectory(angles: np.ndarray, signs, frame: str,
     steps = len(signs)
     stack = angles.shape[2:]
     walkers = math.prod(stack)
+    turning = frame == "chiral" and reads is None  # the rotations are read
     # per run of steps: merged first angles theta1_t - h_t + h_{t-1}, theta2, h_t
     per_step = angles if len(angles) != 1 else angles[[0, 0]]
     readout = np.zeros((len(per_step) + 1,) + stack)  # h_t of state t, h_0 = 0
     np.multiply(per_step[:, 0], 0.5 if frame == "chiral" else 0.0, out=readout[1:])
     run = max(1, _BLOCK_BYTES // (6 * angles[0].nbytes))
+    kick_step, kick_site = (0, 0) if kick is None else kick
+    kicked = min(kick_step, len(per_step))  # the row of per_step whose H_t the kick turns by
+    # (first state, end, H_t, fixed) of the rotations not yet all in a block:
+    # the coin runs' arrays of one H_t per state, or one H_t for every state
+    rotations = [(0, 1, np.eye(2), True)] if turning else None
+    flip = None
 
     def coin_run(lo):
+        nonlocal flip
         step, h = per_step[lo:lo + run], readout[lo:lo + run + 1]
-        first, second, turn = _coin_stack(np.stack([step[:, 0] - h[1:] + h[:-1], step[:, 1],
-                                                    h[1:]], axis=1)).swapaxes(0, 1)
-        return zip(*_fold(first, second, (first, second)), turn)
+        kicks = lo < kicked <= lo + len(step)
+        parts = [step[:, 0] - h[1:] + h[:-1], step[:, 1]]
+        if turning or kicks:
+            parts.append(h[1:])
+        coins = _coin_stack(np.stack(parts, axis=1)).swapaxes(0, 1)
+        if turning:
+            rotations.append((lo + 1, lo + 1 + len(step), coins[2], False))
+        if kicks:
+            turn = coins[2][kicked - 1 - lo]
+            flip = turn.swapaxes(-1, -2) @ (turn * [[1.0], [-1.0]])  # H^T sigma_z H
+        return zip(*_fold(coins[0], coins[1], (coins[0], coins[1])))
 
     coins = itertools.chain.from_iterable(map(coin_run, range(0, len(per_step), run)))
     if len(angles) == 1:
         coins = itertools.chain([next(coins)], itertools.repeat(next(coins)))
+        if turning:  # H_t of every step t >= 1 is the last one built
+            rotations[1:] = [(1, steps + 1, rotations[-1][2][-1], True)]
 
-    widths = _stepped_widths(steps, steps + 3 if reads is None else reads)
-    layouts = functools.partial(_block_layouts, widths, walkers)
-    flat = np.empty(walkers * max(rows * (2 * sites + 2) for rows, sites in layouts()))
-    rotations = np.empty(4 * walkers * max(rows for rows, _ in layouts()))
-    views = {}
-
-    def block(rows, sites):
-        """Rotations and (states, slots, sites [0]) views of K rows, once per (K, W)."""
-        if (rows, sites) not in views:
-            views[rows, sites] = (
-                rotations[:4 * walkers * rows].reshape((rows,) + stack + (2, 2)),
-                *_views(flat[:walkers * rows * (2 * sites + 2)].reshape(
-                    (rows,) + stack + (2 * sites + 2,)), sites, 1, 0))
-        return views[rows, sites]
-
-    blocks = layouts()
-    rows, sites = next(blocks)
-    zero = scratch = _views(np.zeros(stack + (2 * sites + 2,)), sites, 0, sites)
-    (turns, states, outs, heads), k = block(rows, sites), 1
-    states[0], turns[0] = 0.0, np.eye(2)
-    states[0, ..., 1, 0] = 1.0  # |0, down>
-    prev = states[0]
-    for t, sign, (first, second, turn) in zip(range(1, steps + 1), signs, coins):
-        if k == rows:  # the next block overwrites this one; _step reads prev first
-            yield states, turns if frame == "chiral" else None
-            rows, new = next(blocks)
-            if new != sites:  # the old scratch row is freed before the new one is made
-                zero = scratch = None
-                zero = _views(np.zeros(stack + (2 * new + 2,)), new, 0, new)
-                # a narrower prev is read as it is, into the start of the new zero row
-                scratch = (zero[0], zero[1][..., :sites], zero[2]) if new > sites else zero
-                prev, sites = prev[..., :new], new
-            (turns, states, outs, heads), k = block(rows, sites), 0
-        _step(prev, first, second, sign, scratch, outs[k], heads[k])
-        prev, turns[k], scratch = states[k], turn, zero
-        if kick is not None and t == kick[0] and kick[1] < sites:
-            flip = turn.swapaxes(-1, -2) @ (turn * [[1.0], [-1.0]])  # H^T sigma_z H
-            spin = prev[..., kick[1]:kick[1] + 1]
-            spin[...] = np.einsum("...ij,...jk->...ik", flip, spin)
-        if t % _SITE_CHUNK == 0:
-            prev[np.abs(prev) < np.finfo(float).tiny] = 0.0
-        k += 1
-    yield states, turns if frame == "chiral" else None
+    plan = _block_plan(steps, reads, walkers)
+    flat = np.empty(walkers * max(rows * (2 * sites + 2) for rows, sites, _ in plan))
+    buffer = np.empty(4 * walkers * max(rows for rows, _, _ in plan)) if turning else None
+    signs, t, prev = iter(signs), -1, None
+    for rows, sites, count in plan:
+        zero = scratch = views = None  # the last run's rows go before the new ones are made
+        zero = scratch = _views(np.zeros(stack + (2 * sites + 2,)), sites, 0, sites)
+        if prev is not None:
+            # a narrower prev is read as it is, into the start of the new zero row
+            if sites > prev.shape[-1]:
+                scratch = (zero[0], zero[1][..., :prev.shape[-1]], zero[2])
+            prev = prev[..., :sites]
+        run_states, outs, heads = _views(flat[:walkers * rows * (2 * sites + 2)].reshape(
+            (rows,) + stack + (2 * sites + 2,)), sites, 1, 0)
+        views = list(zip(run_states, outs, heads))
+        if turning:
+            run_turns = buffer[:4 * walkers * rows].reshape((rows,) + stack + (2, 2))
+        for lo in range(0, count, rows):
+            start = t + 1  # the block's first state
+            states, block = run_states[:count - lo], views[:count - lo]
+            if prev is None:  # |0, down>
+                states[0] = 0.0
+                states[0, ..., 1, 0] = 1.0
+                prev, block, t = states[0], block[1:], 0
+            for (state, out, head), (first, second), sign in zip(block, coins, signs):
+                t += 1
+                _step(prev, first, second, sign, scratch, out, head)
+                prev, scratch = state, zero
+                if t == kick_step and kick_site < sites:
+                    spin = prev[..., kick_site:kick_site + 1]
+                    spin[...] = np.einsum("...ij,...jk->...ik", flip, spin)
+                if t % _SITE_CHUNK == 0:
+                    prev[np.abs(prev) < np.finfo(float).tiny] = 0.0
+            turns = None
+            if turning:  # the block's H_t, as slices of the runs' rotations
+                turns, filled = run_turns[:len(states)], 0
+                while filled < len(turns):
+                    first_state, end, rotation, fixed = rotations[0]
+                    n = min(len(turns), end - start) - filled
+                    at = start + filled - first_state
+                    turns[filled:filled + n] = rotation if fixed else rotation[at:at + n]
+                    filled += n
+                    if start + filled == end:
+                        del rotations[0]
+            yield states, turns
 
 
 def floquet_step(state: WalkerState, params: BulkParams, phi: BoundaryPhase) -> WalkerState:

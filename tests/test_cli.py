@@ -837,6 +837,25 @@ def test_write_csv_matches_cell_by_cell_formatting(tmp_path):
         assert path.read_text(encoding="utf-8") == _oracle_csv(header, table)
 
 
+@pytest.mark.parametrize("argv,table", [
+    (["walk", "theta1=pi/2", "theta2=pi/8", "steps=200", "frame=chiral"],
+     lambda: analysis.walk_table(lattice.BulkParams(math.pi / 2, math.pi / 8),
+                                 lattice.PHI_ZERO, 200, "chiral")[0]),
+    (["quench", "scenario=fig6d-kick"],
+     lambda: cli.quench.quench_table(cli.quench.scenario("fig6d-kick").protocol())),
+])
+def test_timeseries_rows_write_the_table_cell_by_cell(tmp_path, argv, table):
+    """``walk`` and ``quench`` write the observable table, row k after step
+    k, cell by cell into the CSV and as one object per row into the --json
+    mirror, whatever container the rows are handed over in."""
+    out, mirror = tmp_path / "t.csv", tmp_path / "t.json"
+    assert main(argv + ["--out", str(out), "--json", str(mirror)]) == EXIT_OK
+    rows = [[k, *row] for k, row in enumerate(table().tolist())]
+    assert out.read_text(encoding="utf-8") == _oracle_csv(cli.TIMESERIES_HEADER, rows)
+    payload = [dict(zip(cli.TIMESERIES_HEADER, row)) for row in rows]
+    assert mirror.read_text(encoding="utf-8") == json.dumps(payload, indent=1) + "\n"
+
+
 # The default grid, grids 7 and 64, and the shifted bounds of the scan
 # benchmark's seeds 1 and 3 (which coincide) and 2.
 @pytest.mark.parametrize("keys", [

@@ -463,8 +463,10 @@ def test_trajectory_states_match_per_step_advance_after_collection(monkeypatch, 
 @pytest.mark.parametrize("run", [1, 3, 7, 50])
 def test_trajectory_coin_runs_step_like_one_coin_pair_per_step(monkeypatch, frame, run):
     """Per-step coins, built in runs of steps, step as the per-step reference
-    does; each step takes its merged first coin, its second coin and its
-    readout rotation from the run."""
+    does; each step takes its merged first coin and its second coin from the
+    run, and each block copies the readout rotations of its states from the
+    runs it spans, more than two of them when a run is shorter than a block
+    (``run`` = 1 and 3 here), in one slice per run."""
     walkers, steps = 3, 50
     angles = RNG.uniform(-7.0, 7.0, size=(steps, 2, walkers))
     signs = RNG.choice([-1.0, 1.0], size=steps).tolist()
@@ -860,14 +862,16 @@ def test_edge_readers_peak_memory():
 
 
 def test_full_readers_peak_memory():
-    """The tracemalloc peaks of the 4000-step walk and the 300-step fig6c
-    quench, both read in full, stay within the blocks of one buffer and one
-    site-probability scratch (1588486 and 211064 bytes, numpy 2.4.6 on
-    x86-64), with the same ~10% headroom as before; fresh probabilities per
-    block peaked at 1895164 and 346284, and blocks taking turns in a pair of
-    buffers at 2428060 and 415508."""
+    """The tracemalloc peaks of the 4000-step walk in both frames and the
+    300-step fig6c quench, all read in full, stay within the blocks of one
+    buffer and one site-probability scratch (1588486, 1590146 in the chiral
+    frame, and 211064 bytes, numpy 2.4.6 on x86-64), with the same ~10%
+    headroom as before; fresh probabilities per block peaked at 1895164 and
+    346284, and blocks taking turns in a pair of buffers at 2428060 and
+    415508.  The chiral walk is what the ``walk`` subcommand runs."""
     for run, args, bound in (
             (walk_table, (BulkParams(math.pi / 2, 0.0), PHI_ZERO, 4000), 1_760_000),
+            (walk_table, (BulkParams(math.pi / 2, 0.0), PHI_ZERO, 4000, "chiral"), 1_760_000),
             (quench.quench_table, (quench.scenario("fig6c").protocol(nq=10, post=270),),
              232_000)):
         run(*args)  # warm: caches and first-call allocations
@@ -878,6 +882,51 @@ def test_full_readers_peak_memory():
         finally:
             tracemalloc.stop()
         assert peak <= bound, run.__name__
+
+
+@pytest.mark.parametrize("frame", ["walk", "chiral"])
+def test_trajectory_peak_memory(frame):
+    """The tracemalloc peak of the 4000-step walk's ``_trajectory`` alone, at
+    (pi/2, 0), with no reader: the states buffer, the scratch row and the
+    row views of the current run of one width only (745004 bytes, 746388 in
+    the chiral frame, numpy 2.4.6 on x86-64), with ~10% headroom.  Keeping
+    every run's row views to the end of the trajectory peaks at 852484;
+    writing every step's rotation, with views made per step, peaked at
+    797028."""
+    angles = np.array([[math.pi / 2, 0.0]])
+
+    def run():
+        for _ in _trajectory(angles, [1.0] * 4000, frame):
+            pass
+
+    run()  # warm: caches and first-call allocations
+    tracemalloc.start()
+    try:
+        run()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 821_000
+
+
+def test_one_block_plan_per_full_read():
+    """A ``walk_table`` or ``quench_table`` call evaluates one block plan: the
+    reader sizes its scratch from it and ``_trajectory`` lays out its blocks
+    and buffers from the same one (one miss, one hit).  Asking for the same
+    plan again evaluates none."""
+    plans = lattice._layout_runs
+    plans.cache_clear()
+    for run, args, evaluated in (
+            (walk_table, (BulkParams(math.pi / 2, 0.0), PHI_ZERO, 4000), 1),
+            (walk_table, (BulkParams(math.pi / 2, math.pi / 8), PHI_ZERO, 200, "chiral"), 1),
+            (quench.quench_table, (quench.scenario("fig6c").protocol(nq=10, post=270),), 1),
+            (quench.quench_table, (quench.scenario("fig6d-kick").protocol(nq=10, post=270),), 0),
+            (quench.quench_table, (quench.scenario("fig6c").protocol(),), 1)):
+        before = plans.cache_info()
+        run(*args)
+        after = plans.cache_info()
+        assert (after.misses - before.misses, after.hits - before.hits) == (evaluated,
+                                                                            2 - evaluated)
 
 
 def test_every_block_is_a_view_of_one_buffer():
