@@ -478,8 +478,8 @@ def main(argv=None) -> int:
     except (ValueError, lattice.SiteOutOfRange, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (lattice.GuardBandViolation, momentum.GapClosed,
-            pulse.StepTooCoarse, quench.InsufficientLoss, InvariantViolation) as exc:
+    except (momentum.GapClosed, pulse.StepTooCoarse, quench.InsufficientLoss,
+            InvariantViolation) as exc:
         print(f"numeric error: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
     except MemoryError as exc:

@@ -24,8 +24,9 @@ the trajectory's one buffer, so a block is valid until the generator
 resumes.  One block plan (``_block_plan``) lays out the blocks and sizes the
 buffers and the full reader's scratch.  A step costs little more than its
 ``_step`` call: the row views come from a list built once per run of one
-width, and the chiral readout rotations are copied in once per block, for
-full readers only.  Every ``_SITE_CHUNK`` steps it flushes subnormals to +0.0.
+width, and for full readers the chiral readout rotations come from a table
+built once per trajectory, one ``take`` per block.  Every ``_SITE_CHUNK``
+steps it flushes subnormals to +0.0.
 
 One Floquet step applies, in order: the first coin, extraction of the
 blocked spin-down amplitude at n = 0, the signed down-shift, the second
@@ -288,18 +289,20 @@ def _trajectory(angles: np.ndarray, signs, frame: str,
     run of states of its width ends first (``_block_plan``).
 
     The blocks are views of one states buffer per trajectory, and of one
-    rotations buffer if ``turns`` are read, both sized once from the one block
-    plan: K flat rows of 2W + 2 numbers per walker (``_views``).  Per step, ``_step`` writes the state
-    into its row, taking the row's (state, slot, head) views from a list
-    built once per run of width W for its K rows (a block cut short takes
-    the first ones) and dropped when the run ends; nothing else is written.
-    Per block, the rotations are copied in as slices of the coin runs'
-    rotations, one broadcast for fixed angles.  Per trajectory, the coins
-    are built and folded once per run of steps, and the rotations only
-    where they are read.  A block stays valid until the generator resumes;
-    the caller reduces or copies it before then.  The first state of a block
-    may overwrite the last of the block before, which ``_step`` reads only
-    in its first product, into the scratch row.
+    rotations buffer if ``turns`` are read, both sized once from the one
+    block plan: K flat rows of 2W + 2 numbers per walker (``_views``).  Per
+    step, ``_step`` writes the state into its row, taking the row's (state,
+    slot, head) views from a list built once per run of width W for its K
+    rows (a block cut short takes the first ones) and dropped when the run
+    ends; nothing else is written.  Per block, one ``take`` copies the
+    block's rows of the rotations table.  Per trajectory, the coins are
+    built and folded once per run of steps, the kick's rotation once, and,
+    only where they are read, the table: H_t in row t, so [1, H, H] for
+    fixed angles, whose later states clip to the last row.  A block stays
+    valid until the generator resumes; the caller reduces or copies it
+    before then.  The first state of a block may overwrite the last of the
+    block before, which ``_step`` reads only in its first product, into the
+    scratch row.
 
     Right after each step t with t % ``_SITE_CHUNK`` == 0, and after that
     step's kick, every amplitude below the smallest normal float
@@ -312,43 +315,32 @@ def _trajectory(angles: np.ndarray, signs, frame: str,
     steps = len(signs)
     stack = angles.shape[2:]
     walkers = math.prod(stack)
-    turning = frame == "chiral" and reads is None  # the rotations are read
-    # per run of steps: merged first angles theta1_t - h_t + h_{t-1}, theta2, h_t
+    # per run of steps: merged first angles theta1_t - h_t + h_{t-1} and theta2
     per_step = angles if len(angles) != 1 else angles[[0, 0]]
     readout = np.zeros((len(per_step) + 1,) + stack)  # h_t of state t, h_0 = 0
     np.multiply(per_step[:, 0], 0.5 if frame == "chiral" else 0.0, out=readout[1:])
-    run = max(1, _BLOCK_BYTES // (6 * angles[0].nbytes))
+    run = max(1, _BLOCK_BYTES // (4 * angles[0].nbytes))
     kick_step, kick_site = (0, 0) if kick is None else kick
-    kicked = min(kick_step, len(per_step))  # the row of per_step whose H_t the kick turns by
-    # (first state, end, H_t, fixed) of the rotations not yet all in a block:
-    # the coin runs' arrays of one H_t per state, or one H_t for every state
-    rotations = [(0, 1, np.eye(2), True)] if turning else None
-    flip = None
+    if kick is not None:
+        turn = _coin_stack(readout[min(kick_step, len(per_step))])
+        flip = turn.swapaxes(-1, -2) @ (turn * [[1.0], [-1.0]])  # H^T sigma_z H
 
     def coin_run(lo):
-        nonlocal flip
         step, h = per_step[lo:lo + run], readout[lo:lo + run + 1]
-        kicks = lo < kicked <= lo + len(step)
-        parts = [step[:, 0] - h[1:] + h[:-1], step[:, 1]]
-        if turning or kicks:
-            parts.append(h[1:])
-        coins = _coin_stack(np.stack(parts, axis=1)).swapaxes(0, 1)
-        if turning:
-            rotations.append((lo + 1, lo + 1 + len(step), coins[2], False))
-        if kicks:
-            turn = coins[2][kicked - 1 - lo]
-            flip = turn.swapaxes(-1, -2) @ (turn * [[1.0], [-1.0]])  # H^T sigma_z H
-        return zip(*_fold(coins[0], coins[1], (coins[0], coins[1])))
+        coins = _coin_stack(np.stack([step[:, 0] - h[1:] + h[:-1], step[:, 1]], axis=1))
+        return zip(*_fold(coins[:, 0], coins[:, 1], (coins[:, 0], coins[:, 1])))
 
     coins = itertools.chain.from_iterable(map(coin_run, range(0, len(per_step), run)))
     if len(angles) == 1:
         coins = itertools.chain([next(coins)], itertools.repeat(next(coins)))
-        if turning:  # H_t of every step t >= 1 is the last one built
-            rotations[1:] = [(1, steps + 1, rotations[-1][2][-1], True)]
 
     plan = _block_plan(steps, reads, walkers)
     flat = np.empty(walkers * max(rows * (2 * sites + 2) for rows, sites, _ in plan))
-    buffer = np.empty(4 * walkers * max(rows for rows, _, _ in plan)) if turning else None
+    table = None
+    if frame == "chiral" and reads is None:  # the rotations are read: H_t in row t
+        table = _coin_stack(readout)  # fixed angles: [1, H, H], every later row clipped to H
+        table[0] = np.eye(2)
+        rotations = np.empty((max(rows for rows, _, _ in plan),) + stack + (2, 2))
     signs, t, prev = iter(signs), -1, None
     for rows, sites, count in plan:
         zero = scratch = views = None  # the last run's rows go before the new ones are made
@@ -361,10 +353,7 @@ def _trajectory(angles: np.ndarray, signs, frame: str,
         run_states, outs, heads = _views(flat[:walkers * rows * (2 * sites + 2)].reshape(
             (rows,) + stack + (2 * sites + 2,)), sites, 1, 0)
         views = list(zip(run_states, outs, heads))
-        if turning:
-            run_turns = buffer[:4 * walkers * rows].reshape((rows,) + stack + (2, 2))
         for lo in range(0, count, rows):
-            start = t + 1  # the block's first state
             states, block = run_states[:count - lo], views[:count - lo]
             if prev is None:  # |0, down>
                 states[0] = 0.0
@@ -379,17 +368,8 @@ def _trajectory(angles: np.ndarray, signs, frame: str,
                     spin[...] = np.einsum("...ij,...jk->...ik", flip, spin)
                 if t % _SITE_CHUNK == 0:
                     prev[np.abs(prev) < np.finfo(float).tiny] = 0.0
-            turns = None
-            if turning:  # the block's H_t, as slices of the runs' rotations
-                turns, filled = run_turns[:len(states)], 0
-                while filled < len(turns):
-                    first_state, end, rotation, fixed = rotations[0]
-                    n = min(len(turns), end - start) - filled
-                    at = start + filled - first_state
-                    turns[filled:filled + n] = rotation if fixed else rotation[at:at + n]
-                    filled += n
-                    if start + filled == end:
-                        del rotations[0]
+            turns = None if table is None else table.take(
+                np.arange(t + 1 - len(states), t + 1), 0, rotations[:len(states)], "clip")
             yield states, turns
 
 

@@ -3,13 +3,14 @@
 A protocol builds a bound state for ``n0`` steps, moves the coin angles to
 their final values over ``nq`` steps (1 = sudden), optionally flips the
 boundary phase or applies a sigma_z kick at the end of step ``n0``, and then
-keeps evolving.  ``survival_catalog`` lists the named quench experiments and
-their expected outcomes, ``scenario`` looks one up by name, and
-``landau_zener_fit`` extracts the exponential dependence of the bound-state
-loss on the ramp duration.  Both batched paths hand the angles of every
-step to the trajectory readers of ``analysis``: ``quench_table`` reads one
-protocol in full to the observable table, and ``ramp_survival_curve`` runs
-all ramp durations of a sweep as one stack of walkers and reads only P_edge.
+keeps evolving.  ``survival_catalog`` lists the named quench experiments
+(the outcome each is expected to show is a test-side table), ``scenario``
+looks one up by name, and ``landau_zener_fit`` extracts the exponential
+dependence of the bound-state loss on the ramp duration.  Both batched
+paths hand the angles of every step to the trajectory readers of
+``analysis``: ``quench_table`` reads one protocol in full to the observable
+table, and ``ramp_survival_curve`` runs all ramp durations of a sweep as one
+stack of walkers and reads only P_edge.
 ``_schedule`` alone defines a protocol's angles, phase switch and kick;
 ``run_quench`` steps through it one ``chiral_step`` and one
 ``observable_record`` at a time and is the per-step reference of both.
@@ -132,26 +133,16 @@ def stabilized_edge_population(series, start: int = 0, window: int = PLATEAU_WIN
 
 @dataclass(frozen=True)
 class QuenchScenario:
-    """One named quench experiment and its expected outcome.
-
-    ``channels_before``/``channels_after`` are the bound-state channels of
-    the static systems on each side of the quench, taken from the computed
-    invariants; ``expect`` is "survive" or "die" per the channel rule (a
-    populated channel must map onto a post-quench channel, with the 0/pi
-    labels swapping when the boundary phase flips).
-    """
+    """One named quench experiment: the bulk angles and boundary phases on
+    each side of the quench, and the site of its sigma_z kick, if any.  The
+    outcome each one is expected to show is a test-side table."""
 
     name: str
     initial: BulkParams
     final: BulkParams
     phi_initial: BoundaryPhase
     phi_final: BoundaryPhase
-    expect: str
-    channels_before: tuple[int, int]
-    channels_after: tuple[int, int]
     kick: int | None = None
-    sx_final: float | None = None  # expected boundary <sigma_x> when it pins
-    note: str = ""
 
     def protocol(self, n0: int = 20, nq: int = 1, post: int = 80) -> QuenchProtocol:
         return QuenchProtocol(initial=self.initial, final=self.final,
@@ -163,75 +154,51 @@ class QuenchScenario:
 def survival_catalog() -> tuple[QuenchScenario, ...]:
     """Named quench experiments as a declarative table, built once.
 
-    Phase labels in the comments are the computed (nu0, nu_pi) pairs, and
-    every expectation follows the channel rule; entries carry notes where
-    the classification is easy to get wrong.
+    Phase labels in the comments are the computed (nu0, nu_pi) pairs.
     """
     pi = math.pi
     return (
         # --- sudden quenches of the real bulk, start (3pi/4, pi/4) in (1,0) ---
         QuenchScenario("fig6b", BulkParams(3 * pi / 4, pi / 4), BulkParams(pi / 2, pi / 4),
-                       PHI_ZERO, PHI_ZERO, "survive", (1, 0), (1, 0), sx_final=+1.0,
-                       note="(1,0) -> (1,0): zero mode preserved without decay"),
+                       PHI_ZERO, PHI_ZERO),
         QuenchScenario("fig6c", BulkParams(3 * pi / 4, pi / 4), BulkParams(pi / 8, pi / 4),
-                       PHI_ZERO, PHI_ZERO, "survive", (1, 0), (1, 1), sx_final=+1.0,
-                       note="(1,0) -> (1,1): zero channel survives, sx returns to +1"),
+                       PHI_ZERO, PHI_ZERO),
         QuenchScenario("fig6d-no-kick", BulkParams(3 * pi / 4, pi / 4), BulkParams(-3 * pi / 4, pi / 4),
-                       PHI_ZERO, PHI_ZERO, "die", (1, 0), (0, 1),
-                       note="(1,0) -> (0,1): no shared channel"),
+                       PHI_ZERO, PHI_ZERO),
         QuenchScenario("fig6d-kick", BulkParams(3 * pi / 4, pi / 4), BulkParams(-3 * pi / 4, pi / 4),
-                       PHI_ZERO, PHI_ZERO, "survive", (1, 0), (0, 1), kick=0, sx_final=-1.0,
-                       note="sigma_z at site 0 maps the zero mode onto the pi channel"),
+                       PHI_ZERO, PHI_ZERO, kick=0),
         QuenchScenario("fig6e", BulkParams(3 * pi / 4, pi / 4), BulkParams(0.0, pi / 4),
-                       PHI_ZERO, PHI_ZERO, "survive", (1, 0), (1, 1), sx_final=+1.0,
-                       note="(0, pi/4) classifies as (1,1) even though theta1 = 0 "
-                            "looks trivial; the zero channel persists"),
+                       PHI_ZERO, PHI_ZERO),
         # --- sudden quenches, start (-pi/8, pi/4) in (1,1) ---
         QuenchScenario("fig7a", BulkParams(-pi / 8, pi / 4), BulkParams(pi / 8, pi / 4),
-                       PHI_ZERO, PHI_ZERO, "survive", (1, 1), (1, 1),
-                       note="(1,1) -> (1,1): both channels preserved"),
+                       PHI_ZERO, PHI_ZERO),
         QuenchScenario("fig7b", BulkParams(-pi / 8, pi / 4), BulkParams(-pi / 8, -pi / 4),
-                       PHI_ZERO, PHI_ZERO, "die", (1, 1), (0, 0),
-                       note="(1,1) -> (0,0): bound states disappear"),
+                       PHI_ZERO, PHI_ZERO),
         QuenchScenario("fig7c", BulkParams(-pi / 8, pi / 4), BulkParams(-pi / 2, pi / 4),
-                       PHI_ZERO, PHI_ZERO, "survive", (1, 1), (0, 1), sx_final=-1.0,
-                       note="only the pi component survives"),
+                       PHI_ZERO, PHI_ZERO),
         QuenchScenario("fig7d", BulkParams(-pi / 8, pi / 4), BulkParams(pi / 2, pi / 4),
-                       PHI_ZERO, PHI_ZERO, "survive", (1, 1), (1, 0), sx_final=+1.0,
-                       note="only the zero component survives"),
+                       PHI_ZERO, PHI_ZERO),
         # --- quenches that start in (0,0): nothing to protect ---
         QuenchScenario("fig-noquench-00", BulkParams(0.0, -pi / 4), BulkParams(0.0, -pi / 8),
-                       PHI_ZERO, PHI_ZERO, "die", (0, 0), (0, 0),
-                       note="trivial to trivial"),
+                       PHI_ZERO, PHI_ZERO),
         QuenchScenario("fig-noquench-10", BulkParams(0.0, -pi / 4), BulkParams(pi / 2, -pi / 4),
-                       PHI_ZERO, PHI_ZERO, "die", (0, 0), (1, 0),
-                       note="channel opens but was never populated"),
+                       PHI_ZERO, PHI_ZERO),
         QuenchScenario("fig-noquench-01", BulkParams(0.0, -pi / 4), BulkParams(-pi / 2, -pi / 4),
-                       PHI_ZERO, PHI_ZERO, "die", (0, 0), (0, 1),
-                       note="channel opens but was never populated"),
+                       PHI_ZERO, PHI_ZERO),
         QuenchScenario("fig-noquench-11", BulkParams(0.0, -pi / 4), BulkParams(0.0, pi / 4),
-                       PHI_ZERO, PHI_ZERO, "die", (0, 0), (1, 1),
-                       note="channels open but were never populated"),
+                       PHI_ZERO, PHI_ZERO),
         # --- virtual-bulk quenches: phi 0 -> pi, real bulk fixed ---
-        # flipping phi complements the channel pair: (1,0) <-> (0,1), (1,1) <-> (0,0)
         QuenchScenario("fig8-vquench-10", BulkParams(3 * pi / 4, pi / 4), BulkParams(3 * pi / 4, pi / 4),
-                       PHI_ZERO, PHI_PI, "survive", (1, 0), (0, 1), sx_final=+1.0,
-                       note="the zero mode is relabeled as the pi mode and persists"),
+                       PHI_ZERO, PHI_PI),
         QuenchScenario("fig8-vquench-01", BulkParams(-3 * pi / 4, pi / 4), BulkParams(-3 * pi / 4, pi / 4),
-                       PHI_ZERO, PHI_PI, "survive", (0, 1), (1, 0), sx_final=-1.0,
-                       note="the pi mode is relabeled as the zero mode and persists"),
+                       PHI_ZERO, PHI_PI),
         QuenchScenario("fig8-vquench-11", BulkParams(-pi / 8, pi / 4), BulkParams(-pi / 8, pi / 4),
-                       PHI_ZERO, PHI_PI, "die", (1, 1), (0, 0),
-                       note="(1,1) turns into (0,0): both channels close"),
+                       PHI_ZERO, PHI_PI),
         QuenchScenario("fig8-vquench-00", BulkParams(0.0, pi / 4), BulkParams(0.0, pi / 4),
-                       PHI_ZERO, PHI_PI, "die", (1, 1), (0, 0),
-                       note="(0, pi/4) computes to (1,1); after the flip both "
-                            "channels close and the state decays"),
+                       PHI_ZERO, PHI_PI),
         # --- ramped-quench scenario run in the opposite direction ---
         QuenchScenario("fig9-reverse", BulkParams(pi / 8, pi / 4), BulkParams(3 * pi / 4, pi / 4),
-                       PHI_ZERO, PHI_ZERO, "survive", (1, 1), (1, 0), sx_final=+1.0,
-                       note="reverse of fig6c for rate sweeps; the zero channel "
-                            "survives while the pi component radiates"),
+                       PHI_ZERO, PHI_ZERO),
     )
 
 

@@ -407,3 +407,63 @@ def fit_localization(profile: np.ndarray, floor: float = 1e-12) -> LocalizationF
         raise InsufficientSupport("profile does not decay")
     return LocalizationFit(lam=-1.0 / slope, ratio_even=float(np.exp(2.0 * slope)),
                            r_squared=r_squared)
+
+
+@dataclass(frozen=True)
+class QuenchOutcome:
+    """What a catalog quench is expected to show.  ``channels_before`` and
+    ``channels_after`` are the bound-state channels (nu0, nu_pi) of the
+    static systems on each side of the quench, from the computed invariants;
+    ``expect`` is "survive" or "die" per the channel rule (a populated
+    channel must map onto a post-quench channel, with the 0/pi labels
+    swapping when the boundary phase flips); ``sx_final`` is the boundary
+    <sigma_x> where it pins."""
+
+    expect: str
+    channels_before: tuple[int, int]
+    channels_after: tuple[int, int]
+    sx_final: float | None = None
+
+
+# The expected outcome of each scenario of ``quench.survival_catalog``, by name.
+SURVIVAL = {
+    # (1,0) -> (1,0): zero mode preserved without decay
+    "fig6b": QuenchOutcome("survive", (1, 0), (1, 0), +1.0),
+    # (1,0) -> (1,1): zero channel survives, sx returns to +1
+    "fig6c": QuenchOutcome("survive", (1, 0), (1, 1), +1.0),
+    # (1,0) -> (0,1): no shared channel
+    "fig6d-no-kick": QuenchOutcome("die", (1, 0), (0, 1)),
+    # sigma_z at site 0 maps the zero mode onto the pi channel
+    "fig6d-kick": QuenchOutcome("survive", (1, 0), (0, 1), -1.0),
+    # (0, pi/4) classifies as (1,1) even though theta1 = 0 looks trivial;
+    # the zero channel persists
+    "fig6e": QuenchOutcome("survive", (1, 0), (1, 1), +1.0),
+    # (1,1) -> (1,1): both channels preserved
+    "fig7a": QuenchOutcome("survive", (1, 1), (1, 1)),
+    # (1,1) -> (0,0): bound states disappear
+    "fig7b": QuenchOutcome("die", (1, 1), (0, 0)),
+    # only the pi component survives
+    "fig7c": QuenchOutcome("survive", (1, 1), (0, 1), -1.0),
+    # only the zero component survives
+    "fig7d": QuenchOutcome("survive", (1, 1), (1, 0), +1.0),
+    # trivial to trivial
+    "fig-noquench-00": QuenchOutcome("die", (0, 0), (0, 0)),
+    # channel opens but was never populated
+    "fig-noquench-10": QuenchOutcome("die", (0, 0), (1, 0)),
+    "fig-noquench-01": QuenchOutcome("die", (0, 0), (0, 1)),
+    # channels open but were never populated
+    "fig-noquench-11": QuenchOutcome("die", (0, 0), (1, 1)),
+    # flipping phi complements the channel pair: (1,0) <-> (0,1), (1,1) <-> (0,0)
+    # the zero mode is relabeled as the pi mode and persists
+    "fig8-vquench-10": QuenchOutcome("survive", (1, 0), (0, 1), +1.0),
+    # the pi mode is relabeled as the zero mode and persists
+    "fig8-vquench-01": QuenchOutcome("survive", (0, 1), (1, 0), -1.0),
+    # (1,1) turns into (0,0): both channels close
+    "fig8-vquench-11": QuenchOutcome("die", (1, 1), (0, 0)),
+    # (0, pi/4) computes to (1,1); after the flip both channels close and
+    # the state decays
+    "fig8-vquench-00": QuenchOutcome("die", (1, 1), (0, 0)),
+    # reverse of fig6c for rate sweeps; the zero channel survives while the
+    # pi component radiates
+    "fig9-reverse": QuenchOutcome("survive", (1, 1), (1, 0), +1.0),
+}

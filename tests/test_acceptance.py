@@ -44,7 +44,7 @@ from fockwalk.pulse import (
 )
 from fockwalk.quench import landau_zener_fit, run_quench, survival_catalog
 
-from oracle import bulk_unitary_k, dense_step_matrix, from_vector, to_vector
+from oracle import SURVIVAL, bulk_unitary_k, dense_step_matrix, from_vector, to_vector
 
 PI = math.pi
 RNG = np.random.default_rng(0xACCE)
@@ -206,15 +206,16 @@ def test_criterion_07_survival_table():
     for sc in survival_catalog():
         records = run_quench(sc.protocol(n0=20, nq=1, post=80))
         final = float(np.mean([r.p_edge for r in records[-10:]]))
-        good = final > 0.05 if sc.expect == "survive" else final < 0.01
+        expect = SURVIVAL[sc.name].expect
+        good = final > 0.05 if expect == "survive" else final < 0.01
         if not good:
-            failures.append((sc.name, sc.expect, final))
+            failures.append((sc.name, expect, final))
     # the boundary-phase flip relabels every channel by complement
     for sc in survival_catalog():
         if sc.phi_initial != sc.phi_final:
-            expected = (1 - sc.channels_before[0], 1 - sc.channels_before[1])
-            if sc.channels_after != expected:
-                failures.append((sc.name, "relabel", sc.channels_after))
+            before, after = SURVIVAL[sc.name].channels_before, SURVIVAL[sc.name].channels_after
+            if after != (1 - before[0], 1 - before[1]):
+                failures.append((sc.name, "relabel", after))
     elapsed = time.perf_counter() - start
     ok = not failures and elapsed < 120.0
     assert report("7 survival-table", ok,

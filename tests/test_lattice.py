@@ -464,9 +464,10 @@ def test_trajectory_states_match_per_step_advance_after_collection(monkeypatch, 
 def test_trajectory_coin_runs_step_like_one_coin_pair_per_step(monkeypatch, frame, run):
     """Per-step coins, built in runs of steps, step as the per-step reference
     does; each step takes its merged first coin and its second coin from the
-    run, and each block copies the readout rotations of its states from the
-    runs it spans, more than two of them when a run is shorter than a block
-    (``run`` = 1 and 3 here), in one slice per run."""
+    run.  The kick's rotation is built once before stepping and, in the
+    chiral frame, the readout rotations once as a table of every state's
+    H_t, which each block takes its rows from, whatever runs it spans (more
+    than two when a run is shorter than a block, ``run`` = 1 and 3 here)."""
     walkers, steps = 3, 50
     angles = RNG.uniform(-7.0, 7.0, size=(steps, 2, walkers))
     signs = RNG.choice([-1.0, 1.0], size=steps).tolist()
@@ -479,10 +480,12 @@ def test_trajectory_coin_runs_step_like_one_coin_pair_per_step(monkeypatch, fram
 
     coin_stack = lattice._coin_stack
     monkeypatch.setattr(lattice, "_coin_stack", counted)
-    # the three coins of a step for 3 walkers are 4 * 3 * 3 doubles; ``run`` steps per block
-    monkeypatch.setattr(lattice, "_BLOCK_BYTES", run * 6 * angles[0].nbytes)
+    # the two coins of a step for 3 walkers are 2 * 4 * 3 doubles; ``run`` steps per block
+    monkeypatch.setattr(lattice, "_BLOCK_BYTES", run * 4 * angles[0].nbytes)
     blocks = collect(_trajectory(angles, signs, frame, kick=(11, 2)))
-    assert calls == [min(run, steps - lo) for lo in range(0, steps, run)]
+    table = [steps + 1] if frame == "chiral" else []
+    # the kick's H_t (one angle per walker), the chiral table, then one call per coin run
+    assert calls == [walkers] + table + [min(run, steps - lo) for lo in range(0, steps, run)]
     states = [state for block, _ in blocks for state in block]
     assert len(states) == steps + 1
     for state, full in zip(states, want):
@@ -759,7 +762,7 @@ def test_ramp_reads_the_forward_cones_edge_at_every_step(monkeypatch, steps):
     nqs = sorted({steps - n0 - post, *rng.integers(1, steps - n0 - post, size=5).tolist()})
     flip = quench.QuenchScenario("random", BulkParams(*rng.uniform(-7.0, 7.0, 2)),
                                  BulkParams(*rng.uniform(-7.0, 7.0, 2)), PHI_ZERO, PHI_PI,
-                                 "die", (0, 0), (0, 0), kick=2)
+                                 kick=2)
     stay = dataclasses.replace(flip, phi_initial=PHI_PI, kick=None)
     seen = []
 

@@ -20,7 +20,7 @@ from fockwalk.quench import (
     survival_catalog,
 )
 
-from oracle import assert_close_to_chiral_steps
+from oracle import SURVIVAL, assert_close_to_chiral_steps
 
 PI = math.pi
 
@@ -132,31 +132,33 @@ def test_catalog_covers_every_phase_transition_family():
 
 
 def test_catalog_channels_match_computed_invariants():
+    assert [sc.name for sc in survival_catalog()] == list(SURVIVAL)
     for sc in survival_catalog():
-        assert predict_bound_states(sc.initial, sc.phi_initial) == sc.channels_before
-        assert predict_bound_states(sc.final, sc.phi_final) == sc.channels_after
+        assert predict_bound_states(sc.initial, sc.phi_initial) == SURVIVAL[sc.name].channels_before
+        assert predict_bound_states(sc.final, sc.phi_final) == SURVIVAL[sc.name].channels_after
 
 
 def test_catalog_survival_rule_consistency():
     # survive exactly when a populated channel maps onto a post-quench
     # channel; a phi flip exchanges the 0 and pi labels on the way
     for sc in survival_catalog():
+        outcome = SURVIVAL[sc.name]
         before = set()
-        if sc.channels_before[0]:
+        if outcome.channels_before[0]:
             before.add("zero")
-        if sc.channels_before[1]:
+        if outcome.channels_before[1]:
             before.add("pi")
         if sc.kick is not None:
             before = {{"zero": "pi", "pi": "zero"}[c] for c in before}
         if sc.phi_initial != sc.phi_final:
             before = {{"zero": "pi", "pi": "zero"}[c] for c in before}
         after = set()
-        if sc.channels_after[0]:
+        if outcome.channels_after[0]:
             after.add("zero")
-        if sc.channels_after[1]:
+        if outcome.channels_after[1]:
             after.add("pi")
         expected = "survive" if before & after else "die"
-        assert sc.expect == expected, sc.name
+        assert outcome.expect == expected, sc.name
 
 
 @pytest.mark.parametrize("name", ["fig6b", "fig6d-no-kick", "fig6d-kick", "fig7b"])
@@ -164,12 +166,13 @@ def test_selected_catalog_outcomes(name):
     sc = [s for s in survival_catalog() if s.name == name][0]
     records = run_quench(sc.protocol())
     final = float(np.mean([r.p_edge for r in records[-10:]]))
-    if sc.expect == "survive":
+    outcome = SURVIVAL[name]
+    if outcome.expect == "survive":
         assert final > 0.05
     else:
         assert final < 0.01
-    if sc.sx_final is not None:
-        assert records[-1].sx0 == pytest.approx(sc.sx_final, abs=0.05)
+    if outcome.sx_final is not None:
+        assert records[-1].sx0 == pytest.approx(outcome.sx_final, abs=0.05)
 
 
 def test_kick_flips_boundary_spin_exactly_at_the_kick_step():
@@ -344,7 +347,6 @@ def test_landau_zener_fit_requires_five_ramps():
 def test_landau_zener_insufficient_loss():
     # a quench within the same phase keeps the bound state at every rate
     sc = QuenchScenario("same-phase", BulkParams(3 * PI / 4, PI / 4),
-                        BulkParams(0.7 * PI, PI / 4), PHI_ZERO, PHI_ZERO,
-                        "survive", (1, 0), (1, 0))
+                        BulkParams(0.7 * PI, PI / 4), PHI_ZERO, PHI_ZERO)
     with pytest.raises(InsufficientLoss):
         landau_zener_fit(sc, [4, 6, 8, 10, 12])

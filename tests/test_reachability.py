@@ -12,9 +12,17 @@ through a ``from . import module`` binding.  A method or property, keyed
 as ``__post_init__``, but not the bodies of its other methods.  Every pin
 names a definition of ``src/fockwalk``, and every bench binding appears, as a
 word, in a ``bench/*.py`` file, so a pin goes when its name goes.
+
+Fields and handlers are checked the same way.  A field of a reached
+dataclass is reached when reached code reads an attribute of its name or
+passes its class whole to ``dataclasses.asdict``; the unread ones are pinned
+in ``FIELD_PINS`` with the pinned definition that reads them.  Every
+exception class of ``src/fockwalk`` that ``cli.main`` catches is named by
+reached code outside an ``except`` clause, so no handler is dead.
 """
 
 import ast
+import functools
 import re
 from pathlib import Path
 
@@ -29,11 +37,18 @@ BENCH_BINDINGS = {  # names that bench/ binds
     "winding_number", "predict_bound_states", "_parallel_map", "_diagram_point",
 }
 PER_STEP_API = {  # the public per-step API and its helpers
-    "initial_state", "_check_guard_band", "ObservableRecord", "observable_table",
-    "z2_invariants", "TimeFrame", "sigma_z_kick",
+    "initial_state", "_check_guard_band", "GuardBandViolation", "ObservableRecord",
+    "observable_table", "z2_invariants", "TimeFrame", "sigma_z_kick",
     "WalkerState.up", "WalkerState.down", "WalkerState.copy",
 }
 PINNED = BENCH_BINDINGS | PER_STEP_API
+# Fields of reached dataclasses that reached code does not read -> the pinned
+# definition that reads them.
+FIELD_PINS = {
+    "PhaseLabel.nu_prime": "winding_number",  # a bench binding
+    "PhaseLabel.nu_dprime": "winding_number",
+    "WalkerState.step_count": "floquet_step",  # a bench binding
+}
 
 
 def _definitions(tree: ast.Module) -> dict[str, ast.stmt]:
@@ -76,10 +91,29 @@ def _source(node: ast.stmt):
     return (sub for part in parts for sub in ast.walk(part)), dunders
 
 
-def _reached() -> tuple[set, dict]:
+@functools.cache
+def _program() -> tuple[dict, dict]:
+    """Module -> its definitions, and module -> its relative import bindings."""
     trees = {path.stem: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}
-    defs = {module: _definitions(tree) for module, tree in trees.items()}
-    bindings = {module: _bindings(tree) for module, tree in trees.items()}
+    return ({module: _definitions(tree) for module, tree in trees.items()},
+            {module: _bindings(tree) for module, tree in trees.items()})
+
+
+def _target(module: str, node: ast.AST) -> tuple[str, str | None] | None:
+    """The (module, name) that a name, or a ``module.name`` attribute, read in
+    ``module`` refers to; None for any other node."""
+    bindings = _program()[1][module]
+    if isinstance(node, ast.Name):  # a name of this module, or one imported
+        return bindings.get(node.id, (module, node.id))
+    if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+        other, imported = bindings.get(node.value.id, (None, ""))
+        if imported is None:  # module.name
+            return other, node.attr
+    return None
+
+
+def _reached() -> tuple[set, dict]:
+    defs = _program()[0]
     methods = {}  # attribute name -> (module, Class.name) of every method of that name
     for module, names in defs.items():
         for name in names:
@@ -96,15 +130,9 @@ def _reached() -> tuple[set, dict]:
         nodes, dunders = _source(defs[module][name])
         todo.extend((module, dunder) for dunder in dunders)
         for node in nodes:
-            target = None
-            if isinstance(node, ast.Name):  # a name of this module, or one imported
-                target = bindings[module].get(node.id, (module, node.id))
-            elif isinstance(node, ast.Attribute):
+            if isinstance(node, ast.Attribute):
                 todo.extend(methods.get(node.attr, []))
-                if isinstance(node.value, ast.Name):
-                    other, imported = bindings[module].get(node.value.id, (None, ""))
-                    if imported is None:  # module.name
-                        target = (other, node.attr)
+            target = _target(module, node)
             if target is not None and target[1] in defs.get(target[0], {}):
                 todo.append(target)
     return reached, defs
@@ -143,3 +171,75 @@ def test_every_pin_names_a_definition_and_every_bench_binding_is_in_bench():
     bench = "\n".join(path.read_text() for path in sorted(BENCH.glob("*.py")))
     unbound = {name for name in BENCH_BINDINGS if not re.search(rf"\b{name}\b", bench)}
     assert not unbound, sorted(unbound)
+
+
+def test_every_exception_that_main_catches_is_raised_by_reached_code():
+    """Each exception class of ``src/fockwalk`` named in an ``except`` clause
+    of ``cli.main`` is named, outside ``except`` clauses, by reached code (a
+    ``raise``, or a function that builds the exception for one): a class
+    that only unreached code raises makes its handler dead."""
+    reached, defs = _reached()
+    main = defs["cli"]["main"]
+    caught = {_target("cli", node) for handler in ast.walk(main)
+              if isinstance(handler, ast.ExceptHandler) and handler.type is not None
+              for node in ast.walk(handler.type)}
+    caught = {(module, name) for module, name in caught - {None}
+              if isinstance(defs.get(module, {}).get(name), ast.ClassDef)}
+    assert ("lattice", "SiteOutOfRange") in caught and ("momentum", "GapClosed") in caught
+    named = set()
+    for module, name in reached:
+        types = {id(sub) for node in ast.walk(defs[module][name])
+                 if isinstance(node, ast.ExceptHandler) and node.type is not None
+                 for sub in ast.walk(node.type)}
+        named.update(_target(module, node) for node in _source(defs[module][name])[0]
+                     if id(node) not in types)
+    assert caught <= named, sorted(caught - named)
+
+
+def _is_dataclass(node: ast.ClassDef) -> bool:
+    return any(isinstance(d, ast.Name) and d.id == "dataclass"
+               or isinstance(d, ast.Call) and getattr(d.func, "id", None) == "dataclass"
+               for d in node.decorator_list)
+
+
+def _serialized(reached: set, defs: dict) -> set:
+    """(module, class) of each dataclass that reached code passes whole to
+    ``dataclasses.asdict``, as ``x = f(...)`` then ``asdict(x)``, where f
+    is annotated to return the class."""
+    whole = set()
+    for module, name in reached:
+        for node in _source(defs[module][name])[0]:
+            if not (isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "asdict"
+                    and isinstance(node.args[0], ast.Name)):
+                continue
+            for assign in _source(defs[module][name])[0]:
+                if (isinstance(assign, ast.Assign) and isinstance(assign.value, ast.Call)
+                        and [getattr(t, "id", None) for t in assign.targets] == [node.args[0].id]):
+                    maker = _target(module, assign.value.func)
+                    returns = defs[maker[0]][maker[1]].returns
+                    whole.add(_target(maker[0], returns))
+    return whole
+
+
+def test_every_field_of_a_reached_dataclass_is_read_or_pinned():
+    """A field of a reached dataclass is reached when reached code reads an
+    attribute of its name (on any object), or passes its class whole to
+    ``dataclasses.asdict``.  The unread ones are exactly ``FIELD_PINS``, each
+    read by the pinned definition named with it."""
+    reached, defs = _reached()
+    read = {node.attr for module, name in reached for node in _source(defs[module][name])[0]
+            if isinstance(node, ast.Attribute)}
+    whole = _serialized(reached, defs)
+    assert ("pulse", "CycleReport") in whole
+    unread = {f"{name}.{item.target.id}" for module, name in reached
+              if isinstance(defs[module][name], ast.ClassDef) and _is_dataclass(defs[module][name])
+              and (module, name) not in whole
+              for item in defs[module][name].body
+              if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name)
+              and item.target.id not in read}
+    assert unread == set(FIELD_PINS), sorted(unread ^ set(FIELD_PINS))
+    for field, reader in FIELD_PINS.items():
+        assert reader in PINNED
+        module = next(module for module, names in defs.items() if reader in names)
+        assert field.partition(".")[2] in {node.attr for node in _source(defs[module][reader])[0]
+                                            if isinstance(node, ast.Attribute)}, field
