@@ -24,7 +24,7 @@ rows it uses and zeroes their padding, so no block allocates.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -47,8 +47,7 @@ EIGENPHASE_TOL = 1e-6
 OCCUPATION_FLOOR = 1e-9
 
 
-@dataclass(frozen=True)
-class ObservableRecord:
+class ObservableRecord(NamedTuple):
     step: int
     p_edge: float
     sx0: float  # nan when site 0 is unoccupied
@@ -58,8 +57,7 @@ class ObservableRecord:
     norm: float
 
 
-@dataclass(frozen=True)
-class EigenMode:
+class EigenMode(NamedTuple):
     eigenphase: float
     amplitudes: np.ndarray  # flattened (site, spin) vector
     edge_weight: float

@@ -21,13 +21,13 @@ state's norm, ``sweep`` and ``ramp`` every P_edge they write).
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import functools
 import json
 import math
 import os
 import re
 import sys
+from collections.abc import Iterable, Iterator
 
 import numpy as np
 
@@ -168,14 +168,18 @@ def resolve(args, keys: dict) -> tuple[argparse.Namespace, set[str]]:
     return argparse.Namespace(**values), set(pairs)
 
 
-def write_csv(path: str, header: list[str], rows: list[list]) -> None:
-    """Write ``rows`` under ``header`` with one ``%`` template made from the
-    cell types of the first row, which every row must share: ``%.17g`` for
-    a float (round-trip exact), ``%s`` for an int or a label."""
+def write_csv(path: str, header: list[str], rows: Iterable) -> None:
+    """Write ``rows``, any iterable of rows, under ``header`` with one ``%``
+    template made from the cell types of the first row, which every row must
+    share: ``%.17g`` for a float (round-trip exact), ``%s`` for an int or a
+    label.  No rows write the header alone."""
+    rows = iter(rows)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(",".join(header) + "\n")
-        if rows:
-            template = ",".join("%.17g" if isinstance(v, float) else "%s" for v in rows[0]) + "\n"
+        first = next(rows, None)
+        if first is not None:
+            template = ",".join("%.17g" if isinstance(v, float) else "%s" for v in first) + "\n"
+            fh.write(template % tuple(first))
             fh.writelines(template % tuple(row) for row in rows)
 
 
@@ -186,10 +190,15 @@ def write_json_mirror(path: str, header: list[str], rows: list[list]) -> None:
         fh.write("\n")
 
 
-def _emit(args, header, rows) -> None:
+def _emit(args, header, rows: Iterable) -> None:
+    """Write the CSV, and the --json mirror if asked for; only the mirror,
+    which reads the rows a second time, makes them a list."""
+    mirror = getattr(args, "json", None)
+    if mirror is not None:
+        rows = list(rows)
     write_csv(args.out, header, rows)
-    if getattr(args, "json", None) is not None:
-        write_json_mirror(args.json, header, rows)
+    if mirror is not None:
+        write_json_mirror(mirror, header, rows)
 
 
 TIMESERIES_HEADER = ["step", "p_edge", "sx0", "sx1", "mean_n", "var_n", "norm"]
@@ -201,10 +210,18 @@ RAMP_HEADER = ["nq", "p_edge_stable", "loss"]
 EIGEN_HEADER = ["mode_class", "eigenphase", "edge_weight", "p0", "p1", "ratio10", "ratio21"]
 
 
-def _timeseries_rows(table) -> list[tuple]:
-    """TIMESERIES_HEADER rows of an observable table, row k after step k: one
-    tuple per row, zipped from the table's columns, with no list per row."""
-    return list(zip(range(len(table)), *table.T.tolist()))
+# Rows an array table hands to the CSV writer at a time, as Python values:
+# a stream of rows holds at most this many, whatever the table's length.
+_ROW_CHUNK = 256
+
+
+def _indexed_rows(columns) -> Iterator[tuple]:
+    """The rows (k, columns[0][k], columns[1][k], ...) of equal-length 1-D
+    array columns, converted to Python values ``_ROW_CHUNK`` rows at a time."""
+    length = len(columns[0])
+    for start in range(0, length, _ROW_CHUNK):
+        stop = min(start + _ROW_CHUNK, length)
+        yield from zip(range(start, stop), *(column[start:stop].tolist() for column in columns))
 
 
 def cmd_walk(args, cfg, given) -> int:
@@ -213,12 +230,11 @@ def cmd_walk(args, cfg, given) -> int:
     params = lattice.BulkParams(cfg.theta1, cfg.theta2)
     table, state = analysis.walk_table(params, cfg.phi, cfg.steps, cfg.frame)
     _check_norm(table)
-    _emit(args, TIMESERIES_HEADER, _timeseries_rows(table))
+    _emit(args, TIMESERIES_HEADER, _indexed_rows(table.T))
     if getattr(args, "dist_out", None) is not None:
         up, down = state.amps + 0.0  # an exact zero prints 0, never -0
         columns = (state.site_probabilities(), up.real, up.imag, down.real, down.imag)
-        dist_rows = list(zip(range(state.n_max + 1), *(c.tolist() for c in columns)))
-        write_csv(args.dist_out, DISTRIBUTION_HEADER, dist_rows)
+        write_csv(args.dist_out, DISTRIBUTION_HEADER, _indexed_rows(columns))
     return EXIT_OK
 
 
@@ -267,7 +283,7 @@ def cmd_quench(args, cfg, given) -> int:
             n0=cfg.n0, nq=cfg.nq, total_steps=total, kick=cfg.kick)
     table = quench.quench_table(protocol)
     _check_norm(table)
-    _emit(args, TIMESERIES_HEADER, _timeseries_rows(table))
+    _emit(args, TIMESERIES_HEADER, _indexed_rows(table.T))
     return EXIT_OK
 
 
@@ -306,7 +322,7 @@ def cmd_pulse_verify(args, cfg, given) -> int:
                                integrator_step=cfg.dt)
     report = pulse.verify_cycle(lattice.BulkParams(cfg.theta1, cfg.theta2), cfg.phi,
                                 cfg.n_max, config)
-    text = json.dumps(dataclasses.asdict(report), indent=1, sort_keys=True)
+    text = json.dumps(report._asdict(), indent=1, sort_keys=True)
     if args.out is not None:
         with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(text + "\n")

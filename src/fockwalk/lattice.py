@@ -47,7 +47,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -63,27 +63,37 @@ class SiteOutOfRange(IndexError):
     """Requested site index lies outside 0..n_max."""
 
 
-@dataclass(frozen=True)
-class BulkParams:
-    """Coin angles (theta1, theta2) in radians, stored unwrapped; scalars or arrays."""
-
+class _Angles(NamedTuple):
     theta1: float
     theta2: float
 
-    def __post_init__(self):
+
+class BulkParams(_Angles):
+    """Coin angles (theta1, theta2) in radians, stored unwrapped; scalars or arrays."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if not (np.isfinite(self.theta1).all() and np.isfinite(self.theta2).all()):
             raise ValueError("coin angles must be finite")
+        return self
 
 
-@dataclass(frozen=True)
-class BoundaryPhase:
-    """Boundary phase phi; particle-hole symmetry restricts it to 0 or pi."""
-
+class _Phase(NamedTuple):
     phi: float
 
-    def __post_init__(self):
+
+class BoundaryPhase(_Phase):
+    """Boundary phase phi; particle-hole symmetry restricts it to 0 or pi."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if self.phi not in (0.0, math.pi):
             raise ValueError("boundary phase must be exactly 0 or pi")
+        return self
 
     @property
     def sign(self) -> float:
@@ -101,15 +111,14 @@ def _site_probabilities(states: np.ndarray, out=None) -> np.ndarray:
     return np.add(weights[..., 0, :], weights[..., 1, :], out=out)
 
 
-@dataclass
 class WalkerState:
     """Sites 0..n_max; ``up`` (a_n) and ``down`` (b_n) are writable rows of ``amps``."""
 
-    amps: np.ndarray
-    step_count: int
+    __slots__ = ("amps", "step_count")
 
-    def __post_init__(self):
-        self.amps = np.asarray(self.amps, complex if np.iscomplexobj(self.amps) else float)
+    def __init__(self, amps: np.ndarray, step_count: int):
+        self.amps = np.asarray(amps, complex if np.iscomplexobj(amps) else float)
+        self.step_count = step_count
         if self.amps.ndim != 2 or self.amps.shape[0] != 2:
             raise ValueError(f"amplitudes must have shape (2, N), got {self.amps.shape}")
 

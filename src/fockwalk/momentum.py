@@ -14,8 +14,8 @@ giving the dispersion cos E(k) = cos(t2/2) cos(t1/2) cos k - sin(t1/2) sin(t2/2)
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 import numpy as np
 
@@ -31,8 +31,7 @@ class TimeFrame(Enum):
     F2 = 2
 
 
-@dataclass(frozen=True)
-class PhaseLabel:
+class PhaseLabel(NamedTuple):
     """Frame windings (nu_prime, nu_dprime) and Z2 pair (nu0, nu_pi), ints or int arrays."""
 
     nu_prime: int
@@ -41,8 +40,7 @@ class PhaseLabel:
     nu_pi: int
 
 
-@dataclass(frozen=True)
-class GapReport:
+class GapReport(NamedTuple):
     """Gaps of the band to 0 and to pi; arrays when the angles are arrays."""
 
     delta0: float
@@ -113,7 +111,7 @@ def z2_invariants(params: BulkParams, n_k: int = 2048) -> PhaseLabel:
     label, gaps, resolved = _labels(params, n_k)
     if not resolved:
         raise _unresolved(gaps.delta0, gaps.delta_pi, n_k)
-    return PhaseLabel(*map(int, vars(label).values()))
+    return PhaseLabel(*map(int, label))
 
 
 def winding_number(params: BulkParams, frame: TimeFrame, n_k: int = 2048) -> int:

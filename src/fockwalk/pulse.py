@@ -36,7 +36,7 @@ an extra sigma_z layer and a flipped boundary phase.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -58,20 +58,23 @@ class StepTooCoarse(RuntimeError):
     """Integrator step too large for the Hamiltonian scale."""
 
 
-@dataclass(frozen=True)
-class PulseConfig:
-    """Sideband passage schedule: Omega(t) = omega0 sin(pi t / tau),
-    delta(t) = delta0 cos(pi t / tau) over t in [0, tau], integrated in
-    steps of about ``integrator_step`` (dt), at most MAX_PASSAGE_STEPS."""
-
+class _Schedule(NamedTuple):
     omega0: float
     delta0: float
     tau: float
     integrator_step: float
 
-    def __post_init__(self):
-        for name in ("omega0", "delta0", "tau", "integrator_step"):
-            value = getattr(self, name)
+
+class PulseConfig(_Schedule):
+    """Sideband passage schedule: Omega(t) = omega0 sin(pi t / tau),
+    delta(t) = delta0 cos(pi t / tau) over t in [0, tau], integrated in
+    steps of about ``integrator_step`` (dt), at most MAX_PASSAGE_STEPS."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
+        for name, value in zip(self._fields, self):
             if not 0 < value < math.inf:
                 raise ValueError(f"pulse {name} must be finite and positive, got {value}")
         # ceil(tau / dt) > MAX exactly when tau / dt > MAX, an overflow to inf included
@@ -80,6 +83,7 @@ class PulseConfig:
                 f"pulse tau={self.tau:g} and dt={self.integrator_step:g} ask for "
                 f"{self.tau / self.integrator_step:.3g} passage steps; the limit is "
                 f"{MAX_PASSAGE_STEPS}")
+        return self
 
 
 # ---------------------------------------------------------------------------
@@ -163,13 +167,31 @@ _CHUNK = 1024
 
 def _quaternion_product(p: np.ndarray, q: np.ndarray) -> np.ndarray:
     """p q for SU(2) elements stored as (w, x, y, z) on axis 0, where
-    U = w I - i (x sigma_x + y sigma_y + z sigma_z)."""
+    U = w I - i (x sigma_x + y sigma_y + z sigma_z); p and q share one shape
+    of two or more axes.  Each component is summed left to right into its row
+    of the result, one term buffer reused for every product."""
     pw, px, py, pz = p
     qw, qx, qy, qz = q
-    return np.stack((pw * qw - px * qx - py * qy - pz * qz,
-                     pw * qx + qw * px + py * qz - pz * qy,
-                     pw * qy + qw * py + pz * qx - px * qz,
-                     pw * qz + qw * pz + px * qy - py * qx))
+    out = np.empty(p.shape)
+    term = np.empty(p.shape[1:])
+    w, x, y, z = out
+    np.multiply(pw, qw, out=w)
+    w -= np.multiply(px, qx, out=term)
+    w -= np.multiply(py, qy, out=term)
+    w -= np.multiply(pz, qz, out=term)
+    np.multiply(pw, qx, out=x)
+    x += np.multiply(qw, px, out=term)
+    x += np.multiply(py, qz, out=term)
+    x -= np.multiply(pz, qy, out=term)
+    np.multiply(pw, qy, out=y)
+    y += np.multiply(qw, py, out=term)
+    y += np.multiply(pz, qx, out=term)
+    y -= np.multiply(px, qz, out=term)
+    np.multiply(pw, qz, out=z)
+    z += np.multiply(qw, pz, out=term)
+    z += np.multiply(px, qy, out=term)
+    z -= np.multiply(py, qx, out=term)
+    return out
 
 
 def _exponential(h: float, a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -267,8 +289,7 @@ def adiabaticity_margin(config: PulseConfig) -> float:
     return math.pi / config.tau * (high / low) / low
 
 
-@dataclass(frozen=True)
-class CycleReport:
+class CycleReport(NamedTuple):
     unitarity_error: float
     leakage: float
     step_deviation: float       # max |spin block - abstract walk matrix|

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -56,8 +56,7 @@ class InsufficientLoss(RuntimeError):
     """Every ramp in the sweep lost less population than the fit floor."""
 
 
-@dataclass(frozen=True)
-class QuenchProtocol:
+class _Protocol(NamedTuple):
     initial: BulkParams
     final: BulkParams
     phi_initial: BoundaryPhase = PHI_ZERO
@@ -67,7 +66,12 @@ class QuenchProtocol:
     total_steps: int = 120
     kick: int | None = None  # site of the sigma_z kick at the end of step n0
 
-    def __post_init__(self):
+
+class QuenchProtocol(_Protocol):
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if self.n0 < 1 or self.nq < 1:
             raise ValueError("n0 and nq must be at least 1")
         if self.total_steps < self.n0 + self.nq:
@@ -75,6 +79,7 @@ class QuenchProtocol:
         n_max = self.total_steps + 2  # the lattice a quench runs on
         if self.kick is not None and not 0 <= self.kick <= n_max:
             raise SiteOutOfRange(f"kick={self.kick}: site outside 0..{n_max}")
+        return self
 
 
 def _schedule(ends, n0: int, durations, steps: int):
@@ -131,8 +136,7 @@ def stabilized_edge_population(series, start: int = 0, window: int = PLATEAU_WIN
     return float(np.mean(series[-window:]))
 
 
-@dataclass(frozen=True)
-class QuenchScenario:
+class QuenchScenario(NamedTuple):
     """One named quench experiment: the bulk angles and boundary phases on
     each side of the quench, and the site of its sigma_z kick, if any.  The
     outcome each one is expected to show is a test-side table."""
@@ -253,13 +257,12 @@ def ramp_survival_curve(scenario: QuenchScenario, nq_list, n0: int = 20,
     return [(nq, p, 1.0 - p / p_adiabatic) for nq, p in zip(nqs, stabilized)]
 
 
-@dataclass(frozen=True)
-class LZFit:
+class LZFit(NamedTuple):
     beta: float
     amplitude: float
     r_squared: float
     delta_pi: float
-    curve: tuple = field(default_factory=tuple)  # (nq, p_stable, loss) rows
+    curve: tuple = ()  # (nq, p_stable, loss) rows
 
 
 def landau_zener_fit(scenario: QuenchScenario, nq_list, n0: int = 20,

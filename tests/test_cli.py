@@ -6,6 +6,7 @@ import random
 import shlex
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -764,6 +765,12 @@ def test_cli_import_loads_no_process_pool():
     assert "concurrent.futures.process" not in _modules_after_cli_import()
 
 
+def test_cli_import_loads_no_dataclasses():
+    """The value records are ``typing.NamedTuple`` classes, which cost a
+    fraction of a dataclass to create; numpy loads no ``dataclasses`` either."""
+    assert "dataclasses" not in _modules_after_cli_import()
+
+
 def test_eigen_table(tmp_path):
     out = tmp_path / "e.csv"
     assert main(["eigen", "theta1=pi/2", "theta2=0", "--out", str(out)]) == EXIT_OK
@@ -832,9 +839,10 @@ def test_write_csv_matches_cell_by_cell_formatting(tmp_path):
     rows = [[0, 0.1, "ok", float("nan")], [1, -0.0, "transition", np.float64(2.5)],
             [-1, 1e-300, "error:RuntimeError", float("inf")], [12, 0.0, "ok", -math.pi]]
     for table in (rows, []):
-        path = tmp_path / "t.csv"
-        cli.write_csv(str(path), header, table)
-        assert path.read_text(encoding="utf-8") == _oracle_csv(header, table)
+        for given in (table, iter(table), (tuple(row) for row in table)):
+            path = tmp_path / "t.csv"
+            cli.write_csv(str(path), header, given)
+            assert path.read_text(encoding="utf-8") == _oracle_csv(header, table)
 
 
 @pytest.mark.parametrize("argv,table", [
@@ -854,6 +862,54 @@ def test_timeseries_rows_write_the_table_cell_by_cell(tmp_path, argv, table):
     assert out.read_text(encoding="utf-8") == _oracle_csv(cli.TIMESERIES_HEADER, rows)
     payload = [dict(zip(cli.TIMESERIES_HEADER, row)) for row in rows]
     assert mirror.read_text(encoding="utf-8") == json.dumps(payload, indent=1) + "\n"
+
+
+# Timeseries rows steps + 1 and distribution rows steps + 3 on each side of
+# the 256-row chunks, and the large benchmark's 4000-step walk.
+@pytest.mark.parametrize("steps", [252, 253, 254, 255, 256, 4000])
+@pytest.mark.parametrize("mirror", [False, True])
+def test_walk_rows_stream_across_chunk_edges(tmp_path, steps, mirror):
+    """The walk's CSVs, streamed ``_ROW_CHUNK`` rows at a time, and its --json
+    mirror equal the cell-by-cell oracle of the whole table and state."""
+    assert cli._ROW_CHUNK == 256
+    out, dist, js = tmp_path / "w.csv", tmp_path / "d.csv", tmp_path / "w.json"
+    argv = ["walk", "theta1=pi/2", "theta2=pi/8", f"steps={steps}", "--out", str(out),
+            "--dist-out", str(dist)] + (["--json", str(js)] if mirror else [])
+    assert main(argv) == EXIT_OK
+    table, state = analysis.walk_table(lattice.BulkParams(math.pi / 2, math.pi / 8),
+                                       lattice.PHI_ZERO, steps, "chiral")
+    rows = [[k, *row] for k, row in enumerate(table.tolist())]
+    assert out.read_text(encoding="utf-8") == _oracle_csv(cli.TIMESERIES_HEADER, rows)
+    up, down = state.amps + 0.0
+    p = lattice._site_probabilities(state.amps)
+    cells = [[n, float(p[n]), float(up[n].real), float(up[n].imag), float(down[n].real),
+              float(down[n].imag)] for n in range(state.n_max + 1)]
+    assert dist.read_text(encoding="utf-8") == _oracle_csv(cli.DISTRIBUTION_HEADER, cells)
+    if mirror:
+        payload = [dict(zip(cli.TIMESERIES_HEADER, row)) for row in rows]
+        assert js.read_text(encoding="utf-8") == json.dumps(payload, indent=1) + "\n"
+    else:
+        assert not js.exists()
+
+
+def test_walk_writes_its_csvs_in_bounded_memory(tmp_path, monkeypatch):
+    """The tracemalloc peak of writing the 4000-step walk's two CSVs through
+    ``main``, with the walk itself precomputed: the final state's five
+    columns and one chunk of rows at a time (234295 bytes, numpy 2.4.6 on
+    x86-64), with ~10% headroom.  Rows made a list first peaked at 1324755."""
+    params = lattice.BulkParams(math.pi / 2, 0.0)
+    walked = analysis.walk_table(params, lattice.PHI_ZERO, 4000, "chiral")
+    monkeypatch.setattr(analysis, "walk_table", lambda *args: walked)
+    argv = ["walk", "theta1=pi/2", "theta2=0", "steps=4000", "--out", str(tmp_path / "w.csv"),
+            "--dist-out", str(tmp_path / "d.csv")]
+    assert main(argv) == EXIT_OK  # warm: the parser and first-call allocations
+    tracemalloc.start()
+    try:
+        assert main(argv) == EXIT_OK
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 258_000
 
 
 # The default grid, grids 7 and 64, and the shifted bounds of the scan

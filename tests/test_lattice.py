@@ -1,5 +1,4 @@
 import ast
-import dataclasses
 import inspect
 import math
 import tracemalloc
@@ -763,7 +762,7 @@ def test_ramp_reads_the_forward_cones_edge_at_every_step(monkeypatch, steps):
     flip = quench.QuenchScenario("random", BulkParams(*rng.uniform(-7.0, 7.0, 2)),
                                  BulkParams(*rng.uniform(-7.0, 7.0, 2)), PHI_ZERO, PHI_PI,
                                  kick=2)
-    stay = dataclasses.replace(flip, phi_initial=PHI_PI, kick=None)
+    stay = flip._replace(phi_initial=PHI_PI, kick=None)
     seen = []
 
     def recorded(p):

@@ -291,6 +291,8 @@ def test_z2_labels_lie_in_z2():
 def test_virtual_bulk_parameters():
     assert virtual_bulk_params(3 * math.pi / 4, PHI_ZERO) == BulkParams(3 * math.pi / 4, -math.pi)
     assert virtual_bulk_params(0.4, PHI_PI) == BulkParams(0.4, math.pi)
+    # records compare as tuples, so equal fields of another type would pass too
+    assert type(virtual_bulk_params(0.4, PHI_PI)) is BulkParams
     # the virtual bulk of phi=0 sits in the trivial phase for |theta1| < pi
     label = z2_invariants(virtual_bulk_params(0.7, PHI_ZERO))
     assert (label.nu0, label.nu_pi) == (0, 0)

@@ -8,6 +8,7 @@ from fockwalk.pulse import (
     PulseConfig,
     StepTooCoarse,
     _passage_coefficients,
+    _quaternion_product,
     _stirap_batch,
     adiabaticity_margin,
     aux_leakage,
@@ -174,6 +175,21 @@ def test_passage_coefficients_mirror_about_the_middle_of_the_passage():
                                          delta0 * math.cos(math.pi * (tau - t) / tau))
         assert a_m == pytest.approx(-a, rel=0, abs=1e-13)
         assert b_m == pytest.approx(b, rel=0, abs=1e-13)
+
+
+@pytest.mark.parametrize("shape", [(4, 11), (4, 11, 1024), (4, 3, 0)])
+def test_quaternion_product_is_the_stacked_expression_bit_for_bit(shape):
+    """The in-place product sums each component's terms left to right, as
+    the stacked expression does, so every bit is the same."""
+    p, q = RNG.normal(size=(2, *shape))
+    pw, px, py, pz = p
+    qw, qx, qy, qz = q
+    want = np.stack((pw * qw - px * qx - py * qy - pz * qz,
+                     pw * qx + qw * px + py * qz - pz * qy,
+                     pw * qy + qw * py + pz * qx - px * qz,
+                     pw * qz + qw * pz + px * qy - py * qx))
+    got = _quaternion_product(p, q)
+    assert got.shape == want.shape and np.array_equal(got, want)
 
 
 def test_mirrored_quaternion_is_sigma_x_transpose_sigma_x():

@@ -1,4 +1,3 @@
-import dataclasses
 import math
 
 import numpy as np
@@ -315,7 +314,7 @@ def test_ramp_rejects_bad_durations_before_stepping(monkeypatch, nq_list, n0, po
 
 def test_ramp_rejects_a_kick_outside_the_shortest_lattice(monkeypatch):
     monkeypatch.setattr(lattice, "_step", no_stepping)
-    far = dataclasses.replace(scenario("fig6d-kick"), kick=20 + 1 + 80 + 3)
+    far = scenario("fig6d-kick")._replace(kick=20 + 1 + 80 + 3)
     with pytest.raises(SiteOutOfRange):
         ramp_survival_curve(far, [1, 2, 3])
 

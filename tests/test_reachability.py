@@ -8,14 +8,16 @@ assignment reaches every module-level name its source refers to, in its own
 module, by a ``from .module import name`` binding, or as ``module.name``
 through a ``from . import module`` binding.  A method or property, keyed
 ``Class.name``, is reached when reached code reads an attribute of its name
-(``x.name``, on any object); a reached class reaches its dunder methods, such
-as ``__post_init__``, but not the bodies of its other methods.  Every pin
-names a definition of ``src/fockwalk``, and every bench binding appears, as a
-word, in a ``bench/*.py`` file, so a pin goes when its name goes.
+(``x.name``, on any object); a reached class reaches its bases and its dunder
+methods, such as a validating ``__new__``, but not the bodies of its other
+methods.  Every pin names a definition of ``src/fockwalk``, and every bench
+binding appears, as a word, in a ``bench/*.py`` file, so a pin goes when its
+name goes.
 
-Fields and handlers are checked the same way.  A field of a reached
-dataclass is reached when reached code reads an attribute of its name or
-passes its class whole to ``dataclasses.asdict``; the unread ones are pinned
+Fields and handlers are checked the same way.  A field of a reached record
+(an annotated field of a ``NamedTuple`` class, or a name in the ``__slots__``
+of a plain class) is reached when reached code reads an attribute of its name
+or serializes its class whole with ``_asdict()``; the unread ones are pinned
 in ``FIELD_PINS`` with the pinned definition that reads them.  Every
 exception class of ``src/fockwalk`` that ``cli.main`` catches is named by
 reached code outside an ``except`` clause, so no handler is dead.
@@ -42,7 +44,7 @@ PER_STEP_API = {  # the public per-step API and its helpers
     "WalkerState.up", "WalkerState.down", "WalkerState.copy",
 }
 PINNED = BENCH_BINDINGS | PER_STEP_API
-# Fields of reached dataclasses that reached code does not read -> the pinned
+# Fields of reached records that reached code does not read -> the pinned
 # definition that reads them.
 FIELD_PINS = {
     "PhaseLabel.nu_prime": "winding_number",  # a bench binding
@@ -159,7 +161,7 @@ def test_methods_are_reached_by_attribute_and_dunders_by_their_class():
     for module, name in (("lattice", "WalkerState.site_probabilities"),  # state.site_...()
                          ("lattice", "BoundaryPhase.sign"),  # a property: phi.sign
                          ("quench", "QuenchScenario.protocol"),
-                         ("quench", "QuenchProtocol.__post_init__")):  # by its class
+                         ("quench", "QuenchProtocol.__new__")):  # by its class
         assert name in defs[module] and (module, name) in reached
     assert ("lattice", "WalkerState.copy") not in reached
 
@@ -196,47 +198,57 @@ def test_every_exception_that_main_catches_is_raised_by_reached_code():
     assert caught <= named, sorted(caught - named)
 
 
-def _is_dataclass(node: ast.ClassDef) -> bool:
-    return any(isinstance(d, ast.Name) and d.id == "dataclass"
-               or isinstance(d, ast.Call) and getattr(d.func, "id", None) == "dataclass"
-               for d in node.decorator_list)
+def _fields(node: ast.stmt) -> list[str]:
+    """The fields of a record class: the annotated names of a ``NamedTuple``
+    class body, or the names in a plain class's ``__slots__``; [] for
+    anything else, a validating ``NamedTuple`` subclass's ``__slots__ = ()``
+    included."""
+    if not isinstance(node, ast.ClassDef):
+        return []
+    if any(isinstance(base, ast.Name) and base.id == "NamedTuple" for base in node.bases):
+        return [item.target.id for item in node.body
+                if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name)]
+    return [sub.value for item in node.body if isinstance(item, ast.Assign)
+            and [getattr(t, "id", None) for t in item.targets] == ["__slots__"]
+            for sub in ast.walk(item.value)
+            if isinstance(sub, ast.Constant) and isinstance(sub.value, str)]
 
 
 def _serialized(reached: set, defs: dict) -> set:
-    """(module, class) of each dataclass that reached code passes whole to
-    ``dataclasses.asdict``, as ``x = f(...)`` then ``asdict(x)``, where f
-    is annotated to return the class."""
+    """(module, class) of each record that reached code serializes whole with
+    ``_asdict()``, as ``x = f(...)`` then ``x._asdict()``, where f is
+    annotated to return the class."""
     whole = set()
     for module, name in reached:
         for node in _source(defs[module][name])[0]:
-            if not (isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "asdict"
-                    and isinstance(node.args[0], ast.Name)):
+            if not (isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "_asdict"
+                    and isinstance(node.func.value, ast.Name)):
                 continue
             for assign in _source(defs[module][name])[0]:
                 if (isinstance(assign, ast.Assign) and isinstance(assign.value, ast.Call)
-                        and [getattr(t, "id", None) for t in assign.targets] == [node.args[0].id]):
+                        and [getattr(t, "id", None) for t in assign.targets] == [node.func.value.id]):
                     maker = _target(module, assign.value.func)
                     returns = defs[maker[0]][maker[1]].returns
                     whole.add(_target(maker[0], returns))
     return whole
 
 
-def test_every_field_of_a_reached_dataclass_is_read_or_pinned():
-    """A field of a reached dataclass is reached when reached code reads an
-    attribute of its name (on any object), or passes its class whole to
-    ``dataclasses.asdict``.  The unread ones are exactly ``FIELD_PINS``, each
-    read by the pinned definition named with it."""
+def test_every_field_of_a_reached_record_is_read_or_pinned():
+    """A field of a reached record is reached when reached code reads an
+    attribute of its name (on any object; storing it, as ``__init__`` does,
+    is no read), or serializes its class whole with ``_asdict()``.  The
+    unread ones are exactly ``FIELD_PINS``, each read by the pinned
+    definition named with it."""
     reached, defs = _reached()
     read = {node.attr for module, name in reached for node in _source(defs[module][name])[0]
-            if isinstance(node, ast.Attribute)}
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
     whole = _serialized(reached, defs)
     assert ("pulse", "CycleReport") in whole
-    unread = {f"{name}.{item.target.id}" for module, name in reached
-              if isinstance(defs[module][name], ast.ClassDef) and _is_dataclass(defs[module][name])
-              and (module, name) not in whole
-              for item in defs[module][name].body
-              if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name)
-              and item.target.id not in read}
+    records = {(module, name) for module, name in reached if _fields(defs[module][name])}
+    assert {("lattice", "_Angles"), ("lattice", "WalkerState"), ("quench", "_Protocol"),
+            ("quench", "QuenchScenario")} <= records
+    unread = {f"{name}.{field}" for module, name in records - whole
+              for field in _fields(defs[module][name]) if field not in read}
     assert unread == set(FIELD_PINS), sorted(unread ^ set(FIELD_PINS))
     for field, reader in FIELD_PINS.items():
         assert reader in PINNED
