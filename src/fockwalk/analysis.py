@@ -10,7 +10,8 @@ dense oracle and the localization fits of edge profiles are test-side).
 
 ``lattice._trajectory`` runs only here: ``_read_in_full`` reduces its blocks to
 the observable table and last state (walk, quench), ``_read_at_edge`` to every
-state's P_edge (ramp), and the sweep reads each stack's last state.
+state's P_edge (ramp), and the sweep reads the last state of each of the
+fewest equal stacks whose widest stepped state fits 2 x ``_BLOCK_BYTES``.
 The table's moments are one fixed-order product over sites zero-padded to whole
 ``lattice._SITE_CHUNK``-site chunks, so trailing zero sites change no bit: a
 state's row is the same on the full lattice and in any block of ``_trajectory``.
@@ -207,24 +208,27 @@ def sweep_edge_populations(points: BulkParams, phi: BoundaryPhase, steps: int) -
     counterpart of ``steps`` calls of ``chiral_step`` from |0, down> on an
     n_max = steps + 2 lattice, read by ``observable_record``, its per-point
     reference.
-    The points run through ``_trajectory`` as stacks of R walkers with
-    per-row angles and one shared phi, read on sites 0 and 1 only, so state t
-    is stepped on the sites that can still reach them (the double light
-    cone, at most about half the lattice).  R keeps the widest stepped state
-    of a stack within ``_BLOCK_BYTES``, so memory does not grow with the
-    number of points.
+    The points run through ``_trajectory`` with per-row angles and one
+    shared phi, read on sites 0 and 1 only, so state t is stepped on the
+    sites that can still reach them (the double light cone, at most about
+    half the lattice), as the fewest equal stacks whose widest stepped state
+    fits 2 x ``_BLOCK_BYTES`` (2 of 128 walkers for 256 points at 100 steps),
+    so memory does not grow with the number of points.
     """
     if steps < 0:
         raise ValueError(f"steps must be >= 0, got {steps}")
     angles = np.stack([points.theta1, points.theta2], dtype=float).reshape(1, 2, -1)
-    rows = max(1, _BLOCK_BYTES // (2 * int(_stepped_widths(steps, 2).max()) * 8))
+    cap = max(1, 2 * _BLOCK_BYTES // (2 * int(_stepped_widths(steps, 2).max()) * 8))
     p_edge = np.empty(angles.shape[-1])
-    for lo in range(0, len(p_edge), rows):
-        for states, turns in _trajectory(angles[..., lo:lo + rows], [phi.sign] * steps,
+    lo = 0
+    for left in range(-(-len(p_edge) // cap), 0, -1):
+        hi = lo + -(-(len(p_edge) - lo) // left)  # equal stacks, the first ones 1 larger
+        for states, turns in _trajectory(angles[..., lo:hi], [phi.sign] * steps,
                                          "chiral", reads=2):
             pass  # only the last state is read
-        p_edge[lo:lo + rows] = _edge_populations(_site_probabilities(states[-1, ..., :2]))
+        p_edge[lo:hi] = _edge_populations(_site_probabilities(states[-1, ..., :2]))
         states = turns = None  # the last block is freed before the next stack steps
+        lo = hi
     return p_edge
 
 

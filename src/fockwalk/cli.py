@@ -190,15 +190,23 @@ def write_json_mirror(path: str, header: list[str], rows: list[list]) -> None:
         fh.write("\n")
 
 
-def _emit(args, header, rows: Iterable) -> None:
-    """Write the CSV, and the --json mirror if asked for; only the mirror,
-    which reads the rows a second time, makes them a list."""
+def _emit(args, header, rows: Iterable, numbers=None) -> None:
+    """Write the CSV, and the --json mirror if asked for: of ``numbers()``
+    where ``rows`` hold text, else of ``rows``, then made a list."""
     mirror = getattr(args, "json", None)
-    if mirror is not None:
+    if mirror is not None and numbers is None:
         rows = list(rows)
     write_csv(args.out, header, rows)
     if mirror is not None:
-        write_json_mirror(mirror, header, rows)
+        write_json_mirror(mirror, header, rows if numbers is None else numbers())
+
+
+def _distinct_text(column: np.ndarray) -> list[str]:
+    """The ``%.17g`` text of a float column, each distinct value formatted
+    once; keyed on its bits, -0.0 stays apart from 0.0."""
+    bits = column.view(np.int64).tolist()
+    text = {key: "%.17g" % value for key, value in dict(zip(bits, column.tolist())).items()}
+    return list(map(text.__getitem__, bits))
 
 
 TIMESERIES_HEADER = ["step", "p_edge", "sx0", "sx1", "mean_n", "var_n", "norm"]
@@ -240,7 +248,15 @@ def cmd_walk(args, cfg, given) -> int:
 
 def _sweep_point(index, theta1, theta2, phi, p_edge, b0, b_pi):
     """One sweep row: the point, its final P_edge and bound-state prediction."""
-    return [index, theta1, theta2, phi.phi, p_edge, b0, b_pi, "ok"]
+    return [index, theta1, theta2, phi, p_edge, b0, b_pi, "ok"]
+
+
+def _sweep_rows(grid, phi, p_edge, predicted, cells=np.ndarray.tolist) -> list:
+    """SWEEP_HEADER rows, the angle and phi columns converted by ``cells``."""
+    phis = np.full(len(p_edge), phi.phi)
+    return list(map(_sweep_point, range(len(p_edge)),
+                    *map(cells, (grid.theta1, grid.theta2, phis)), p_edge.tolist(),
+                    *(b.tolist() for b in predicted)))
 
 
 def cmd_sweep(args, cfg, given) -> int:
@@ -256,10 +272,9 @@ def cmd_sweep(args, cfg, given) -> int:
                               np.tile(cfg.theta2, len(cfg.theta1)))
     p_edge = analysis.sweep_edge_populations(grid, cfg.phi, cfg.steps)
     _check_edge(p_edge)
-    predicted = zip(*(b.tolist() for b in momentum.bound_state_channels(grid, cfg.phi)))
-    rows = [_sweep_point(index, t1, t2, cfg.phi, p, *b) for index, (t1, t2, p, b) in enumerate(
-        zip(grid.theta1.tolist(), grid.theta2.tolist(), p_edge.tolist(), predicted))]
-    _emit(args, SWEEP_HEADER, rows)
+    predicted = momentum.bound_state_channels(grid, cfg.phi)
+    _emit(args, SWEEP_HEADER, _sweep_rows(grid, cfg.phi, p_edge, predicted, _distinct_text),
+          lambda: _sweep_rows(grid, cfg.phi, p_edge, predicted))
     return EXIT_OK
 
 
@@ -333,11 +348,12 @@ def cmd_pulse_verify(args, cfg, given) -> int:
     return EXIT_OK
 
 
-def _diagram_rows(params, gaps, label, transition) -> list:
-    """DIAGRAM_HEADER rows of ``momentum.phase_diagram``'s columns."""
+def _diagram_rows(params, gaps, label, transition, cells=np.ndarray.tolist) -> list:
+    """DIAGRAM_HEADER rows of ``momentum.phase_diagram``'s columns, the angle
+    and gap columns converted by ``cells``."""
     nu0, nu_pi = np.where(transition, -1, [label.nu0, label.nu_pi]).tolist()
-    return list(zip(params.theta1.tolist(), params.theta2.tolist(), nu0, nu_pi,
-                    gaps.delta0.tolist(), gaps.delta_pi.tolist(),
+    return list(zip(cells(params.theta1), cells(params.theta2), nu0, nu_pi,
+                    cells(gaps.delta0), cells(gaps.delta_pi),
                     np.where(transition, "transition", "ok").tolist()))
 
 
@@ -345,7 +361,8 @@ def cmd_phase_diagram(args, cfg, given) -> int:
     values = [cfg.lo + (cfg.hi - cfg.lo) * (i + 0.5) / cfg.grid for i in range(cfg.grid)]
     columns = momentum.phase_diagram(values, values, n_k=cfg.n_k,
                                      transition_tol=cfg.transition_tol)
-    _emit(args, DIAGRAM_HEADER, _diagram_rows(*columns))
+    _emit(args, DIAGRAM_HEADER, _diagram_rows(*columns, _distinct_text),
+          lambda: _diagram_rows(*columns))
     return EXIT_OK
 
 

@@ -214,9 +214,11 @@ def test_sweep_matches_per_point_evolve(tmp_path):
     t1s = [math.pi / 2, -math.pi / 3, 0.3, 2.9] + [k * math.pi / 12 for k in range(-11, 12, 3)]
     t2s = [math.pi / 2, -5 * math.pi / 8, -math.pi / 8, math.pi / 8, 3 * math.pi / 8, 0.0,
            7 * math.pi / 8, -1.1, 2.2, -3.0]
-    # at 40 steps one stack of _BLOCK_BYTES holds fewer rows, so a chunk boundary is crossed
-    assert len(t1s) * len(t2s) * 2 * (40 + 3) * 8 > lattice._BLOCK_BYTES
-    for phi, steps in ((lattice.PHI_ZERO, 40), (lattice.PHI_PI, 40), (lattice.PHI_ZERO, 0)):
+    # at 150 steps a stack holds at most 102 walkers, whose widest stepped
+    # state fits 2 x _BLOCK_BYTES, so the 120 points cross a stack boundary
+    widest = int(lattice._stepped_widths(150, 2).max())
+    assert len(t1s) * len(t2s) * 2 * widest * 8 > 2 * lattice._BLOCK_BYTES
+    for phi, steps in ((lattice.PHI_ZERO, 150), (lattice.PHI_PI, 150), (lattice.PHI_ZERO, 0)):
         out, ref = tmp_path / "sweep.csv", tmp_path / "ref.csv"
         argv = ["sweep", "theta1=" + ",".join(map(repr, t1s)),
                 "theta2=" + ",".join(map(repr, t2s)), f"phi={phi.phi!r}", f"steps={steps}"]
@@ -235,7 +237,8 @@ def test_sweep_matches_per_point_evolve(tmp_path):
 def test_sweep_edge_populations_do_not_depend_on_the_chunk_size(monkeypatch):
     points = lattice.BulkParams(np.repeat([0.4, 1.3, -2.0], 3), np.tile([0.7, -0.2, 2.5], 3))
     expected = analysis.sweep_edge_populations(points, lattice.PHI_PI, 30)
-    for block_bytes in (1, 4 * 2 * 33 * 8):  # one row per stack; 4 rows, not dividing 9
+    # stacks of at most 1 and 2 walkers, 24 sites at most: 9 x 1, and 2, 2, 2, 2, 1
+    for block_bytes in (1, 2 * 24 * 8):
         monkeypatch.setattr(analysis, "_BLOCK_BYTES", block_bytes)
         assert np.array_equal(analysis.sweep_edge_populations(points, lattice.PHI_PI, 30),
                               expected)
@@ -747,8 +750,10 @@ def test_empty_output_path_is_rejected_before_any_work(argv, flag, tmp_path, mon
     assert list(tmp_path.iterdir()) == []  # nothing created
 
 
-def _modules_after_cli_import() -> list[str]:
-    code = "import json, sys, fockwalk.cli; print(json.dumps(sorted(sys.modules)))"
+def _modules_after_cli_import(then: str = "") -> list[str]:
+    """The modules of a fresh interpreter after ``import fockwalk.cli`` and
+    the statement ``then``."""
+    code = f"import json, sys, fockwalk.cli\n{then}\nprint(json.dumps(sorted(sys.modules)))"
     src = os.path.dirname(os.path.dirname(fockwalk.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
@@ -759,6 +764,19 @@ def _modules_after_cli_import() -> list[str]:
 
 def test_cli_import_loads_no_scipy():
     assert [m for m in _modules_after_cli_import() if m.split(".")[0] == "scipy"] == []
+
+
+def test_sweep_and_phase_diagram_load_no_module_beyond_the_cli_import(tmp_path):
+    """A ``sweep`` and a ``phase-diagram`` run, with its --json mirror, load
+    no module that ``import fockwalk.cli`` and the parser every subcommand
+    builds have not (argparse's gettext loads ``locale`` for the parser)."""
+    runs = [["sweep", "theta1=pi/2,-pi/4", "theta2=0,pi/8", "steps=30",
+             "--out", str(tmp_path / "s.csv")],
+            ["phase-diagram", "--out", str(tmp_path / "d.csv"), "--json", str(tmp_path / "d.json")]]
+    parsed = set(_modules_after_cli_import("fockwalk.cli._parser()"))
+    ran = _modules_after_cli_import(f"assert [fockwalk.cli.main(a) for a in {runs!r}] == [0, 0]")
+    assert sorted(set(ran) - parsed) == []
+    assert (tmp_path / "s.csv").exists() and (tmp_path / "d.json").exists()
 
 
 def test_cli_import_loads_no_process_pool():
@@ -931,6 +949,56 @@ def test_phase_diagram_matches_the_per_point_oracle(tmp_path, keys):
     assert out.read_text(encoding="utf-8") == _oracle_csv(cli.DIAGRAM_HEADER, rows)
     payload = [dict(zip(cli.DIAGRAM_HEADER, row)) for row in rows]
     assert mirror.read_text(encoding="utf-8") == json.dumps(payload, indent=1) + "\n"
+
+
+def _first_difference(got: str, want: str):
+    """The first line number where two texts differ, with both lines, or None
+    (pytest's own diff of two long texts can run for minutes)."""
+    for number, pair in enumerate(itertools.zip_longest(got.splitlines(), want.splitlines())):
+        if pair[0] != pair[1]:
+            return number, *pair
+    return None
+
+
+def _sweep_float_rows(t1s, t2s, phi, steps):
+    grid = lattice.BulkParams(np.repeat(t1s, len(t2s)), np.tile(t2s, len(t1s)))
+    p_edge = analysis.sweep_edge_populations(grid, phi, steps)
+    b0, b_pi = momentum.bound_state_channels(grid, phi)
+    return [[k, float(grid.theta1[k]), float(grid.theta2[k]), phi.phi, float(p_edge[k]),
+             int(b0[k]), int(b_pi[k]), "ok"] for k in range(len(p_edge))]
+
+
+def _diagram_float_rows(grid):
+    values = [-2 * math.pi + 4 * math.pi * (i + 0.5) / grid for i in range(grid)]
+    params, gaps, label, transition = momentum.phase_diagram(values, values)
+    return [[float(params.theta1[k]), float(params.theta2[k]),
+             -1 if transition[k] else int(label.nu0[k]),
+             -1 if transition[k] else int(label.nu_pi[k]),
+             float(gaps.delta0[k]), float(gaps.delta_pi[k]),
+             "transition" if transition[k] else "ok"] for k in range(len(transition))]
+
+
+@pytest.mark.parametrize("argv,header,float_rows", [
+    (["sweep", "theta1=-0,0,pi/2", "theta2=pi/8,0,-0,pi/8", "steps=20"], cli.SWEEP_HEADER,
+     lambda: _sweep_float_rows([-0.0, 0.0, math.pi / 2], [math.pi / 8, 0.0, -0.0, math.pi / 8],
+                               lattice.PHI_ZERO, 20)),
+    (["phase-diagram", "grid=8"], cli.DIAGRAM_HEADER, lambda: _diagram_float_rows(8)),
+    (["phase-diagram"], cli.DIAGRAM_HEADER, lambda: _diagram_float_rows(32)),
+], ids=["sweep", "diagram-8", "diagram-32"])
+def test_grid_tables_format_each_cell_like_the_oracle(tmp_path, argv, header, float_rows):
+    """The sweep and the phase diagram format each distinct grid and gap
+    value once; their CSVs still equal the cell-by-cell oracle, with -0.0 and
+    0.0 in one column apart, and their --json mirrors carry the numbers."""
+    out, mirror = tmp_path / "t.csv", tmp_path / "t.json"
+    assert main(argv + ["--out", str(out), "--json", str(mirror)]) == EXIT_OK
+    rows = float_rows()
+    assert _first_difference(out.read_text(encoding="utf-8"), _oracle_csv(header, rows)) is None
+    payload = [dict(zip(header, row)) for row in rows]
+    assert _first_difference(mirror.read_text(encoding="utf-8"),
+                             json.dumps(payload, indent=1) + "\n") is None
+    if argv[0] == "sweep":  # both zeros reach each angle column
+        columns = list(zip(*(line.split(",") for line in out.read_text().splitlines()[1:])))
+        assert {"-0", "0"} <= set(columns[1]) and {"-0", "0"} <= set(columns[2])
 
 
 @pytest.mark.parametrize("lo,hi", [("-2pi", "2pi"), ("-7.1667582410017152", "5.3996123733574573")])

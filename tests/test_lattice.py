@@ -728,7 +728,8 @@ def test_edge_read_trajectory_is_the_forward_cone_bit_for_bit(monkeypatch, steps
 def test_sweep_reads_the_forward_cones_edge_in_stacks_of_1_39_and_256(monkeypatch, steps, phi):
     """The sweep's final P_edge at seeded random points is bit for bit that of
     stepping the whole forward cone, whatever the stack size: 1, 39 (6 stacks
-    and one of 22) and 256 walkers a stack."""
+    for 234 points) and 256 walkers a stack, and 256 points under a cap of 39
+    split evenly into the fewest stacks, 4 of 37 and 3 of 36."""
     rng = np.random.default_rng(steps)
     theta = rng.uniform(-7.0, 7.0, size=(2, 256))
     want = forward_cone_edge_populations(theta[None], [phi.sign] * steps)[-1]
@@ -741,11 +742,11 @@ def test_sweep_reads_the_forward_cones_edge_in_stacks_of_1_39_and_256(monkeypatc
 
     trajectory = analysis._trajectory
     monkeypatch.setattr(analysis, "_trajectory", recorded)
-    for stack, points, want_stacks in ((1, 5, [1] * 5), (39, 256, [39] * 6 + [22]),
-                                       (256, 256, [256])):
+    for cap, points, want_stacks in ((1, 5, [1] * 5), (39, 234, [39] * 6),
+                                     (39, 256, [37] * 4 + [36] * 3), (256, 256, [256])):
         stacks.clear()
-        # the sweep fits a stack's widest stepped state into _BLOCK_BYTES
-        monkeypatch.setattr(analysis, "_BLOCK_BYTES", stack * widest * 16)
+        # the sweep fits a stack's widest stepped state into 2 x _BLOCK_BYTES
+        monkeypatch.setattr(analysis, "_BLOCK_BYTES", cap * widest * 8)
         got = analysis.sweep_edge_populations(BulkParams(*theta[:, :points]), phi, steps)
         assert got.tobytes() == want[:points].tobytes()
         assert stacks == want_stacks
@@ -840,7 +841,7 @@ def test_every_block_holds_states_of_one_stepped_width(monkeypatch):
     analysis.sweep_edge_populations(BulkParams(np.repeat(grid, 16), np.tile(grid, 16)),
                                     PHI_ZERO, 100)
     quench.ramp_survival_curve(quench.scenario("fig6c"), range(1, 49))
-    assert runs == [200, 4000, 300, 100, 100, 100, 100, 148]
+    assert runs == [200, 4000, 300, 100, 100, 148]  # the sweep: 2 stacks of 128
 
 
 def test_edge_readers_peak_memory():
